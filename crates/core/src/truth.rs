@@ -17,10 +17,9 @@
 //! neighbourhood covering the reuse radius/window instead of scanning
 //! every stored truth — sub-linear in store size, which is what makes the
 //! concurrent serving layer (`cp-service`) viable at scale. The previous
-//! full-scan implementation is kept as [`TruthStore::lookup_linear`]; it
-//! is the reference semantics that the grid path must reproduce exactly
-//! (same hit, same closest-match tie-break by insertion order) and the
-//! baseline the `service` benchmark compares against.
+//! full-scan implementation is kept as a test-only reference: it is
+//! the semantics that the grid path must reproduce exactly (same hit,
+//! same closest-match tie-break by insertion order).
 
 use crate::config::Config;
 use crate::hashing::FxHashMap;
@@ -351,7 +350,7 @@ impl TruthStore {
     /// Looks up a truth matching the request within the configured reuse
     /// radius and time window. Among matches, the spatially closest one is
     /// returned (ties by insertion order). Served by the grid index;
-    /// agrees exactly with [`TruthStore::lookup_linear`].
+    /// agrees exactly with the test-only linear-scan reference.
     pub fn lookup(
         &self,
         graph: &RoadGraph,
@@ -461,9 +460,10 @@ impl TruthStore {
     }
 
     /// Reference implementation of [`TruthStore::lookup`]: a full linear
-    /// scan with the original semantics. Kept for differential tests and
-    /// as the baseline in the `service` benchmark.
-    pub fn lookup_linear(
+    /// scan with the original semantics, kept for the differential
+    /// grid-vs-linear test.
+    #[cfg(test)]
+    fn lookup_linear(
         &self,
         graph: &RoadGraph,
         from: NodeId,

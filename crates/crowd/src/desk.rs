@@ -29,11 +29,10 @@
 //!   [`Platform`]: interior mutability (one mutex), a hard per-worker
 //!   cap, and contention counters ([`DeskStats`]) so oversubscription
 //!   attempts are observable, not silent.
-//! * [`DirectDesk`] — the pre-redesign direct-platform behaviour
-//!   (unconditional assignment, no cap) behind the same trait: the
-//!   reference implementation the equivalence proptest checks
-//!   [`SharedCrowd`] against, and the zero-ceremony choice for
-//!   single-owner sequential experiments.
+//!   `SharedCrowd::new(platform, u32::MAX)` is the pre-redesign
+//!   direct-platform behaviour (unconditional assignment — a cap that
+//!   can never bind): the reference the equivalence proptest checks a
+//!   capped desk against.
 //!
 //! With N resolvers sharing one [`SharedCrowd`], a worker's outstanding
 //! count can never exceed `max_outstanding`: every increment happens
@@ -511,118 +510,6 @@ impl CrowdState for SharedCrowd {
     }
 }
 
-/// The pre-redesign behaviour behind the desk API: unconditional
-/// assignment (`try_reserve` never rejects — exactly the borrowed
-/// planner's direct `assign`/`finish` calls, because an effectively
-/// infinite cap can never bind). This is the reference implementation
-/// the equivalence proptest checks a *capped* [`SharedCrowd`] against,
-/// and the zero-ceremony desk for single-owner sequential experiments.
-/// Internally it *is* a [`SharedCrowd`] with `max_outstanding =
-/// u32::MAX`, so the locking/accounting machinery exists exactly once.
-pub struct DirectDesk(SharedCrowd);
-
-impl DirectDesk {
-    /// Wraps `platform` without any reservation cap.
-    pub fn new(platform: Platform) -> Self {
-        DirectDesk(SharedCrowd::new(platform, u32::MAX))
-    }
-
-    /// Runs `f` with the locked platform.
-    pub fn with_platform<R>(&self, f: impl FnOnce(&Platform) -> R) -> R {
-        self.0.with_platform(f)
-    }
-}
-
-impl std::fmt::Debug for DirectDesk {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DirectDesk")
-            .field("workers", &self.0.population().len())
-            .finish()
-    }
-}
-
-impl CrowdObserve for DirectDesk {
-    fn population(&self) -> &WorkerPopulation {
-        self.0.population()
-    }
-
-    fn worker_history(&self, worker: WorkerId) -> Vec<(LandmarkId, AnswerTally)> {
-        self.0.worker_history(worker)
-    }
-
-    fn response_times(&self, worker: WorkerId) -> Vec<f64> {
-        self.0.response_times(worker)
-    }
-
-    fn response_time_stats(&self, worker: WorkerId) -> (usize, f64) {
-        self.0.response_time_stats(worker)
-    }
-
-    fn selection_snapshot(&self) -> Vec<(u32, usize, f64)> {
-        self.0.selection_snapshot()
-    }
-
-    fn outstanding(&self, worker: WorkerId) -> u32 {
-        self.0.outstanding(worker)
-    }
-
-    fn points(&self, worker: WorkerId) -> f64 {
-        self.0.points(worker)
-    }
-
-    fn generation(&self) -> u64 {
-        self.0.generation()
-    }
-}
-
-impl CrowdDesk for DirectDesk {
-    fn max_outstanding(&self) -> u32 {
-        self.0.max_outstanding()
-    }
-
-    fn try_reserve(&self, worker: WorkerId) -> Result<(), QuotaExhausted> {
-        self.0.try_reserve(worker)
-    }
-
-    fn ask(&self, worker: WorkerId, landmark: &Landmark, truth: bool) -> (bool, f64) {
-        self.0.ask(worker, landmark, truth)
-    }
-
-    fn award(&self, worker: WorkerId, points: f64) {
-        self.0.award(worker, points);
-    }
-
-    fn commit(&self, worker: WorkerId) {
-        self.0.commit(worker);
-    }
-
-    fn release(&self, worker: WorkerId) {
-        self.0.release(worker);
-    }
-
-    fn desk_stats(&self) -> DeskStats {
-        self.0.desk_stats()
-    }
-}
-
-impl CrowdState for DirectDesk {
-    fn export_state(&self) -> PlatformState {
-        self.0.export_state()
-    }
-
-    fn import_state(&self, state: &PlatformState) -> Result<(), StateSizeMismatch> {
-        self.0.import_state(state)
-    }
-
-    fn apply_answer(&self, record: &AnswerRecord) {
-        self.0.apply_answer(record);
-    }
-
-    fn set_answer_observer(&self, observer: AnswerObserver) -> bool {
-        self.0.set_answer_observer(observer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,7 +528,6 @@ mod tests {
     fn desks_are_send_sync() {
         fn assert_shareable<T: Send + Sync + 'static>() {}
         assert_shareable::<SharedCrowd>();
-        assert_shareable::<DirectDesk>();
         assert_shareable::<Arc<dyn CrowdDesk>>();
     }
 
@@ -779,7 +665,7 @@ mod tests {
     #[test]
     fn direct_desk_never_rejects() {
         let (_, p) = platform(13);
-        let desk = DirectDesk::new(p);
+        let desk = SharedCrowd::new(p, u32::MAX);
         let w = WorkerId(0);
         for _ in 0..50 {
             desk.try_reserve(w).unwrap();

@@ -28,8 +28,8 @@ pub mod worker;
 
 pub use answer::AnswerModel;
 pub use desk::{
-    AnswerObserver, AnswerRecord, CrowdDesk, CrowdObserve, CrowdState, DeskStats, DirectDesk,
-    QuotaExhausted, Reservation, SharedCrowd,
+    AnswerObserver, AnswerRecord, CrowdDesk, CrowdObserve, CrowdState, DeskStats, QuotaExhausted,
+    Reservation, SharedCrowd,
 };
 pub use platform::{AnswerTally, Platform, PlatformState, StateSizeMismatch};
 pub use population::{PopulationParams, WorkerPopulation};

@@ -29,8 +29,8 @@ pub use mpr::{
     log_popularity, most_popular_route, most_popular_routes, popularity_tree, MprParams,
 };
 pub use source::{
-    candidates_from_artifacts, distinct_candidates, generate_candidates, generate_candidates_batch,
-    generate_candidates_multi, CandidateGenerator, CandidateRoute, OriginArtifacts, SourceKind,
+    candidates_from_artifacts, distinct_candidates, generate_candidates, CandidateGenerator,
+    CandidateRoute, OriginArtifacts, SourceKind,
 };
 pub use transfer::TransferNetwork;
 pub use webservice::{FastestRouteService, ShortestRouteService};

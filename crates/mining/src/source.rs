@@ -122,47 +122,6 @@ impl<'a> CandidateGenerator<'a> {
             departure,
         )
     }
-
-    /// Produces candidate sets for a whole group of OD queries sharing a
-    /// departure time with one fused mining pass — see
-    /// [`generate_candidates_batch`]. Per query, byte-identical to
-    /// [`CandidateGenerator::candidates`].
-    pub fn candidates_batch(
-        &self,
-        queries: &[(NodeId, NodeId)],
-        departure: TimeOfDay,
-    ) -> Vec<Vec<CandidateRoute>> {
-        generate_candidates_batch(
-            self.graph,
-            self.trips,
-            &self.transfer,
-            &self.mpr,
-            &self.mfp,
-            &self.ldr,
-            queries,
-            departure,
-        )
-    }
-
-    /// Produces candidate sets for OD queries spanning several departure
-    /// buckets with one set of all-day artifacts per origin and one MFP
-    /// period aggregation per distinct departure — see
-    /// [`generate_candidates_multi`]. Per query, byte-identical to
-    /// [`CandidateGenerator::candidates`].
-    pub fn candidates_multi(
-        &self,
-        queries: &[(NodeId, NodeId, TimeOfDay)],
-    ) -> Vec<Vec<CandidateRoute>> {
-        generate_candidates_multi(
-            self.graph,
-            self.trips,
-            &self.transfer,
-            &self.mpr,
-            &self.mfp,
-            &self.ldr,
-            queries,
-        )
-    }
 }
 
 /// Produces one candidate per available source from explicitly supplied
@@ -425,96 +384,6 @@ pub fn candidates_from_artifacts(
     out
 }
 
-/// Produces candidate sets for a batch of OD queries that may span
-/// **several departure buckets**, splitting the work along its true
-/// dependency structure:
-///
-/// * per distinct **origin**, the all-day artifacts (MPR popularity
-///   expansion, LDR locality scan and habit/fastest trees) are computed
-///   once — they do not depend on the departure at all;
-/// * per distinct **departure**, the O(|trips|) MFP period filter and
-///   footmark aggregation run once, shared by every origin;
-/// * per `(origin, departure)`, one frequency-discounted MFP expansion.
-///
-/// `out[i]` is byte-identical to `generate_candidates(…, queries[i].0,
-/// queries[i].1, queries[i].2)`. This is the cross-bucket form behind
-/// the serving layer's origin-cell coalescing; the single-departure
-/// [`generate_candidates_batch`] is a thin wrapper over it.
-pub fn generate_candidates_multi(
-    graph: &RoadGraph,
-    trips: &[Trip],
-    transfer: &TransferNetwork,
-    mpr: &MprParams,
-    mfp: &MfpParams,
-    ldr: &LdrParams,
-    queries: &[(NodeId, NodeId, TimeOfDay)],
-) -> Vec<Vec<CandidateRoute>> {
-    // Shared state in first-appearance order (deterministic, and linear
-    // scans beat hashing at realistic batch cardinalities).
-    let mut periods: Vec<(u64, TransferNetwork)> = Vec::new();
-    let mut artifacts: Vec<(NodeId, OriginArtifacts)> = Vec::new();
-    for &(from, _, departure) in queries {
-        let bits = departure.0.to_bits();
-        if !periods.iter().any(|(b, _)| *b == bits) {
-            periods.push((
-                bits,
-                TransferNetwork::build(graph, trips, Some((departure, mfp.period_half_width))),
-            ));
-        }
-        if !artifacts.iter().any(|(f, _)| *f == from) {
-            artifacts.push((
-                from,
-                OriginArtifacts::build(graph, trips, transfer, mpr, ldr, from),
-            ));
-        }
-    }
-    queries
-        .iter()
-        .map(|&(from, to, departure)| {
-            let art = &artifacts
-                .iter()
-                .find(|(f, _)| *f == from)
-                .expect("artifact prebuilt for every origin")
-                .1;
-            let period_tn = &periods
-                .iter()
-                .find(|(b, _)| *b == departure.0.to_bits())
-                .expect("period network prebuilt for every departure")
-                .1;
-            candidates_from_artifacts(graph, trips, mfp, ldr, art, period_tn, to, departure)
-        })
-        .collect()
-}
-
-/// Produces candidate sets for a batch of OD queries sharing a
-/// departure time — the single-bucket special case of
-/// [`generate_candidates_multi`]: one MFP period aggregation for the
-/// whole batch, one set of all-day artifacts per distinct origin.
-///
-/// `out[i]` is byte-identical to
-/// `generate_candidates(graph, trips, transfer, mpr, mfp, ldr,
-/// queries[i].0, queries[i].1, departure)` — same sources, same paths,
-/// same order — so the serving layer can swap between the per-request
-/// and fused paths freely. Queries need not share an origin; fusion
-/// simply degrades gracefully (a batch of distinct origins still shares
-/// the MFP aggregation).
-pub fn generate_candidates_batch(
-    graph: &RoadGraph,
-    trips: &[Trip],
-    transfer: &TransferNetwork,
-    mpr: &MprParams,
-    mfp: &MfpParams,
-    ldr: &LdrParams,
-    queries: &[(NodeId, NodeId)],
-    departure: TimeOfDay,
-) -> Vec<Vec<CandidateRoute>> {
-    let multi: Vec<(NodeId, NodeId, TimeOfDay)> = queries
-        .iter()
-        .map(|&(from, to)| (from, to, departure))
-        .collect();
-    generate_candidates_multi(graph, trips, transfer, mpr, mfp, ldr, &multi)
-}
-
 /// Deduplicates candidates into distinct paths, remembering every source
 /// that proposed each path. Order follows first appearance.
 pub fn distinct_candidates(candidates: &[CandidateRoute]) -> Vec<(Path, Vec<SourceKind>)> {
@@ -576,102 +445,53 @@ mod tests {
     }
 
     #[test]
-    fn fused_batch_matches_per_request_candidates() {
-        let (city, ds) = setup();
-        let gen = CandidateGenerator::new(&city.graph, &ds.trips);
-        let dep = TimeOfDay::from_hours(8.0);
-        // Shared-origin group + a second origin + duplicates + a
-        // degenerate same-node query.
-        let queries: Vec<(NodeId, NodeId)> = vec![
-            (NodeId(0), NodeId(59)),
-            (NodeId(0), NodeId(31)),
-            (NodeId(0), NodeId(59)),
-            (NodeId(0), NodeId(0)),
-            (NodeId(12), NodeId(47)),
-            (NodeId(0), NodeId(7)),
-        ];
-        let fused = gen.candidates_batch(&queries, dep);
-        assert_eq!(fused.len(), queries.len());
-        for (q, (&(from, to), got)) in queries.iter().zip(&fused).enumerate() {
-            let want = gen.candidates(from, to, dep);
-            assert_eq!(got.len(), want.len(), "query {q}");
-            for (x, y) in got.iter().zip(&want) {
-                assert_eq!(x.source, y.source, "query {q}");
-                assert_eq!(x.path, y.path, "query {q}");
-            }
-        }
-        // The same-node query yields no candidates on either path.
-        assert!(fused[3].is_empty());
-    }
-
-    #[test]
-    fn multi_bucket_batch_matches_per_request_candidates() {
-        let (city, ds) = setup();
-        let gen = CandidateGenerator::new(&city.graph, &ds.trips);
-        // Two origins × three departure buckets, with duplicates and a
-        // degenerate query — the all-day artifacts must be shared across
-        // buckets while each bucket keeps its own MFP aggregation.
-        let deps = [7.0, 8.0, 9.0].map(TimeOfDay::from_hours);
-        let mut queries: Vec<(NodeId, NodeId, TimeOfDay)> = Vec::new();
-        for (i, &(from, to)) in [
-            (NodeId(0), NodeId(59)),
-            (NodeId(0), NodeId(31)),
-            (NodeId(12), NodeId(47)),
-            (NodeId(0), NodeId(59)),
-            (NodeId(0), NodeId(0)),
-            (NodeId(12), NodeId(7)),
-        ]
-        .iter()
-        .enumerate()
-        {
-            queries.push((from, to, deps[i % deps.len()]));
-        }
-        let fused = gen.candidates_multi(&queries);
-        assert_eq!(fused.len(), queries.len());
-        for (q, (&(from, to, dep), got)) in queries.iter().zip(&fused).enumerate() {
-            let want = gen.candidates(from, to, dep);
-            assert_eq!(got.len(), want.len(), "query {q}");
-            for (x, y) in got.iter().zip(&want) {
-                assert_eq!(x.source, y.source, "query {q}");
-                assert_eq!(x.path, y.path, "query {q}");
-            }
-        }
-    }
-
-    #[test]
     fn shared_artifacts_answer_any_destination_byte_identically() {
         let (city, ds) = setup();
         let gen = CandidateGenerator::new(&city.graph, &ds.trips);
         let g = &city.graph;
-        let dep = TimeOfDay::from_hours(8.0);
-        let from = NodeId(0);
-        // One artifact built up front, destinations chosen afterwards —
-        // the cross-batch reuse contract.
-        let art = OriginArtifacts::build(
-            g,
-            &ds.trips,
-            gen.transfer_network(),
-            &gen.mpr,
-            &gen.ldr,
-            from,
-        );
-        let period = TransferNetwork::build(g, &ds.trips, Some((dep, gen.mfp.period_half_width)));
-        for b in [59u32, 31, 7, 44, 0] {
-            let got = candidates_from_artifacts(
+        // One artifact per origin built up front, destinations and
+        // departures chosen afterwards — the cross-batch reuse contract.
+        // Covers a second origin, duplicate queries (answered from the
+        // lazy memos the first query filled), the degenerate same-node
+        // query, and several departures through one artifact (the
+        // `mfp_trees` departure-bits memo).
+        let deps = [7.0, 8.0, 9.0].map(TimeOfDay::from_hours);
+        let periods = deps.map(|dep| {
+            TransferNetwork::build(g, &ds.trips, Some((dep, gen.mfp.period_half_width)))
+        });
+        for (from, tos) in [
+            (NodeId(0), &[59u32, 31, 59, 7, 44, 0][..]),
+            (NodeId(12), &[47, 7, 47]),
+        ] {
+            let art = OriginArtifacts::build(
                 g,
                 &ds.trips,
-                &gen.mfp,
+                gen.transfer_network(),
+                &gen.mpr,
                 &gen.ldr,
-                &art,
-                &period,
-                NodeId(b),
-                dep,
+                from,
             );
-            let want = gen.candidates(from, NodeId(b), dep);
-            assert_eq!(got.len(), want.len(), "to {b}");
-            for (x, y) in got.iter().zip(&want) {
-                assert_eq!(x.source, y.source, "to {b}");
-                assert_eq!(x.path, y.path, "to {b}");
+            for &b in tos {
+                for (&dep, period) in deps.iter().zip(&periods) {
+                    let got = candidates_from_artifacts(
+                        g,
+                        &ds.trips,
+                        &gen.mfp,
+                        &gen.ldr,
+                        &art,
+                        period,
+                        NodeId(b),
+                        dep,
+                    );
+                    let want = gen.candidates(from, NodeId(b), dep);
+                    assert_eq!(got.len(), want.len(), "{from:?} to {b} at {dep:?}");
+                    for (x, y) in got.iter().zip(&want) {
+                        assert_eq!(x.source, y.source, "{from:?} to {b} at {dep:?}");
+                        assert_eq!(x.path, y.path, "{from:?} to {b} at {dep:?}");
+                    }
+                    // The same-node query yields no candidates on either path.
+                    assert_eq!(got.is_empty(), NodeId(b) == from);
+                }
             }
         }
     }

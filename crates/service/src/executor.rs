@@ -2,27 +2,28 @@
 //!
 //! [`RouteService`] is the per-city front-end: it owns its
 //! [`World`] behind an `Arc` (no lifetimes — build it anywhere, share it
-//! with any thread), is `&self` everywhere, and runs the serving ladder
-//! per request:
+//! with any thread), is `&self` everywhere, and has exactly one
+//! implementation of the serving ladder,
+//! [`RouteService::serve_coalesced`], which takes a *run* of requests
+//! (a run of one is the lone case, not a separate path):
 //!
 //! 1. **sharded truth lookup** — read-locks only the shards owning the
 //!    origin neighbourhood; a hit answers immediately;
-//! 2. **single-flight dedup** — identical in-flight `(from, to, time
-//!    bucket)` requests collapse onto one leader; followers block and
-//!    share its result;
-//! 3. **candidate cache** — the leader fetches the mined candidate set
-//!    from the per-`(OD cell, time bucket)` LRU, mining only on a miss;
-//! 4. **resolution** — the worker's [`Resolver`] decides; the verified
+//! 2. **single-flight dedup** — identical `(from, to, time bucket)`
+//!    requests collapse onto one leader, inside the run and (through
+//!    the flight table) against concurrent runs; followers share the
+//!    leader's result;
+//! 3. **candidate cache** — each leader fetches the mined candidate set
+//!    from the per-`(OD cell, time bucket)` LRU; the run's misses mine
+//!    together through shared per-origin artifacts;
+//! 4. **resolution** — the caller's [`Resolver`] decides; the verified
 //!    route is deposited into the sharded store so step 1 serves every
 //!    later request in the reuse neighbourhood.
 //!
-//! [`RouteService::serve`] adds a closed-batch fan-out: a job channel
-//! feeding N scoped `std::thread` workers (each building its own
-//! resolver), results funnelled back over a second channel. For open
-//! submission with admission control and joinable tickets — and for
-//! serving several cities from one resident worker pool — use
-//! [`Platform`](crate::Platform), which routes each request to its
-//! city's `RouteService`.
+//! [`Platform`](crate::Platform) — open submission with admission
+//! control and joinable tickets, several cities on one resident worker
+//! pool — hands every run its workers dequeue to that one function;
+//! [`RouteService::handle`] is the run-of-one convenience.
 //!
 //! ## Determinism
 //!
@@ -42,13 +43,12 @@ use crate::resolver::Resolver;
 use crate::singleflight::{FlightTable, JoinNow};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::store::ShardedTruthStore;
-use crate::trace::{CallTrace, LockSite, LockStats, LockSummary, SpanRecorder, Stage, TraceConfig};
+use crate::trace::{LockSite, LockStats, LockSummary, SpanRecorder, Stage, TraceConfig};
 use crate::world::{CityId, World};
 use cp_core::{Config, Resolution, TruthEntry, DEFAULT_CELL_M};
 use cp_mining::CandidateRoute;
 use cp_roadnet::{NodeId, Path};
 use cp_traj::TimeOfDay;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -144,8 +144,6 @@ pub struct ServedRoute {
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads used by [`RouteService::serve`].
-    pub workers: usize,
     /// Truth-store shards (rounded up to a power of two).
     pub shards: usize,
     /// Candidate-cache capacity (entries).
@@ -187,7 +185,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 4,
             shards: 16,
             cache_capacity: 1024,
             cache_ods_per_key: 4,
@@ -326,8 +323,7 @@ impl RouteService {
     }
 
     /// Commits a verified truth, logging it durably when a sink is
-    /// installed. Both resolution paths (single and coalesced) funnel
-    /// through here so the WAL sees every commit.
+    /// installed, so the WAL sees every commit.
     fn commit_truth(&self, entry: TruthEntry) {
         match self.durable.get() {
             None => {
@@ -378,18 +374,11 @@ impl RouteService {
         &self.stats
     }
 
-    /// Restores the accounting invariant after a panic unwound out of
-    /// [`RouteService::handle`] mid-request (the request was counted on
-    /// entry but reached no outcome): the platform worker that contained
-    /// the panic books it as an error.
-    pub(crate) fn note_panicked_request(&self) {
-        self.stats.inc_errors();
-    }
-
-    /// Batch form of [`RouteService::note_panicked_request`]: best-effort
-    /// accounting for a panic that unwound out of
-    /// [`RouteService::serve_coalesced`] (which books its own requests
-    /// on entry but, if interrupted, reaches no outcome for them).
+    /// Best-effort accounting for a (non-resolver) panic that unwound
+    /// out of [`RouteService::serve_coalesced`], which books its
+    /// requests on entry but, if interrupted, reaches no outcome for
+    /// them: the platform worker that contained the panic books them as
+    /// errors.
     pub(crate) fn note_panicked_requests(&self, n: usize) {
         for _ in 0..n {
             self.stats.inc_errors();
@@ -506,243 +495,27 @@ impl RouteService {
         cache.insert(key, slot);
     }
 
-    /// Fetches the candidate set for a request from the LRU, mining on a
-    /// miss. The lock is held only around map operations, never while
-    /// mining.
-    ///
-    /// A miss mines through the warm [`MiningArtifactCache`] — the
-    /// same artifact-backed generator the coalesced batch path uses
-    /// (byte-identical output to the targeted per-request miners, as
-    /// the batch-equivalence proptests keep proving) — so a lone
-    /// request reuses the ~warm all-day origin expansions batches keep
-    /// hot instead of redoing them. With the artifact cache disabled
-    /// the targeted miners remain (exhaustive expansions used once
-    /// would be pure waste).
-    fn candidates_for(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        bucket: u32,
-        departure: TimeOfDay,
-        tr: &mut CallTrace<'_>,
-    ) -> Arc<Vec<CandidateRoute>> {
-        let hit = {
-            let _s = tr.span(Stage::CacheLookup);
-            self.cache_lookup(from, to, bucket)
-        };
-        if let Some(candidates) = hit {
-            self.stats.inc_cache_hits();
-            return candidates;
-        }
-        self.stats.inc_cache_misses();
-        let mined = if self.artifacts.is_enabled() {
-            let art = {
-                let _s = tr.span(Stage::ArtifactFetch);
-                self.artifacts
-                    .origin_artifacts(&self.world, self.cell_of(from), from, &self.stats)
-            };
-            let period = {
-                let _s = tr.span(Stage::ArtifactFetch);
-                self.artifacts.period_network(&self.world, departure)
-            };
-            let _s = tr.span(Stage::Mining);
-            Arc::new(cp_mining::candidates_from_artifacts(
-                self.world.graph(),
-                self.world.trips(),
-                &self.world.mfp,
-                &self.world.ldr,
-                &art,
-                &period,
-                to,
-                departure,
-            ))
-        } else {
-            let _s = tr.span(Stage::Mining);
-            Arc::new(self.world.candidates(from, to, departure))
-        };
-        self.cache_fill(from, to, bucket, &mined);
-        mined
-    }
-
-    /// Serves one request with the caller's resolver. Safe to call from
-    /// any thread.
-    pub fn handle<R: Resolver>(
-        &self,
-        req: Request,
-        resolver: &mut R,
-    ) -> Result<ServedRoute, ServiceError> {
-        let t0 = Instant::now();
-        self.stats.inc_requests();
-        let mut tr = self.tracer.call(&self.stats);
-        let out = self.handle_inner(req, resolver, &mut tr);
-        if out.is_err() {
-            self.stats.inc_errors();
-        }
-        let elapsed = t0.elapsed();
-        self.stats.record_latency(elapsed);
-        self.tracer.finish(
-            tr,
-            req.from,
-            req.to,
-            req.departure,
-            1,
-            outcome_label(&out),
-            elapsed,
-        );
-        out
-    }
-
-    fn handle_inner<R: Resolver>(
-        &self,
-        req: Request,
-        resolver: &mut R,
-        tr: &mut CallTrace<'_>,
-    ) -> Result<ServedRoute, ServiceError> {
-        let departure = self.canonical_departure(&req);
-        let graph = self.world.graph();
-
-        // 1. Shared verified truth.
-        let hit = {
-            let _s = tr.span(Stage::TruthLookup);
-            self.truths
-                .lookup(graph, req.from, req.to, departure, &self.cfg.core)
-        };
-        if let Some(hit) = hit {
-            self.stats.inc_truth_hits();
-            return Ok(ServedRoute {
-                path: hit.path,
-                served: Served::TruthHit,
-                confidence: hit.confidence,
-            });
-        }
-
-        // 2. Collapse identical in-flight work. (`join_deferred` +
-        // `wait` is exactly `join`, unrolled so the follower's block on
-        // the leader can be attributed to the FlightWait stage.)
-        match self.flights.join_deferred(self.key_of(&req)) {
-            JoinNow::Watch(watch) => {
-                let shared = {
-                    let _s = tr.span(Stage::FlightWait);
-                    watch.wait()
-                };
-                match shared {
-                    Some(mut shared) => {
-                        self.stats.inc_dedup_hits();
-                        shared.served = Served::Deduplicated;
-                        Ok(shared)
-                    }
-                    None => Err(ServiceError::LeaderFailed),
-                }
-            }
-            JoinNow::Leader(token) => {
-                // Double-check the truth store: this thread may have
-                // missed step 1, then become leader of a *new* flight
-                // after the previous identical flight completed. The old
-                // leader's truth insert precedes its flight retirement,
-                // so the truth is guaranteed visible here — without this
-                // re-check a key could resolve twice.
-                let hit = {
-                    let _s = tr.span(Stage::TruthLookup);
-                    self.truths
-                        .lookup(graph, req.from, req.to, departure, &self.cfg.core)
-                };
-                if let Some(hit) = hit {
-                    self.stats.inc_truth_hits();
-                    let served = ServedRoute {
-                        path: hit.path,
-                        served: Served::TruthHit,
-                        confidence: hit.confidence,
-                    };
-                    token.complete(served.clone());
-                    return Ok(served);
-                }
-                // 3. Candidate cache; 4. resolution.
-                let candidates = self.candidates_for(
-                    req.from,
-                    req.to,
-                    self.bucket_of(req.departure),
-                    departure,
-                    tr,
-                );
-                // An early return drops the token, which publishes the
-                // failure to any followers. The resolve stage (machine
-                // vs crowd) is only known afterwards, so it is timed
-                // manually instead of with a scoped span.
-                let r0 = tr.clock();
-                let resolved = match resolver.resolve(req.from, req.to, departure, &candidates) {
-                    Ok(resolved) => {
-                        tr.record(resolve_stage_ok(&resolved), r0);
-                        resolved
-                    }
-                    Err(e) => {
-                        tr.record(resolve_stage_err(&e), r0);
-                        // Strict-shedding starvation serves no route but
-                        // must still surface in the crowd counters.
-                        if let ServiceError::CrowdStarved { quota_rejections } = e {
-                            self.stats.record_crowd(crate::resolver::CrowdCost {
-                                questions: 0,
-                                workers: 0,
-                                quota_rejections,
-                                starved: true,
-                            });
-                        }
-                        return Err(e);
-                    }
-                };
-                // Crowd resolvers report per-request cost/contention;
-                // surface it in the shared counters (quota shed and
-                // starvation visibility).
-                let starved = resolved.crowd.is_some_and(|c| c.starved);
-                if let Some(cost) = resolved.crowd {
-                    self.stats.record_crowd(cost);
-                }
-                // Capacity evictions are counted inside the store (the
-                // single source `stats()` reads them back from). A
-                // quota-starved fallback is transient contention, not a
-                // verdict — it is served but never memoized, so retries
-                // reach the crowd once capacity frees up (mirroring the
-                // planner's own no-record rule for starvation).
-                if !starved {
-                    let _s = tr.span(Stage::Commit);
-                    self.commit_truth(TruthEntry {
-                        from: req.from,
-                        to: req.to,
-                        departure,
-                        path: resolved.path.clone(),
-                        confidence: resolved.confidence,
-                    });
-                }
-                let served = ServedRoute {
-                    path: resolved.path,
-                    served: Served::Resolved(resolved.resolution),
-                    confidence: resolved.confidence,
-                };
-                self.stats.inc_resolved();
-                token.complete(served.clone());
-                Ok(served)
-            }
-        }
-    }
-
-    /// Serves a coalesced batch of requests — typically dequeued
-    /// together by the platform's batcher because they share `(city,
-    /// origin cell, time bucket)` — paying the shared work once instead
-    /// of once per request:
+    /// Serves a run of requests — the one serving ladder. The platform
+    /// hands over whatever its batcher dequeued together (a run sharing
+    /// `(city, origin cell)`, or a run of one), and the shared work is
+    /// paid once per run instead of once per request:
     ///
     /// 1. **one sharded-truth pre-pass** — every request probes the
     ///    store up front; hits answer immediately;
-    /// 2. **one single-flight leader per distinct OD key** — intra-batch
+    /// 2. **one single-flight leader per distinct OD key** — intra-run
     ///    duplicates collapse locally, and the global flight table still
     ///    dedups against concurrent workers;
-    /// 3. **one artifact-backed fused mining pass** — all leader ODs
-    ///    missing the candidate cache mine through shared per-origin
-    ///    all-day artifacts (cached across batches and buckets in the
-    ///    city's [`MiningArtifactCache`])
-    ///    plus one period aggregation per distinct departure, followed
-    ///    by a bulk cache fill — batches may freely span several time
-    ///    buckets;
-    /// 4. **resolution per leader**, truths deposited as in
-    ///    [`RouteService::handle`].
+    /// 3. **one artifact-backed mining pass** — all leader ODs missing
+    ///    the candidate cache mine through shared per-origin all-day
+    ///    artifacts (cached across runs and buckets in the city's
+    ///    [`MiningArtifactCache`]) plus one period aggregation per
+    ///    distinct departure, followed by a bulk cache fill — runs may
+    ///    freely span several time buckets. (A lone miss with the
+    ///    artifact cache disabled takes the targeted per-request miners
+    ///    instead.)
+    /// 4. **resolution per leader** — the verified route is deposited
+    ///    into the sharded store, unless the answer was a quota-starved
+    ///    crowd fallback.
     ///
     /// Results come back in request order. Under
     /// [`ServiceConfig::strict_deterministic`] geometry and a
@@ -832,9 +605,13 @@ impl RouteService {
             match self.flights.join_deferred(key) {
                 JoinNow::Watch(watch) => watches.push((members, watch)),
                 JoinNow::Leader(token) => {
-                    // Leader double-check (same reasoning as `handle`):
-                    // the previous identical flight may have completed
-                    // between the pre-pass and leadership.
+                    // Leader double-check: this run may have missed the
+                    // pre-pass, then become leader of a *new* flight
+                    // after the previous identical flight completed. The
+                    // old leader's truth insert precedes its flight
+                    // retirement, so the truth is guaranteed visible
+                    // here — without this re-check a key could resolve
+                    // twice.
                     let req = &requests[members[0]];
                     let departure = self.canonical_departure(req);
                     let hit = {
@@ -1015,6 +792,8 @@ impl RouteService {
                 }
                 Ok(Err(e)) => {
                     tr.record(resolve_stage_err(&e), r0);
+                    // Strict-shedding starvation serves no route but
+                    // must still surface in the crowd counters.
                     if let ServiceError::CrowdStarved { quota_rejections } = e {
                         self.stats.record_crowd(crate::resolver::CrowdCost {
                             questions: 0,
@@ -1036,6 +815,11 @@ impl RouteService {
                     if let Some(cost) = resolved.crowd {
                         self.stats.record_crowd(cost);
                     }
+                    // A quota-starved fallback is transient contention,
+                    // not a verdict — it is served but never memoized,
+                    // so retries reach the crowd once capacity frees up
+                    // (mirroring the planner's own no-record rule for
+                    // starvation).
                     if !starved {
                         let _s = tr.span(Stage::Commit);
                         self.commit_truth(TruthEntry {
@@ -1109,58 +893,17 @@ impl RouteService {
         results
     }
 
-    /// Fans `requests` across `config().workers` scoped threads, each
-    /// with its own resolver from `make_resolver(worker_index)`. Results
-    /// come back in request order.
-    ///
-    /// This is the closed-batch convenience path (the resolver may
-    /// borrow from the caller's stack); for open submission, admission
-    /// control and multi-city routing use
-    /// [`Platform::submit`](crate::Platform::submit).
-    pub fn serve<R, F>(
+    /// Serves one request with the caller's resolver: a run of one
+    /// through [`RouteService::serve_coalesced`]. Safe to call from any
+    /// thread.
+    pub fn handle<R: Resolver>(
         &self,
-        requests: &[Request],
-        make_resolver: F,
-    ) -> Vec<Result<ServedRoute, ServiceError>>
-    where
-        R: Resolver,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = self.cfg.workers.max(1);
-        let (job_tx, job_rx) = mpsc::channel::<(usize, Request)>();
-        let job_rx = Mutex::new(job_rx);
-        let (out_tx, out_rx) = mpsc::channel::<(usize, Result<ServedRoute, ServiceError>)>();
-        let mut results: Vec<Option<Result<ServedRoute, ServiceError>>> =
-            requests.iter().map(|_| None).collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let job_rx = &job_rx;
-                let out_tx = out_tx.clone();
-                let make_resolver = &make_resolver;
-                s.spawn(move || {
-                    let mut resolver = make_resolver(w);
-                    loop {
-                        // Take the next job; release the queue lock
-                        // before doing any work.
-                        let job = job_rx.lock().expect("job queue poisoned").recv();
-                        let Ok((i, req)) = job else { break };
-                        let _ = out_tx.send((i, self.handle(req, &mut resolver)));
-                    }
-                });
-            }
-            drop(out_tx);
-            for (i, &req) in requests.iter().enumerate() {
-                job_tx.send((i, req)).expect("a worker is alive");
-            }
-            drop(job_tx);
-            for (i, res) in out_rx {
-                results[i] = Some(res);
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every request yields exactly one result"))
-            .collect()
+        req: Request,
+        resolver: &mut R,
+    ) -> Result<ServedRoute, ServiceError> {
+        self.serve_coalesced(&[req], resolver)
+            .pop()
+            .expect("a run of one yields one result")
     }
 }
 
@@ -1680,46 +1423,20 @@ mod tests {
         assert_eq!(snap.resolved, 1);
         assert_eq!(snap.errors, 2);
         assert!(snap.is_consistent(), "{snap:?}");
-    }
 
-    #[test]
-    fn batch_serving_matches_individual_handling() {
-        let world = mini_world();
-        let cfg = ServiceConfig {
-            workers: 4,
-            ..ServiceConfig::strict_deterministic()
-        };
-        let requests: Vec<Request> = (0..40)
-            .map(|i| {
-                Request::new(
-                    NodeId(i % 20),
-                    NodeId(59 - (i % 17)),
-                    TimeOfDay::from_hours(7.0 + (i % 3) as f64),
-                )
-            })
-            .filter(|r| r.from != r.to)
-            .collect();
-
-        // Sequential reference.
-        let seq_service = RouteService::new(Arc::clone(&world), cfg.clone());
-        let mut seq_resolver = MachineResolver::new(world.graph_arc(), cfg.core.clone());
-        let expected: Vec<Path> = requests
-            .iter()
-            .map(|&r| seq_service.handle(r, &mut seq_resolver).unwrap().path)
-            .collect();
-
-        // Threaded run.
-        let service = RouteService::new(Arc::clone(&world), cfg.clone());
-        let results = service.serve(&requests, |_| {
-            MachineResolver::new(world.graph_arc(), cfg.core.clone())
-        });
-        assert_eq!(results.len(), requests.len());
-        for (i, res) in results.iter().enumerate() {
-            let served = res.as_ref().expect("request must be served");
-            assert_eq!(served.path, expected[i], "request {i}");
-        }
+        // A run of one is the same ladder: the panic is contained, the
+        // request is booked as an error and still records its latency
+        // sample and trace.
+        let service = RouteService::new(Arc::clone(&world), ServiceConfig::strict_deterministic());
+        assert!(service.handle(requests[0], &mut resolver).is_ok());
+        assert!(matches!(
+            service.handle(requests[1], &mut resolver),
+            Err(ServiceError::ResolverPanicked)
+        ));
         let snap = service.stats();
-        assert_eq!(snap.requests, requests.len() as u64);
-        assert!(snap.is_consistent());
+        assert_eq!(snap.requests, 2);
+        assert_eq!(snap.errors, 1);
+        assert_eq!(snap.latency.count, 2);
+        assert!(snap.is_consistent(), "{snap:?}");
     }
 }

@@ -14,13 +14,12 @@
 //!   destination cells and time buckets; **bounded**: per-shard entry
 //!   caps evict oldest-first and [`ShardedTruthStore::evict_older_than`]
 //!   ages out stale truths;
-//! * [`RouteService`] — the per-city executor: every request walks the
-//!   serving ladder *truth hit → single-flight dedup → candidate cache →
-//!   resolution*; [`RouteService::serve`] fans a closed batch across
-//!   scoped threads, and [`RouteService::serve_coalesced`] serves a
-//!   group of requests sharing an origin cell through **one** truth
-//!   pre-pass, one flight leader per distinct OD and one fused mining
-//!   call;
+//! * [`RouteService`] — the per-city executor and its one serving
+//!   ladder, [`RouteService::serve_coalesced`]: a *run* of requests
+//!   (typically sharing an origin cell; a run of one is the lone case)
+//!   walks *truth hit → single-flight dedup → candidate cache →
+//!   resolution* through **one** truth pre-pass, one flight leader per
+//!   distinct OD and one artifact-backed mining pass;
 //! * [`Platform`] — the front door: a resident worker pool over all
 //!   registered cities, **per-city bounded ingress queues** behind a
 //!   weighted deficit-round-robin dispatcher with admission
@@ -78,26 +77,6 @@
 //!
 //! No external dependencies: everything is built on `std::thread`,
 //! `std::sync::mpsc` channels, `RwLock`/`Mutex`/`Condvar` and atomics.
-//!
-//! ## Migration from the borrowed batch executor
-//!
-//! Before this redesign `RouteService<'w>` borrowed its world and only
-//! exposed a closed-batch `serve(&[Request], make_resolver)`. Porting:
-//!
-//! * **world construction** — build an owned [`World`] once
-//!   (`Arc::new(World::new(graph, trips))`) instead of borrowing a
-//!   `CandidateGenerator`; `RouteService::new(world, cfg)` replaces
-//!   `RouteService::new(&graph, &generator, cfg)`;
-//! * **requests** — [`Request`] now carries a [`CityId`];
-//!   `Request::new(from, to, departure)` keeps single-city call sites
-//!   mechanical, `Request::to_city(..)` addresses a platform city;
-//! * **open submission** — replace `service.serve(&requests, …)` with
-//!   [`Platform::start`] + [`Platform::submit`] (non-blocking, admission
-//!   controlled) and join the returned [`Ticket`]s — or call
-//!   [`Platform::serve_batch`] for a drop-in closed-batch equivalent;
-//! * **resolvers** — [`MachineResolver::new`] now takes
-//!   `Arc<RoadGraph>` (see [`World::graph_arc`]) so resolvers can live
-//!   on the resident pool.
 //!
 //! ## Example
 //!

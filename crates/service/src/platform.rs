@@ -253,7 +253,7 @@ pub struct PlatformConfig {
     /// snapshot export). `None` (the default) spawns no janitor.
     pub maintenance: Option<MaintenanceConfig>,
     /// Optional origin-cell request coalescing. `None` (the default)
-    /// dispatches one job per worker wakeup, exactly as before.
+    /// dispatches one job — a run of one — per worker wakeup.
     pub batch: Option<BatchConfig>,
     /// Optional durability: a write-ahead log of committed resolutions
     /// plus checkpointable snapshots (see [`DurabilityConfig`]). `None`
@@ -1396,22 +1396,6 @@ impl Platform {
         })
     }
 
-    /// Closed-batch convenience wrapper over submit/join: submits every
-    /// request (waiting for queue space, so batches larger than the
-    /// queue are fine) and returns results in request order. This is the
-    /// mechanical port target for the old borrowed
-    /// `RouteService::serve(&requests, …)` call sites.
-    pub fn serve_batch(&self, requests: &[Request]) -> Vec<Result<ServedRoute, ServiceError>> {
-        let tickets: Vec<Result<Ticket, ServiceError>> = requests
-            .iter()
-            .map(|&req| self.submit_blocking(req))
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.and_then(Ticket::wait))
-            .collect()
-    }
-
     /// Point-in-time platform statistics (admission counters + the exact
     /// per-city aggregate).
     pub fn stats(&self) -> PlatformSnapshot {
@@ -2426,55 +2410,30 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
             resolvers.resize_with(city_idx + 1, || None);
         }
         let resolver = resolvers[city_idx].get_or_insert_with(|| (city.factory)(worker_idx));
-        if run.len() == 1 {
-            let job = run.pop().expect("run holds the seed");
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                city.service.handle(job.req, resolver)
-            }))
-            .unwrap_or_else(|_| {
-                // The resolver may have been left mid-mutation; drop it
-                // and rebuild lazily. The request was counted on entry
-                // to `handle`, so book the missing outcome as an error.
-                resolvers[city_idx] = None;
-                city.service.note_panicked_request();
-                Err(ServiceError::ResolverPanicked)
-            });
+        let reqs: Vec<Request> = run.iter().map(|j| j.req).collect();
+        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            city.service.serve_coalesced(&reqs, resolver)
+        }))
+        .unwrap_or_else(|_| {
+            // Non-resolver panic inside the serving ladder (the resolver
+            // kind is contained and surfaces as results): fail every
+            // ticket in the run, with best-effort error accounting.
+            city.service.note_panicked_requests(run.len());
+            run.iter()
+                .map(|_| Err(ServiceError::ResolverPanicked))
+                .collect()
+        });
+        // Either way the resolver may have been left mid-mutation:
+        // discard it; it is rebuilt lazily from the city's factory.
+        if results
+            .iter()
+            .any(|r| matches!(r, Err(ServiceError::ResolverPanicked)))
+        {
+            resolvers[city_idx] = None;
+        }
+        for (job, result) in run.into_iter().zip(results) {
             inner.completed.fetch_add(1, Ordering::Relaxed);
             job.slot.fulfill(result);
-        } else {
-            let reqs: Vec<Request> = run.iter().map(|j| j.req).collect();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                city.service.serve_coalesced(&reqs, resolver)
-            }));
-            match outcome {
-                Ok(results) => {
-                    // `serve_coalesced` contains resolver panics and
-                    // surfaces them as results; a poisoned resolver must
-                    // still be discarded here.
-                    if results
-                        .iter()
-                        .any(|r| matches!(r, Err(ServiceError::ResolverPanicked)))
-                    {
-                        resolvers[city_idx] = None;
-                    }
-                    for (job, result) in run.into_iter().zip(results) {
-                        inner.completed.fetch_add(1, Ordering::Relaxed);
-                        job.slot.fulfill(result);
-                    }
-                }
-                Err(_) => {
-                    // Non-resolver panic inside the batch path (the
-                    // resolver kind is contained): fail every ticket in
-                    // the run, best-effort error accounting as in the
-                    // single-request path.
-                    resolvers[city_idx] = None;
-                    city.service.note_panicked_requests(run.len());
-                    for job in run {
-                        inner.completed.fetch_add(1, Ordering::Relaxed);
-                        job.slot.fulfill(Err(ServiceError::ResolverPanicked));
-                    }
-                }
-            }
         }
     }
 }
@@ -2736,7 +2695,10 @@ mod tests {
         let cfg = ServiceConfig::strict_deterministic();
         let core = cfg.core.clone();
         let graph = world.graph_arc();
+        let built = Arc::new(AtomicU64::new(0));
+        let factory_calls = Arc::clone(&built);
         let id = platform.register_city_with(Arc::clone(&world), cfg, move |_| {
+            factory_calls.fetch_add(1, Ordering::Relaxed);
             Panicky(MachineResolver::new(Arc::clone(&graph), core.clone()))
         });
 
@@ -2768,6 +2730,11 @@ mod tests {
         let snap = platform.city_stats(id).unwrap();
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.errors, 1);
+        // The panicked run of one books its latency sample like any
+        // other outcome, and the poisoned resolver was discarded and
+        // rebuilt from the factory for the healthy request.
+        assert_eq!(snap.latency.count, 2);
+        assert_eq!(built.load(Ordering::Relaxed), 2);
         assert!(snap.is_consistent(), "{snap:?}");
         platform.shutdown();
     }

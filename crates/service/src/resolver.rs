@@ -209,8 +209,8 @@ where
 /// Owned and `Send + 'static`: registerable on the resident
 /// [`Platform`](crate::Platform) pool (see
 /// [`Platform::register_city_crowd`](crate::Platform::register_city_crowd))
-/// as well as usable with the closed-batch
-/// [`RouteService::serve`](crate::RouteService::serve).
+/// as well as usable directly with
+/// [`RouteService::serve_coalesced`](crate::RouteService::serve_coalesced).
 pub struct CrowdResolver {
     planner: CrowdPlanner,
     oracle_for: Arc<dyn OracleFactory>,

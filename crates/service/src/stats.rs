@@ -137,7 +137,7 @@ impl ServiceStats {
         self.cache_od_evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Books one coalesced batch of `size` requests.
+    /// Books one served run of `size` requests (runs of one included).
     pub(crate) fn record_batch(&self, size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests
@@ -376,14 +376,18 @@ pub struct StatsSnapshot {
     pub truth_evictions: u64,
     /// Per-key OD entries evicted from the candidate cache.
     pub cache_od_evictions: u64,
-    /// Coalesced batches served
+    /// Runs served
     /// ([`RouteService::serve_coalesced`](crate::RouteService::serve_coalesced)
-    /// calls).
+    /// calls). Every request is served as part of a run — a lone
+    /// request is a run of one — so this counts runs of every size.
     pub batches: u64,
-    /// Requests that arrived inside a coalesced batch.
+    /// Requests that arrived inside a run: always equal to `requests`,
+    /// since runs of one are booked like any other (the platform's
+    /// queue-side `batched_requests` / `unbatched_requests` are what
+    /// tell coalesced dispatches from lone ones).
     pub batched_requests: u64,
-    /// Largest coalesced batch observed (high-water mark; `absorb`
-    /// merges by maximum).
+    /// Largest run observed (high-water mark, 1 when nothing ever
+    /// coalesced; `absorb` merges by maximum).
     pub batch_max: u64,
     /// Fused candidate-generation calls (one call mines several ODs).
     pub fused_minings: u64,

@@ -19,7 +19,7 @@
 //!   allocation on the serve path), and lock waits are timed via
 //!   try-lock-first acquisition (an uncontended lock never reads the
 //!   clock).
-//! * **Sampled** — counters plus every `every`-th `handle`/
+//! * **Sampled** — counters plus every `every`-th
 //!   `serve_coalesced` call captures a complete [`RequestTrace`] (all
 //!   spans in order) into a bounded ring buffer, exportable as JSON via
 //!   [`Platform::trace_report`](crate::Platform::trace_report).
@@ -176,7 +176,7 @@ pub enum TraceConfig {
     /// Counters plus complete per-request traces, sampled into a
     /// bounded ring buffer.
     Sampled {
-        /// Sample every n-th `handle`/`serve_coalesced` call (0 is
+        /// Sample every n-th `serve_coalesced` call (0 is
         /// treated as 1: sample everything).
         every: u64,
         /// Most sampled traces retained (oldest dropped first; 0 is
@@ -359,8 +359,8 @@ pub struct RequestTrace {
     pub to: NodeId,
     /// Seed request departure (seconds since midnight).
     pub departure_s: f64,
-    /// Requests the traced call served (1 for `handle`; the run size
-    /// for `serve_coalesced`).
+    /// Requests the traced `serve_coalesced` call served (the run
+    /// size; 1 for a lone request).
     pub batch_size: usize,
     /// The seed request's outcome: `"truth_hit"`, `"dedup"`,
     /// `"resolved"` or `"error"`.
@@ -403,7 +403,7 @@ impl SpanRecorder {
         self.cfg.enabled()
     }
 
-    /// Begins one `handle`/`serve_coalesced` call's trace context. Off:
+    /// Begins one `serve_coalesced` call's trace context. Off:
     /// a no-op context (no clock, no allocation). Counters: spans
     /// record into `stats`. Sampled: additionally, every `every`-th
     /// call collects its spans for the ring.
@@ -474,7 +474,7 @@ impl SpanRecorder {
     }
 }
 
-/// One `handle`/`serve_coalesced` call's tracing context. Obtain with
+/// One `serve_coalesced` call's tracing context. Obtain with
 /// [`SpanRecorder::call`], open disjoint spans with [`CallTrace::span`]
 /// (or time manually via [`CallTrace::clock`]/[`CallTrace::record`]
 /// when the stage is only known afterwards), and hand back to

@@ -17,8 +17,7 @@
 use cp_mining::CandidateGenerator;
 use cp_mining::TransferNetwork;
 use cp_mining::{
-    generate_candidates, generate_candidates_batch, generate_candidates_multi, CandidateRoute,
-    LdrParams, MfpParams, MprParams, OriginArtifacts,
+    generate_candidates, CandidateRoute, LdrParams, MfpParams, MprParams, OriginArtifacts,
 };
 use cp_roadnet::{NodeId, RoadGraph};
 use cp_traj::{TimeOfDay, Trip};
@@ -168,50 +167,6 @@ impl World {
         )
     }
 
-    /// Produces candidate sets for a batch of OD queries sharing a
-    /// departure time with one fused mining pass (the expensive
-    /// single-source work — MFP's period aggregation, MPR's popularity
-    /// expansion, LDR's locality scans — runs once per origin group
-    /// instead of once per query). `out[i]` is byte-identical to
-    /// [`World::candidates`] over `queries[i]`; see
-    /// [`generate_candidates_batch`].
-    pub fn candidates_batch(
-        &self,
-        queries: &[(NodeId, NodeId)],
-        departure: TimeOfDay,
-    ) -> Vec<Vec<CandidateRoute>> {
-        generate_candidates_batch(
-            &self.graph,
-            &self.trips,
-            &self.transfer,
-            &self.mpr,
-            &self.mfp,
-            &self.ldr,
-            queries,
-            departure,
-        )
-    }
-
-    /// Produces candidate sets for OD queries spanning several
-    /// departure buckets — all-day artifacts once per origin, one MFP
-    /// aggregation per distinct departure. `out[i]` is byte-identical
-    /// to [`World::candidates`] over `queries[i]`; see
-    /// [`generate_candidates_multi`].
-    pub fn candidates_multi(
-        &self,
-        queries: &[(NodeId, NodeId, TimeOfDay)],
-    ) -> Vec<Vec<CandidateRoute>> {
-        generate_candidates_multi(
-            &self.graph,
-            &self.trips,
-            &self.transfer,
-            &self.mpr,
-            &self.mfp,
-            &self.ldr,
-            queries,
-        )
-    }
-
     /// Builds the time-invariant mining artifacts for one origin (full
     /// MPR popularity expansion + LDR locality scan, with lazy habit /
     /// fastest / per-period memos) — the expensive expansion the
@@ -268,29 +223,6 @@ mod tests {
             let owned = world.candidates(NodeId(a), NodeId(b), dep);
             assert_eq!(borrowed.len(), owned.len());
             for (x, y) in borrowed.iter().zip(&owned) {
-                assert_eq!(x.source, y.source);
-                assert_eq!(x.path, y.path);
-            }
-        }
-    }
-
-    #[test]
-    fn world_batch_candidates_match_per_request() {
-        let city = generate_city(&CityParams::small(), 7).unwrap();
-        let trips = generate_trips(&city.graph, &TripGenParams::default(), 7).unwrap();
-        let world = World::new(city.graph, trips.trips);
-        let dep = TimeOfDay::from_hours(8.5);
-        let queries = vec![
-            (NodeId(0), NodeId(59)),
-            (NodeId(0), NodeId(31)),
-            (NodeId(5), NodeId(54)),
-            (NodeId(0), NodeId(59)),
-        ];
-        let fused = world.candidates_batch(&queries, dep);
-        for (&(a, b), got) in queries.iter().zip(&fused) {
-            let want = world.candidates(a, b, dep);
-            assert_eq!(got.len(), want.len());
-            for (x, y) in got.iter().zip(&want) {
                 assert_eq!(x.source, y.source);
                 assert_eq!(x.path, y.path);
             }

@@ -88,9 +88,8 @@ pub mod prelude {
         TruthEntry, TruthStore,
     };
     pub use cp_crowd::{
-        AnswerModel, AnswerTally, CrowdDesk, CrowdObserve, DeskStats, DirectDesk, Platform,
-        PopulationParams, QuotaExhausted, Reservation, SharedCrowd, Worker, WorkerId,
-        WorkerPopulation,
+        AnswerModel, AnswerTally, CrowdDesk, CrowdObserve, DeskStats, Platform, PopulationParams,
+        QuotaExhausted, Reservation, SharedCrowd, Worker, WorkerId, WorkerPopulation,
     };
     pub use cp_mining::{
         distinct_candidates, CandidateGenerator, CandidateRoute, LdrParams, MfpParams, MprParams,

@@ -12,15 +12,16 @@
 //!        once, and zero reservations are leaked after the drain.
 //! 2. A proptest that the owned, desk-based `CrowdPlanner` answers
 //!    **byte-identically** to the pre-redesign direct-platform
-//!    behaviour ([`DirectDesk`] preserves the old borrowed planner's
-//!    unconditional `assign`/`finish` calls verbatim) on a single
+//!    behaviour (an uncapped `SharedCrowd::new(platform, u32::MAX)`
+//!    preserves the old borrowed planner's unconditional
+//!    `assign`/`finish` calls verbatim) on a single
 //!    thread — the reserve → ask → commit protocol and the `Arc`-owned
 //!    world handles change nothing about the paper pipeline's output.
 
 use cp_core::Config;
 use cp_crowd::{
-    AnswerTally, CrowdDesk, CrowdObserve, DeskStats, DirectDesk, QuotaExhausted, SharedCrowd,
-    WorkerId, WorkerPopulation,
+    AnswerTally, CrowdDesk, CrowdObserve, DeskStats, QuotaExhausted, SharedCrowd, WorkerId,
+    WorkerPopulation,
 };
 use cp_roadnet::{Landmark, LandmarkId};
 use cp_service::{CrowdServing, Platform, PlatformConfig, Request, ServiceConfig, Ticket};
@@ -250,7 +251,7 @@ proptest! {
 
     /// The owned planner over a `SharedCrowd` (reserve → ask → commit,
     /// capped) answers byte-identically to the pre-redesign
-    /// direct-platform behaviour (`DirectDesk`) on a single thread:
+    /// direct-platform behaviour (an uncapped desk) on a single thread:
     /// identical platform seeds ⇒ identical paths, resolutions,
     /// confidences and crowd costs for every request.
     #[test]
@@ -266,7 +267,7 @@ proptest! {
         let shared: Arc<dyn CrowdDesk> =
             Arc::new(SharedCrowd::new(world.platform(64, 10, seed), cfg.eta_quota));
         let direct: Arc<dyn CrowdDesk> =
-            Arc::new(DirectDesk::new(world.platform(64, 10, seed)));
+            Arc::new(SharedCrowd::new(world.platform(64, 10, seed), u32::MAX));
         let mut a = world.owned_planner(shared, cfg.clone()).expect("planner");
         let mut b = world.owned_planner(direct, cfg).expect("planner");
 

@@ -228,11 +228,14 @@ proptest! {
                 req
             })
             .collect();
-        let served = platform.serve_batch(&batch);
-        for (i, result) in served.iter().enumerate() {
-            let path = &result.as_ref().expect("platform request must succeed").path;
+        let tickets: Vec<_> = batch
+            .iter()
+            .map(|&req| platform.submit_blocking(req).expect("admitted"))
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let served = ticket.wait().expect("platform request must succeed");
             prop_assert_eq!(
-                path,
+                &served.path,
                 &expected[i],
                 "request {} differs from its city's sequential baseline",
                 i

@@ -6,10 +6,42 @@
 //! request, at every thread count.
 
 use cp_roadnet::Path;
-use cp_service::{MachineResolver, Request, RouteService, Served, ServiceConfig};
+use cp_service::{
+    Platform, PlatformConfig, Request, Served, ServedRoute, ServiceConfig, ServiceError,
+    StatsSnapshot, World,
+};
 use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
 use std::sync::Arc;
+
+/// Serves `requests` on a fresh uncoalesced platform with `workers`
+/// resident workers over one strict-deterministic machine city: every
+/// request is submitted (waiting for queue space) before the first
+/// ticket is joined. Returns the results in request order and the
+/// city's statistics after the drain.
+fn serve_on_platform(
+    sw: &Arc<World>,
+    workers: usize,
+    requests: &[Request],
+) -> (Vec<Result<ServedRoute, ServiceError>>, StatsSnapshot) {
+    let platform = Platform::start(PlatformConfig {
+        workers,
+        batch: None,
+        ..PlatformConfig::default()
+    });
+    let city = platform.register_city(Arc::clone(sw), ServiceConfig::strict_deterministic());
+    let tickets: Vec<_> = requests
+        .iter()
+        .map(|&req| platform.submit_blocking(Request { city, ..req }))
+        .collect();
+    let results = tickets
+        .into_iter()
+        .map(|t| t.and_then(|t| t.wait()))
+        .collect();
+    let snap = platform.city_stats(city).expect("registered");
+    platform.shutdown();
+    (results, snap)
+}
 
 /// A skewed request stream: `distinct` OD/time keys, each repeated
 /// `repeats` times, deterministically interleaved (runs of repeats are
@@ -38,19 +70,11 @@ fn concurrent_service_is_consistent_and_deterministic() {
     assert!(requests.len() >= 1000, "need ≥1k requests");
 
     // Sequential baseline: one worker.
-    let base_cfg = ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::strict_deterministic()
-    };
-    let baseline_service = RouteService::new(Arc::clone(&sw), base_cfg.clone());
-    let baseline: Vec<Path> = baseline_service
-        .serve(&requests, |_| {
-            MachineResolver::new(sw.graph_arc(), base_cfg.core.clone())
-        })
+    let (baseline, base_snap) = serve_on_platform(&sw, 1, &requests);
+    let baseline: Vec<Path> = baseline
         .into_iter()
         .map(|r| r.expect("sequential request must succeed").path)
         .collect();
-    let base_snap = baseline_service.stats();
     assert!(base_snap.is_consistent());
     assert_eq!(base_snap.requests, requests.len() as u64);
     assert_eq!(base_snap.errors, 0);
@@ -62,16 +86,7 @@ fn concurrent_service_is_consistent_and_deterministic() {
     );
 
     for workers in [4usize, 8] {
-        let cfg = ServiceConfig {
-            workers,
-            ..ServiceConfig::strict_deterministic()
-        };
-        let service = RouteService::new(Arc::clone(&sw), cfg.clone());
-        let results = service.serve(&requests, |_| {
-            MachineResolver::new(sw.graph_arc(), cfg.core.clone())
-        });
-
-        let snap = service.stats();
+        let (results, snap) = serve_on_platform(&sw, workers, &requests);
         assert_eq!(snap.requests, requests.len() as u64, "workers = {workers}");
         assert_eq!(snap.errors, 0, "workers = {workers}");
         // The accounting invariant: hits + dedups + resolutions == requests.
@@ -102,20 +117,13 @@ fn concurrent_service_is_consistent_and_deterministic() {
 fn dedup_collapses_a_thundering_herd() {
     let world = SimWorld::build(Scale::Small, 9).expect("world");
     let sw = world.service_world();
-    let cfg = ServiceConfig {
-        workers: 8,
-        ..ServiceConfig::strict_deterministic()
-    };
-    let service = RouteService::new(Arc::clone(&sw), cfg.clone());
     // 400 identical requests, 8 workers, one key: exactly one resolution;
     // every other request is a dedup follower or a truth hit.
     let (from, to) = world.request_stream(1, 3, 7)[0];
     let requests: Vec<Request> = (0..400)
         .map(|_| Request::new(from, to, TimeOfDay::from_hours(8.0)))
         .collect();
-    let results = service.serve(&requests, |_| {
-        MachineResolver::new(sw.graph_arc(), cfg.core.clone())
-    });
+    let (results, snap) = serve_on_platform(&sw, 8, &requests);
     let first_path = &results[0].as_ref().unwrap().path;
     for r in &results {
         let served = r.as_ref().unwrap();
@@ -125,7 +133,6 @@ fn dedup_collapses_a_thundering_herd() {
             Served::TruthHit | Served::Deduplicated | Served::Resolved(_)
         ));
     }
-    let snap = service.stats();
     assert_eq!(snap.requests, 400);
     assert_eq!(snap.resolved, 1, "single flight for a single key");
     assert_eq!(snap.truth_hits + snap.dedup_hits, 399);

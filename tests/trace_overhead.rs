@@ -6,9 +6,10 @@
 //!
 //! Measured with a counting `#[global_allocator]` over a warm
 //! truth-hit workload (the hottest serve path: no mining, no
-//! resolution), single-threaded so the counts are exact. This file
-//! holds exactly one `#[test]` so no sibling test's allocations bleed
-//! into the counted window.
+//! resolution). The counter is process-global, so the window is made
+//! exact by quiescence: this file holds exactly one `#[test]` (no
+//! sibling test's allocations bleed in), and each leg has only its own
+//! serving threads alive and busy while `COUNTING` is set.
 
 use cp_roadnet::NodeId;
 use cp_service::{
@@ -116,6 +117,13 @@ fn platform_truth_hit_allocs(
             .wait()
             .expect("warmup");
     }
+    // The warm-up's one commit is appended asynchronously: without this
+    // barrier the `cp-durable-writer` thread's encode-and-append
+    // allocations (1–5 of them) land inside the counted window whenever
+    // it lags the three warm hits. After the ack it only blocks on its
+    // channel; every other background thread of earlier legs was joined
+    // by `shutdown`.
+    platform.sync_durable();
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     let mut outcomes = Vec::with_capacity(rounds);
