@@ -23,9 +23,7 @@
 //! voice among several candidate sources. This interpretation is recorded
 //! in DESIGN.md as a documented substitution.
 
-use cp_roadnet::routing::{
-    dijkstra_path, shortest_path_tree, shortest_path_tree_to_all, DijkstraResult,
-};
+use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, DijkstraResult};
 use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
 use cp_traj::{DriverId, Trip};
 use std::collections::HashMap;
@@ -110,8 +108,8 @@ pub(crate) fn expert_modal_exact(
 /// Stage 3 input: the expert's personal street-usage frequencies over
 /// their whole history (their habits generalise beyond one OD pair).
 fn expert_frequencies(graph: &RoadGraph, trips: &[Trip], expert: DriverId) -> Vec<f64> {
-    // (shared by the per-request path, the fused batch path and the
-    // artifact habit-tree builder below)
+    // (shared by the per-request path and the artifact habit-tree
+    // builder below)
     let mut freq = vec![0.0f64; graph.edge_count()];
     for t in trips.iter().filter(|t| t.driver == expert) {
         for &e in t.path.edges() {
@@ -150,93 +148,6 @@ pub fn local_driver_route(
     dijkstra_path(graph, from, to, |e| {
         graph.edge(e).travel_time() / (1.0 + params.beta * freq[e.index()])
     })
-}
-
-/// Computes the local-driver routes from one origin to many
-/// destinations, fusing the per-request work that depends only on the
-/// origin side:
-///
-/// * the O(|trips|) locality scan keeps only one origin-side pass for
-///   the whole batch (destination proximity is re-checked per target on
-///   the surviving subset);
-/// * the stage-3 habit search and the stage-4 fastest fallback are
-///   single-source expansions, memoised per expert (habits) and per
-///   batch (fastest) via [`shortest_path_tree_to_all`];
-/// * stage-3 frequency tallies are memoised per expert, so two
-///   destinations served by the same local driver scan their history
-///   once.
-///
-/// Per destination, the result is byte-identical to
-/// [`local_driver_route`]: the filters are order-preserving, expert
-/// choice and modal-route extraction run the same code, and a
-/// single-target Dijkstra is a prefix of the multi-target expansion.
-pub fn local_driver_routes(
-    graph: &RoadGraph,
-    trips: &[Trip],
-    from: NodeId,
-    tos: &[NodeId],
-    params: &LdrParams,
-) -> Vec<Result<Path, RoadNetError>> {
-    let fp = graph.position(from);
-    let r2 = params.endpoint_radius * params.endpoint_radius;
-    // Shared origin-side prefilter (order-preserving, so per-target
-    // destination filtering reproduces `local_trips` exactly).
-    let origin_local: Vec<&Trip> = trips
-        .iter()
-        .filter(|t| graph.position(t.path.source()).distance_sq(&fp) <= r2)
-        .collect();
-    let targets: Vec<NodeId> = {
-        let mut seen = vec![false; graph.node_count()];
-        let mut out = Vec::new();
-        for &t in tos {
-            if t != from && !seen[t.index()] {
-                seen[t.index()] = true;
-                out.push(t);
-            }
-        }
-        out
-    };
-    // Lazily-built shared expansions: the expert-habit tree per driver
-    // (frequency tally folded into its cost) and the fastest fallback.
-    let mut habit: HashMap<DriverId, DijkstraResult> = HashMap::new();
-    let mut fastest: Option<DijkstraResult> = None;
-
-    tos.iter()
-        .map(|&to| {
-            if to == from {
-                return Err(RoadNetError::NoPath { from, to });
-            }
-            let tp = graph.position(to);
-            let local: Vec<&Trip> = origin_local
-                .iter()
-                .copied()
-                .filter(|t| graph.position(t.path.destination()).distance_sq(&tp) <= r2)
-                .collect();
-            let Some(expert) = pick_expert(&local) else {
-                // Stage 4: one fastest tree serves every expert-less
-                // destination in the batch.
-                let tree = fastest.get_or_insert_with(|| {
-                    shortest_path_tree_to_all(graph, from, &targets, |e| {
-                        graph.edge(e).travel_time()
-                    })
-                });
-                return tree
-                    .path_to(graph, to)
-                    .ok_or(RoadNetError::NoPath { from, to });
-            };
-            if let Some(path) = expert_modal_exact(graph, &local, expert, from, to) {
-                return Ok(path);
-            }
-            let tree = habit.entry(expert).or_insert_with(|| {
-                let freq = expert_frequencies(graph, trips, expert);
-                shortest_path_tree_to_all(graph, from, &targets, |e| {
-                    graph.edge(e).travel_time() / (1.0 + params.beta * freq[e.index()])
-                })
-            });
-            tree.path_to(graph, to)
-                .ok_or(RoadNetError::NoPath { from, to })
-        })
-        .collect()
 }
 
 /// Indices (into `trips`) of trips whose *source* endpoint is local to
@@ -390,40 +301,6 @@ mod tests {
         assert_eq!(p.source(), a);
         assert_eq!(p.destination(), b);
         assert!(p.is_simple());
-    }
-
-    #[test]
-    fn fused_batch_matches_per_request_ldr() {
-        let (city, ds) = setup();
-        let g = &city.graph;
-        let params = LdrParams::default();
-        // Mix driven ODs (stage-2 replay), undriven pairs (stage 3/4),
-        // duplicates and the degenerate same-node case.
-        let t0 = &ds.trips[0];
-        let from = t0.path.source();
-        let mut tos: Vec<NodeId> = vec![t0.path.destination(), from];
-        for b in [59u32, 7, 23, 41, 59] {
-            if NodeId(b) != from {
-                tos.push(NodeId(b));
-            }
-        }
-        let fused = local_driver_routes(g, &ds.trips, from, &tos, &params);
-        assert_eq!(fused.len(), tos.len());
-        for (&to, got) in tos.iter().zip(&fused) {
-            match local_driver_route(g, &ds.trips, from, to, &params) {
-                Ok(want) => assert_eq!(got.as_ref().unwrap(), &want, "to {to:?}"),
-                Err(_) => assert!(got.is_err(), "to {to:?}"),
-            }
-        }
-        // Empty history: the shared fastest tree must match per-request
-        // fastest fallbacks.
-        let fused = local_driver_routes(g, &[], from, &tos, &params);
-        for (&to, got) in tos.iter().zip(&fused) {
-            match local_driver_route(g, &[], from, to, &params) {
-                Ok(want) => assert_eq!(got.as_ref().unwrap(), &want, "to {to:?}"),
-                Err(_) => assert!(got.is_err(), "to {to:?}"),
-            }
-        }
     }
 
     #[test]

@@ -20,14 +20,12 @@ pub mod source;
 pub mod transfer;
 pub mod webservice;
 
-pub use ldr::{local_driver_route, local_driver_routes, local_support, LdrParams};
+pub use ldr::{local_driver_route, local_support, LdrParams};
 pub use mfp::{
     best_bottleneck, frequency_discounted_tree, most_frequent_path, most_frequent_path_on,
-    most_frequent_paths, most_frequent_paths_on, MfpParams,
+    MfpParams,
 };
-pub use mpr::{
-    log_popularity, most_popular_route, most_popular_routes, popularity_tree, MprParams,
-};
+pub use mpr::{log_popularity, most_popular_route, popularity_tree, MprParams};
 pub use source::{
     candidates_from_artifacts, distinct_candidates, generate_candidates, CandidateGenerator,
     CandidateRoute, OriginArtifacts, SourceKind,

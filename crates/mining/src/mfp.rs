@@ -21,9 +21,7 @@
 //! attributes to MFP.
 
 use crate::transfer::TransferNetwork;
-use cp_roadnet::routing::{
-    dijkstra_path, shortest_path_tree, shortest_path_tree_to_all, DijkstraResult,
-};
+use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, DijkstraResult};
 use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
 use cp_traj::{TimeOfDay, Trip};
 use std::cmp::Ordering;
@@ -125,36 +123,6 @@ pub fn most_frequent_path_on(
     })
 }
 
-/// Computes the time-period most frequent paths from one origin to many
-/// destinations on a pre-filtered transfer network with a **single**
-/// frequency-discounted expansion — byte-identical, per destination, to
-/// [`most_frequent_path_on`] (the single-target search is a prefix of
-/// the multi-target one).
-pub fn most_frequent_paths_on(
-    graph: &RoadGraph,
-    tn: &TransferNetwork,
-    from: NodeId,
-    tos: &[NodeId],
-    params: &MfpParams,
-) -> Vec<Result<Path, RoadNetError>> {
-    let half = tn.mean_positive_frequency().max(1.0);
-    let cost = |e| {
-        let f = tn.edge_frequency(e);
-        graph.edge(e).travel_time() / (1.0 + params.beta * f / (f + half))
-    };
-    let targets: Vec<NodeId> = tos.iter().copied().filter(|&t| t != from).collect();
-    let tree = shortest_path_tree_to_all(graph, from, &targets, cost);
-    tos.iter()
-        .map(|&to| {
-            if to == from {
-                return Err(RoadNetError::NoPath { from, to });
-            }
-            tree.path_to(graph, to)
-                .ok_or(RoadNetError::NoPath { from, to })
-        })
-        .collect()
-}
-
 /// Expands the **full** frequency-discounted tree from `from` over a
 /// pre-filtered period transfer network — the period-dependent half of
 /// a cached origin-mining artifact. `DijkstraResult::path_to` on the
@@ -186,24 +154,6 @@ pub fn most_frequent_path(
 ) -> Result<Path, RoadNetError> {
     let tn = TransferNetwork::build(graph, trips, Some((departure, params.period_half_width)));
     most_frequent_path_on(graph, &tn, from, to, params)
-}
-
-/// Full fused MFP query for one origin and many destinations sharing a
-/// departure period: the O(|trips|) period filter and transfer-network
-/// aggregation — by far the dominant cost of a per-request
-/// [`most_frequent_path`] call — run **once**, followed by one
-/// multi-target search. Per destination, byte-identical to
-/// [`most_frequent_path`].
-pub fn most_frequent_paths(
-    graph: &RoadGraph,
-    trips: &[Trip],
-    from: NodeId,
-    tos: &[NodeId],
-    departure: TimeOfDay,
-    params: &MfpParams,
-) -> Vec<Result<Path, RoadNetError>> {
-    let tn = TransferNetwork::build(graph, trips, Some((departure, params.period_half_width)));
-    most_frequent_paths_on(graph, &tn, from, tos, params)
 }
 
 #[cfg(test)]
@@ -283,32 +233,6 @@ mod tests {
         })
         .unwrap();
         assert!((cost(&alt) - cost(&mfp)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fused_batch_matches_per_request_mfp() {
-        let (city, ds, tn) = setup();
-        let g = &city.graph;
-        let params = MfpParams::default();
-        let from = NodeId(7);
-        let tos: Vec<NodeId> = [59u32, 0, 7, 31, 44].map(NodeId).to_vec();
-        // Pre-filtered network path.
-        let fused = most_frequent_paths_on(g, &tn, from, &tos, &params);
-        for (&to, got) in tos.iter().zip(&fused) {
-            match most_frequent_path_on(g, &tn, from, to, &params) {
-                Ok(want) => assert_eq!(got.as_ref().unwrap(), &want, "to {to:?}"),
-                Err(_) => assert!(got.is_err(), "to {to:?}"),
-            }
-        }
-        // Full query path (shared period filter + aggregation).
-        let dep = TimeOfDay::from_hours(8.0);
-        let fused = most_frequent_paths(g, &ds.trips, from, &tos, dep, &params);
-        for (&to, got) in tos.iter().zip(&fused) {
-            match most_frequent_path(g, &ds.trips, from, to, dep, &params) {
-                Ok(want) => assert_eq!(got.as_ref().unwrap(), &want, "to {to:?}"),
-                Err(_) => assert!(got.is_err(), "to {to:?}"),
-            }
-        }
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! `P(e) < 1` whenever a node has more than one outgoing edge).
 
 use crate::transfer::TransferNetwork;
-use cp_roadnet::routing::{
-    dijkstra_path, shortest_path_tree, shortest_path_tree_to_all, DijkstraResult,
-};
+use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, DijkstraResult};
 use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
 
 /// Parameters of the MPR search.
@@ -44,43 +42,6 @@ pub fn most_popular_route(
         -p.ln()
     };
     dijkstra_path(graph, from, to, cost)
-}
-
-/// Computes the most popular routes from one origin to many
-/// destinations with a **single** popularity expansion.
-///
-/// The per-request [`most_popular_route`] pays one full Dijkstra over
-/// the `-ln P(e)` popularity costs per call even though the costs are a
-/// pure function of the source side; when many concurrent requests
-/// leave the same origin, that work is identical. This fused form runs
-/// one [`shortest_path_tree_to_all`] expansion and splits per
-/// destination, returning results byte-identical to calling
-/// [`most_popular_route`] per pair (the single-target search is a
-/// prefix of the multi-target one).
-pub fn most_popular_routes(
-    graph: &RoadGraph,
-    tn: &TransferNetwork,
-    from: NodeId,
-    tos: &[NodeId],
-    params: &MprParams,
-) -> Vec<Result<Path, RoadNetError>> {
-    let cost = |e| {
-        let p = tn
-            .transfer_probability(graph, e, params.smoothing)
-            .max(f64::MIN_POSITIVE);
-        -p.ln()
-    };
-    let targets: Vec<NodeId> = tos.iter().copied().filter(|&t| t != from).collect();
-    let tree = shortest_path_tree_to_all(graph, from, &targets, cost);
-    tos.iter()
-        .map(|&to| {
-            if to == from {
-                return Err(RoadNetError::NoPath { from, to });
-            }
-            tree.path_to(graph, to)
-                .ok_or(RoadNetError::NoPath { from, to })
-        })
-        .collect()
 }
 
 /// Expands the **full** popularity tree from `from`: the all-day,
@@ -203,23 +164,6 @@ mod tests {
             }
         }
         assert!(mpr_better >= total - 1, "{mpr_better}/{total}");
-    }
-
-    #[test]
-    fn fused_batch_matches_per_request_mpr() {
-        let (city, _, tn) = setup();
-        let g = &city.graph;
-        let params = MprParams::default();
-        let from = NodeId(3);
-        let tos: Vec<NodeId> = [59u32, 17, 3, 44, 59, 8].map(NodeId).to_vec();
-        let fused = most_popular_routes(g, &tn, from, &tos, &params);
-        assert_eq!(fused.len(), tos.len());
-        for (&to, got) in tos.iter().zip(&fused) {
-            match most_popular_route(g, &tn, from, to, &params) {
-                Ok(want) => assert_eq!(got.as_ref().unwrap(), &want, "to {to:?}"),
-                Err(_) => assert!(got.is_err(), "to {to:?}"),
-            }
-        }
     }
 
     #[test]

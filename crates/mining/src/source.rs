@@ -447,50 +447,55 @@ mod tests {
     #[test]
     fn shared_artifacts_answer_any_destination_byte_identically() {
         let (city, ds) = setup();
-        let gen = CandidateGenerator::new(&city.graph, &ds.trips);
         let g = &city.graph;
         // One artifact per origin built up front, destinations and
         // departures chosen afterwards — the cross-batch reuse contract.
         // Covers a second origin, duplicate queries (answered from the
         // lazy memos the first query filled), the degenerate same-node
-        // query, and several departures through one artifact (the
-        // `mfp_trees` departure-bits memo).
+        // query, a driven OD (LDR's stage-2 replay), several departures
+        // through one artifact (the `mfp_trees` departure-bits memo), and
+        // an empty history (every LDR answer from the shared fastest tree).
         let deps = [7.0, 8.0, 9.0].map(TimeOfDay::from_hours);
-        let periods = deps.map(|dep| {
-            TransferNetwork::build(g, &ds.trips, Some((dep, gen.mfp.period_half_width)))
-        });
-        for (from, tos) in [
-            (NodeId(0), &[59u32, 31, 59, 7, 44, 0][..]),
-            (NodeId(12), &[47, 7, 47]),
-        ] {
-            let art = OriginArtifacts::build(
-                g,
-                &ds.trips,
-                gen.transfer_network(),
-                &gen.mpr,
-                &gen.ldr,
-                from,
-            );
-            for &b in tos {
-                for (&dep, period) in deps.iter().zip(&periods) {
-                    let got = candidates_from_artifacts(
-                        g,
-                        &ds.trips,
-                        &gen.mfp,
-                        &gen.ldr,
-                        &art,
-                        period,
-                        NodeId(b),
-                        dep,
-                    );
-                    let want = gen.candidates(from, NodeId(b), dep);
-                    assert_eq!(got.len(), want.len(), "{from:?} to {b} at {dep:?}");
-                    for (x, y) in got.iter().zip(&want) {
-                        assert_eq!(x.source, y.source, "{from:?} to {b} at {dep:?}");
-                        assert_eq!(x.path, y.path, "{from:?} to {b} at {dep:?}");
+        let driven = &ds.trips[0].path;
+        for trips in [&ds.trips[..], &[]] {
+            let gen = CandidateGenerator::new(g, trips);
+            let periods = deps.map(|dep| {
+                TransferNetwork::build(g, trips, Some((dep, gen.mfp.period_half_width)))
+            });
+            for (from, tos) in [
+                (NodeId(0), &[59u32, 31, 59, 7, 44, 0][..]),
+                (NodeId(12), &[47, 7, 47]),
+                (driven.source(), &[driven.destination().0]),
+            ] {
+                let art = OriginArtifacts::build(
+                    g,
+                    trips,
+                    gen.transfer_network(),
+                    &gen.mpr,
+                    &gen.ldr,
+                    from,
+                );
+                for &b in tos {
+                    for (&dep, period) in deps.iter().zip(&periods) {
+                        let got = candidates_from_artifacts(
+                            g,
+                            trips,
+                            &gen.mfp,
+                            &gen.ldr,
+                            &art,
+                            period,
+                            NodeId(b),
+                            dep,
+                        );
+                        let want = gen.candidates(from, NodeId(b), dep);
+                        assert_eq!(got.len(), want.len(), "{from:?} to {b} at {dep:?}");
+                        for (x, y) in got.iter().zip(&want) {
+                            assert_eq!(x.source, y.source, "{from:?} to {b} at {dep:?}");
+                            assert_eq!(x.path, y.path, "{from:?} to {b} at {dep:?}");
+                        }
+                        // The same-node query yields no candidates on either path.
+                        assert_eq!(got.is_empty(), NodeId(b) == from);
                     }
-                    // The same-node query yields no candidates on either path.
-                    assert_eq!(got.is_empty(), NodeId(b) == from);
                 }
             }
         }

@@ -19,23 +19,6 @@ impl ShortestRouteService {
     pub fn route(&self, graph: &RoadGraph, from: NodeId, to: NodeId) -> Result<Path, RoadNetError> {
         astar_path(graph, from, to, |e| graph.edge(e).length, 1.0)
     }
-
-    /// Routes one origin to many destinations (the batched form a real
-    /// navigation API exposes as a distance-matrix/multi-stop call).
-    /// Each destination runs the same goal-directed search as
-    /// [`ShortestRouteService::route`] — A* shares no cross-target state,
-    /// and substituting a blind single-source expansion could break
-    /// equal-cost tie-breaks — so the results are byte-identical to the
-    /// per-request calls; the batched form exists so fused candidate
-    /// generation issues one provider call per origin group.
-    pub fn route_many(
-        &self,
-        graph: &RoadGraph,
-        from: NodeId,
-        tos: &[NodeId],
-    ) -> Vec<Result<Path, RoadNetError>> {
-        tos.iter().map(|&to| self.route(graph, from, to)).collect()
-    }
 }
 
 /// A web service returning the fastest free-flow route (à la a
@@ -53,18 +36,6 @@ impl FastestRouteService {
             |e| graph.edge(e).travel_time(),
             RoadClass::Highway.speed_mps(),
         )
-    }
-
-    /// Routes one origin to many destinations; see
-    /// [`ShortestRouteService::route_many`] for why each destination
-    /// keeps its own goal-directed search.
-    pub fn route_many(
-        &self,
-        graph: &RoadGraph,
-        from: NodeId,
-        tos: &[NodeId],
-    ) -> Vec<Result<Path, RoadNetError>> {
-        tos.iter().map(|&to| self.route(graph, from, to)).collect()
     }
 }
 

@@ -67,25 +67,14 @@ impl DijkstraResult {
     }
 }
 
-/// When the expansion may stop: never (full component), after settling
-/// one node (a scalar compare — no per-call mask allocation on the hot
-/// point-to-point path), or after settling `count` masked nodes.
-enum Stop {
-    Exhaustion,
-    At(NodeId),
-    Multi(Vec<bool>, usize),
-}
-
-/// The shared expansion core behind [`shortest_path_tree`] and
-/// [`shortest_path_tree_to_all`]: settles nodes in deterministic order
-/// (cost, then node id), stopping per the [`Stop`] criterion. One
-/// definition of the relaxation/tie-break logic, so the single- and
-/// multi-target searches can never diverge (the byte-identity the
-/// fused mining path depends on).
-fn expand_tree(
+/// Runs Dijkstra from `source` until `until` (if given) is settled or the
+/// whole reachable component is settled. Nodes settle in deterministic
+/// order (cost, then node id), so the single-target run is a settle-order
+/// prefix of the exhaustive one and both reconstruct identical paths.
+pub fn shortest_path_tree(
     graph: &RoadGraph,
     source: NodeId,
-    mut stop: Stop,
+    until: Option<NodeId>,
     cost: impl CostFn,
 ) -> DijkstraResult {
     let n = graph.node_count();
@@ -103,22 +92,8 @@ fn expand_tree(
             continue;
         }
         settled[node.index()] = true;
-        match &mut stop {
-            Stop::Exhaustion => {}
-            Stop::At(target) => {
-                if node == *target {
-                    break;
-                }
-            }
-            Stop::Multi(wanted, remaining) => {
-                if wanted[node.index()] {
-                    wanted[node.index()] = false;
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        break;
-                    }
-                }
-            }
+        if until == Some(node) {
+            break;
         }
         for &e in graph.out_edges(node) {
             let edge = graph.edge(e);
@@ -138,21 +113,6 @@ fn expand_tree(
     DijkstraResult { dist, parent_edge }
 }
 
-/// Runs Dijkstra from `source` until `until` (if given) is settled or the
-/// whole reachable component is settled.
-pub fn shortest_path_tree(
-    graph: &RoadGraph,
-    source: NodeId,
-    until: Option<NodeId>,
-    cost: impl CostFn,
-) -> DijkstraResult {
-    let stop = match until {
-        Some(t) => Stop::At(t),
-        None => Stop::Exhaustion,
-    };
-    expand_tree(graph, source, stop, cost)
-}
-
 /// Cheapest path from `from` to `to` under `cost`.
 pub fn dijkstra_path(
     graph: &RoadGraph,
@@ -166,47 +126,6 @@ pub fn dijkstra_path(
     let tree = shortest_path_tree(graph, from, Some(to), cost);
     tree.path_to(graph, to)
         .ok_or(RoadNetError::NoPath { from, to })
-}
-
-/// Runs Dijkstra from `source` until every node in `targets` is settled
-/// (or the reachable component is exhausted) and returns the tree.
-///
-/// The settle order, relaxations and parent assignments are exactly
-/// those of [`shortest_path_tree`] — the single-target run is a prefix
-/// of this one — so for every target, `path_to` reconstructs a path
-/// byte-identical to `dijkstra_path(graph, source, target, cost)`. A
-/// parent pointer is final once its node is settled (relaxation only
-/// rewrites parents on a strict cost improvement, impossible after
-/// settling), so continuing past one target cannot change its path.
-/// This is the primitive behind fused batch mining: one expansion
-/// answers every destination sharing the source.
-pub fn shortest_path_tree_to_all(
-    graph: &RoadGraph,
-    source: NodeId,
-    targets: &[NodeId],
-    cost: impl CostFn,
-) -> DijkstraResult {
-    let n = graph.node_count();
-    let mut wanted = vec![false; n];
-    let mut remaining = 0usize;
-    for &t in targets {
-        if !wanted[t.index()] {
-            wanted[t.index()] = true;
-            remaining += 1;
-        }
-    }
-    if remaining == 0 {
-        // Nothing to reach: the trivial tree, no expansion at all
-        // (without this, an all-degenerate batch group would pay a
-        // full-component Dijkstra per miner just to return errors).
-        let mut dist = vec![f64::INFINITY; n];
-        dist[source.index()] = 0.0;
-        return DijkstraResult {
-            dist,
-            parent_edge: vec![None; n],
-        };
-    }
-    expand_tree(graph, source, Stop::Multi(wanted, remaining), cost)
 }
 
 #[cfg(test)]
@@ -243,28 +162,6 @@ mod tests {
         let g = diamond();
         let p = dijkstra_path(&g, NodeId(0), NodeId(3), time_cost(&g)).unwrap();
         assert_eq!(p.nodes(), &[NodeId(0), NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn multi_target_tree_matches_single_target_paths() {
-        let city = crate::generator::generate_city(&crate::generator::CityParams::small(), 11)
-            .expect("city");
-        let g = &city.graph;
-        let from = NodeId(0);
-        let targets: Vec<NodeId> = [7u32, 59, 23, 41, 59, 12].map(NodeId).to_vec();
-        let costs: [&dyn Fn(EdgeId) -> f64; 2] =
-            [&|e| g.edge(e).length, &|e| g.edge(e).travel_time()];
-        for cost in costs {
-            let tree = shortest_path_tree_to_all(g, from, &targets, cost);
-            for &t in &targets {
-                let single = dijkstra_path(g, from, t, cost).unwrap();
-                let multi = tree.path_to(g, t).expect("target settled");
-                assert_eq!(single, multi, "target {t:?}");
-            }
-        }
-        // No targets: the tree is still well-formed (source settled only).
-        let empty = shortest_path_tree_to_all(g, from, &[], distance_cost(g));
-        assert_eq!(empty.dist[from.index()], 0.0);
     }
 
     #[test]

@@ -13,9 +13,7 @@ pub mod dijkstra;
 pub mod ksp;
 
 pub use astar::astar_path;
-pub use dijkstra::{
-    dijkstra_path, shortest_path_tree, shortest_path_tree_to_all, CostFn, DijkstraResult,
-};
+pub use dijkstra::{dijkstra_path, shortest_path_tree, CostFn, DijkstraResult};
 pub use ksp::k_shortest_paths;
 
 use crate::graph::{EdgeId, RoadGraph};
