@@ -69,29 +69,20 @@ struct PeriodEntry {
 pub struct MiningArtifactCache {
     origins: Mutex<Lru<(i32, i32), CellSlot>>,
     periods: Mutex<Lru<u64, PeriodEntry>>,
-    enabled: bool,
     /// Contention counters pooled over both cache mutexes (disabled
     /// unless the owning service traces).
     locks: LockStats,
 }
 
 impl MiningArtifactCache {
-    /// A cache holding at most `origin_capacity` origin cells (0
-    /// disables caching entirely: every lookup builds fresh, transient
-    /// artifacts — fusion within one batch still works, reuse across
-    /// batches does not).
+    /// A cache holding at most `origin_capacity` origin cells (clamped
+    /// to at least one, as [`Lru::new`] does).
     pub fn new(origin_capacity: usize) -> Self {
         MiningArtifactCache {
-            origins: Mutex::new(Lru::new(origin_capacity.max(1))),
+            origins: Mutex::new(Lru::new(origin_capacity)),
             periods: Mutex::new(Lru::new(PERIOD_CAPACITY)),
-            enabled: origin_capacity > 0,
             locks: LockStats::new(),
         }
-    }
-
-    /// Whether cross-batch reuse is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Contention counters over the origin/period cache mutexes.
@@ -121,17 +112,14 @@ impl MiningArtifactCache {
         stats: &ServiceStats,
     ) -> Arc<OriginArtifacts> {
         let generation = world.generation();
-        if self.enabled {
-            let mut cache = self.locks.lock(&self.origins);
-            if let Some(slot) = cache.get(&cell) {
-                if let Some((_, _, art)) = slot
-                    .entries
-                    .iter()
-                    .find(|(n, g, _)| *n == origin && *g == generation)
-                {
-                    stats.inc_artifact_hits();
-                    return Arc::clone(art);
-                }
+        if let Some(slot) = self.locks.lock(&self.origins).get(&cell) {
+            if let Some((_, _, art)) = slot
+                .entries
+                .iter()
+                .find(|(n, g, _)| *n == origin && *g == generation)
+            {
+                stats.inc_artifact_hits();
+                return Arc::clone(art);
             }
         }
         stats.inc_artifact_misses();
@@ -142,7 +130,7 @@ impl MiningArtifactCache {
         // fine (it was byte-correct for the inputs this caller read),
         // but caching it would evict a fresher entry a faster worker
         // may have inserted at the new generation.
-        if self.enabled && world.generation() == generation {
+        if world.generation() == generation {
             let mut cache = self.locks.lock(&self.origins);
             let mut slot = cache.get(&cell).cloned().unwrap_or_default();
             // Only an *older*-generation entry is superseded; a same-
@@ -186,24 +174,19 @@ impl MiningArtifactCache {
     ) -> Arc<TransferNetwork> {
         let generation = world.generation();
         let bits = departure.0.to_bits();
-        if self.enabled {
-            let mut cache = self.locks.lock(&self.periods);
-            if let Some(entry) = cache.get(&bits) {
-                if entry.generation == generation {
-                    return Arc::clone(&entry.network);
-                }
+        if let Some(entry) = self.locks.lock(&self.periods).get(&bits) {
+            if entry.generation == generation {
+                return Arc::clone(&entry.network);
             }
         }
         let built = Arc::new(world.period_network(departure));
-        if self.enabled {
-            self.locks.lock(&self.periods).insert(
-                bits,
-                PeriodEntry {
-                    generation,
-                    network: Arc::clone(&built),
-                },
-            );
-        }
+        self.locks.lock(&self.periods).insert(
+            bits,
+            PeriodEntry {
+                generation,
+                network: Arc::clone(&built),
+            },
+        );
         built
     }
 }
@@ -211,7 +194,6 @@ impl MiningArtifactCache {
 impl std::fmt::Debug for MiningArtifactCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MiningArtifactCache")
-            .field("enabled", &self.enabled)
             .finish_non_exhaustive()
     }
 }
@@ -298,21 +280,6 @@ mod tests {
         assert_eq!(snap.artifact_misses, 4);
         assert_eq!(snap.artifact_evictions, 2, "cell (0,0) held two origins");
         assert!(snap.is_consistent());
-    }
-
-    #[test]
-    fn disabled_cache_always_misses_and_stores_nothing() {
-        let world = mini_world();
-        let stats = ServiceStats::new();
-        let cache = MiningArtifactCache::new(0);
-        assert!(!cache.is_enabled());
-        let a = cache.origin_artifacts(&world, (0, 0), NodeId(3), &stats);
-        let b = cache.origin_artifacts(&world, (0, 0), NodeId(3), &stats);
-        assert!(!Arc::ptr_eq(&a, &b));
-        let snap = stats.snapshot();
-        assert_eq!(snap.artifact_misses, 2);
-        assert_eq!(snap.artifact_hits, 0);
-        assert_eq!(snap.artifact_evictions, 0);
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub struct ServiceConfig {
     /// batch reuses the all-day origin expansions (MPR tree, LDR
     /// locality scan/memos) a recent batch already produced, skipping
     /// them entirely on a hit (`artifact_hits` in [`StatsSnapshot`]).
-    /// 0 disables cross-batch reuse (fusion within one batch remains).
+    /// Clamped to at least 1.
     pub artifact_cache_origins: usize,
     /// Per-shard truth-store entry cap (0 = unbounded). A full shard
     /// batch-evicts oldest-first; evictions are counted in
@@ -510,9 +510,7 @@ impl RouteService {
     ///    artifacts (cached across runs and buckets in the city's
     ///    [`MiningArtifactCache`]) plus one period aggregation per
     ///    distinct departure, followed by a bulk cache fill — runs may
-    ///    freely span several time buckets. (A lone miss with the
-    ///    artifact cache disabled takes the targeted per-request miners
-    ///    instead.)
+    ///    freely span several time buckets.
     /// 4. **resolution per leader** — the verified route is deposited
     ///    into the sharded store, unless the answer was a quota-starved
     ///    crowd fallback.
@@ -659,20 +657,7 @@ impl RouteService {
                 to_mine.push(p);
             }
         }
-        if to_mine.len() == 1 && !self.artifacts.is_enabled() {
-            // A lone miss with cross-batch reuse disabled: exhaustive
-            // artifact expansions would be pure waste (used once,
-            // dropped), so take the targeted per-request miners.
-            let p = to_mine[0];
-            let req = &requests[pending[p].members[0]];
-            let departure = self.canonical_departure(req);
-            let mined = {
-                let _s = tr.span(Stage::Mining);
-                Arc::new(self.world.candidates(req.from, req.to, departure))
-            };
-            self.cache_fill(req.from, req.to, self.bucket_of(req.departure), &mined);
-            pending[p].candidates = Some(mined);
-        } else if !to_mine.is_empty() {
+        if !to_mine.is_empty() {
             // Fusion bookkeeping: an OD counts as fused only if it
             // actually shared work with another miss — its origin (the
             // all-day artifacts) or its canonical departure (the MFP
@@ -1228,38 +1213,6 @@ mod tests {
         let snap = service.stats();
         assert_eq!(snap.fused_minings, 1);
         assert_eq!(snap.fused_mined_ods, 2);
-        assert!(snap.is_consistent(), "{snap:?}");
-    }
-
-    #[test]
-    fn disabled_artifact_cache_keeps_lone_misses_on_the_targeted_path() {
-        let world = mini_world();
-        let mut cfg = ServiceConfig::strict_deterministic();
-        cfg.artifact_cache_origins = 0;
-        let service = RouteService::new(Arc::clone(&world), cfg.clone());
-        let mut resolver = MachineResolver::new(world.graph_arc(), cfg.core.clone());
-        let req = Request::new(NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
-        let out = service.serve_coalesced(&[req], &mut resolver);
-        assert!(out[0].is_ok());
-        let snap = service.stats();
-        assert_eq!(snap.cache_misses, 1);
-        assert_eq!(
-            snap.artifact_misses, 0,
-            "a lone miss without a cache must not build exhaustive artifacts"
-        );
-        assert_eq!(snap.artifact_hits, 0);
-        assert!(snap.is_consistent(), "{snap:?}");
-        // Multi-miss batches still fuse through transient artifacts.
-        let reqs = [
-            Request::new(NodeId(0), NodeId(54), TimeOfDay::from_hours(8.0)),
-            Request::new(NodeId(0), NodeId(47), TimeOfDay::from_hours(8.0)),
-        ];
-        for res in service.serve_coalesced(&reqs, &mut resolver) {
-            res.unwrap();
-        }
-        let snap = service.stats();
-        assert_eq!(snap.fused_minings, 1);
-        assert_eq!(snap.artifact_misses, 1, "transient artifact, uncached");
         assert!(snap.is_consistent(), "{snap:?}");
     }
 
