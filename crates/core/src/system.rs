@@ -267,17 +267,6 @@ impl CrowdPlanner {
         &self.landmarks
     }
 
-    /// Inferred significance of a landmark.
-    pub fn significance_of(&self, l: LandmarkId) -> f64 {
-        self.significance[l.index()]
-    }
-
-    /// Learned per-source reliability (paper future work: "quality control
-    /// of popular route mining algorithms").
-    pub fn source_reliability(&self) -> &SourceReliability {
-        &self.reliability
-    }
-
     /// Produces one candidate route per available source over the owned
     /// mining state (identical output to the borrowed
     /// `CandidateGenerator` over the same inputs).

@@ -354,12 +354,6 @@ impl SharedCrowd {
         self.high_water.lock().expect("desk poisoned")[worker.index()]
     }
 
-    /// Runs `f` with the locked platform (read access for experiments —
-    /// e.g. latent worker attributes the desk API deliberately hides).
-    pub fn with_platform<R>(&self, f: impl FnOnce(&Platform) -> R) -> R {
-        f(&self.lock())
-    }
-
     fn lock(&self) -> MutexGuard<'_, Platform> {
         self.inner.lock().expect("crowd desk poisoned")
     }

@@ -23,7 +23,7 @@
 //! function applied to in-process `Platform::submit` results.
 
 use crate::http::{escape_json, HttpRequest, Response};
-use crate::limits::{GatewayStats, InflightGate, RateLimiter};
+use crate::limits::{GatewayStats, RateLimiter};
 use crate::session::{SessionCache, SessionKey};
 use cp_service::{
     CityId, CityQueueSnapshot, Platform, PlatformSnapshot, Request, Served, ServedRoute,
@@ -42,8 +42,6 @@ pub struct AppState {
     pub stats: GatewayStats,
     /// Per-client token buckets (`None` = unlimited).
     pub limiter: Option<RateLimiter>,
-    /// The global in-flight cap.
-    pub inflight: InflightGate,
     /// How long `/route` may wait on its ticket before answering 504.
     pub route_deadline: Duration,
 }
@@ -79,8 +77,8 @@ pub fn handle(
     }
 }
 
-/// `GET /route`: admission (rate limit, in-flight cap), parameter
-/// parsing, session-cache lookup, submit, deadline-bounded wait.
+/// `GET /route`: admission (rate limit), parameter parsing,
+/// session-cache lookup, submit, deadline-bounded wait.
 fn route(
     state: &AppState,
     session: &mut SessionCache,
@@ -93,10 +91,6 @@ fn route(
             return Response::error(429, "rate_limited", "per-client rate exceeded").retry_after(1);
         }
     }
-    let Some(_permit) = state.inflight.try_enter() else {
-        state.stats.inc(&state.stats.inflight_shed);
-        return Response::error(503, "overloaded", "edge in-flight cap reached").retry_after(1);
-    };
     let (city, from, to, hours) = match parse_route_params(req) {
         Ok(params) => params,
         Err(detail) => {
@@ -280,9 +274,8 @@ fn stats(state: &AppState) -> Response {
     let gw = state.stats.snapshot();
     let snap = state.platform.stats();
     let body = format!(
-        "{{\n  \"gateway\": {},\n  \"in_flight\": {},\n  \"platform\": {},\n  \"aggregate\": {}\n}}",
+        "{{\n  \"gateway\": {},\n  \"platform\": {},\n  \"aggregate\": {}\n}}",
         gw.to_json(),
-        state.inflight.in_flight(),
         platform_json(&snap),
         aggregate_json(&snap.aggregate),
     );
@@ -495,7 +488,6 @@ mod tests {
                 platform,
                 stats: GatewayStats::new(),
                 limiter: None,
-                inflight: InflightGate::new(0),
                 route_deadline: Duration::from_secs(10),
             },
             id,

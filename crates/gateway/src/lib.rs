@@ -6,9 +6,8 @@
 //! front on it without pulling in an async runtime or an HTTP
 //! dependency — everything is `std`: a blocking acceptor pool
 //! ([`listener`]), a hand-rolled hardened HTTP/1.1 parser ([`http`]),
-//! per-client token-bucket rate limiting and a global in-flight cap
-//! ([`limits`]), and a generation-versioned per-connection response
-//! cache ([`session`]).
+//! per-client token-bucket rate limiting ([`limits`]), and a
+//! generation-versioned per-connection response cache ([`session`]).
 //!
 //! # Endpoints
 //!
@@ -26,7 +25,7 @@
 //!
 //! | Condition | Status |
 //! |---|---|
-//! | ingress full ([`Busy`](cp_service::ServiceError::Busy)), crowd quota exhausted, rate-limited, in-flight cap | `429` + `Retry-After` |
+//! | ingress full ([`Busy`](cp_service::ServiceError::Busy)), crowd quota exhausted, rate-limited | `429` + `Retry-After` |
 //! | unknown city / unknown path | `404` |
 //! | ticket deadline expired | `504` |
 //! | platform draining / connection queue full | `503` |
@@ -66,6 +65,6 @@ pub mod session;
 
 pub use handlers::{route_json, AppState};
 pub use http::{HttpError, HttpLimits, HttpRequest, Response};
-pub use limits::{GatewayStats, GatewayStatsSnapshot, InflightGate, RateLimitConfig, RateLimiter};
+pub use limits::{GatewayStats, GatewayStatsSnapshot, RateLimitConfig, RateLimiter};
 pub use listener::{Gateway, GatewayConfig};
 pub use session::{SessionCache, SessionKey};

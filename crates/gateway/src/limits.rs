@@ -1,24 +1,19 @@
-//! Edge admission: per-client token buckets, the global in-flight cap,
-//! and the gateway's own statistics.
+//! Edge admission: per-client token buckets and the gateway's own
+//! statistics.
 //!
 //! The platform already sheds load at its bounded ingress queue
 //! ([`ServiceError::Busy`](cp_service::ServiceError::Busy) → 429 on the
-//! wire); the edge adds two defences *in front* of that queue:
-//!
-//! * **per-client rate limiting** — a token bucket per peer IP: clients
-//!   refill at `per_client_rps` with a `burst` allowance, so one greedy
-//!   client cannot monopolise the ingress queue that all clients share;
-//! * **global in-flight cap** — a hard bound on requests concurrently
-//!   inside handler logic (parsing done, response not yet written); a
-//!   saturated edge answers 503 + `Retry-After` instead of queueing
-//!   unboundedly in handler threads.
+//! wire); the edge adds **per-client rate limiting** *in front* of that
+//! queue — a token bucket per peer IP: clients refill at
+//! `per_client_rps` with a `burst` allowance, so one greedy client
+//! cannot monopolise the ingress queue that all clients share.
 //!
 //! Every rejection is a named counter in [`GatewayStats`], folded into
 //! the `/stats` JSON next to the platform's own admission counters.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -108,65 +103,6 @@ impl RateLimiter {
     }
 }
 
-/// The global in-flight cap: a counting gate around handler execution.
-/// `0` disables the cap.
-pub struct InflightGate {
-    limit: usize,
-    current: AtomicUsize,
-}
-
-impl InflightGate {
-    /// A gate admitting at most `limit` concurrent requests (0 = off).
-    pub fn new(limit: usize) -> InflightGate {
-        InflightGate {
-            limit,
-            current: AtomicUsize::new(0),
-        }
-    }
-
-    /// Tries to enter the gate; `None` means the edge is saturated and
-    /// the request should be answered 503. The returned guard leaves the
-    /// gate on drop.
-    pub fn try_enter(&self) -> Option<InflightPermit<'_>> {
-        if self.limit == 0 {
-            return Some(InflightPermit { gate: None });
-        }
-        let mut current = self.current.load(Ordering::Relaxed);
-        loop {
-            if current >= self.limit {
-                return None;
-            }
-            match self.current.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(InflightPermit { gate: Some(self) }),
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Requests currently inside the gate.
-    pub fn in_flight(&self) -> usize {
-        self.current.load(Ordering::Relaxed)
-    }
-}
-
-/// RAII permit for one in-flight request.
-pub struct InflightPermit<'a> {
-    gate: Option<&'a InflightGate>,
-}
-
-impl Drop for InflightPermit<'_> {
-    fn drop(&mut self) {
-        if let Some(gate) = self.gate {
-            gate.current.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
-
 /// Lock-free gateway counters (relaxed increments; exactness is per
 /// counter, the snapshot is point-in-time like the platform's).
 #[derive(Debug, Default)]
@@ -193,8 +129,6 @@ pub struct GatewayStats {
     pub session_hits: AtomicU64,
     /// 429s from the per-client token bucket.
     pub rate_limited: AtomicU64,
-    /// 503s from the global in-flight cap.
-    pub inflight_shed: AtomicU64,
     /// 429s from platform admission control
     /// ([`ServiceError::Busy`](cp_service::ServiceError::Busy)) or a
     /// quota-starved crowd.
@@ -243,7 +177,6 @@ impl GatewayStats {
             ok,
             session_hits,
             rate_limited,
-            inflight_shed,
             upstream_busy,
             timeouts,
             not_found,
@@ -274,7 +207,6 @@ pub struct GatewayStatsSnapshot {
     pub ok: u64,
     pub session_hits: u64,
     pub rate_limited: u64,
-    pub inflight_shed: u64,
     pub upstream_busy: u64,
     pub timeouts: u64,
     pub not_found: u64,
@@ -291,7 +223,6 @@ impl GatewayStatsSnapshot {
     pub fn responses(&self) -> u64 {
         self.ok
             + self.rate_limited
-            + self.inflight_shed
             + self.upstream_busy
             + self.timeouts
             + self.not_found
@@ -322,7 +253,7 @@ impl GatewayStatsSnapshot {
                 "\"connections_closed\": {}, \"requests\": {}, ",
                 "\"parse_rejections\": {}, \"io_errors\": {}, \"ok\": {}, ",
                 "\"session_hits\": {}, \"rate_limited\": {}, ",
-                "\"inflight_shed\": {}, \"upstream_busy\": {}, ",
+                "\"upstream_busy\": {}, ",
                 "\"timeouts\": {}, \"not_found\": {}, \"bad_params\": {}, ",
                 "\"method_not_allowed\": {}, \"no_route\": {}, ",
                 "\"server_errors\": {}, \"unavailable\": {}}}"
@@ -336,7 +267,6 @@ impl GatewayStatsSnapshot {
             self.ok,
             self.session_hits,
             self.rate_limited,
-            self.inflight_shed,
             self.upstream_busy,
             self.timeouts,
             self.not_found,
@@ -400,25 +330,6 @@ mod tests {
         // (1 ms at 1000 rps) triggers the prune and is admitted.
         assert!(limiter.allow_at(ip(9), t0 + Duration::from_secs(1)));
         assert!(limiter.tracked_clients() <= 2);
-    }
-
-    #[test]
-    fn inflight_gate_caps_and_releases() {
-        let gate = InflightGate::new(2);
-        let a = gate.try_enter().expect("first");
-        let _b = gate.try_enter().expect("second");
-        assert!(gate.try_enter().is_none(), "cap reached");
-        assert_eq!(gate.in_flight(), 2);
-        drop(a);
-        assert!(gate.try_enter().is_some(), "permit released");
-    }
-
-    #[test]
-    fn zero_limit_disables_the_gate() {
-        let gate = InflightGate::new(0);
-        let permits: Vec<_> = (0..64).map(|_| gate.try_enter().unwrap()).collect();
-        assert_eq!(gate.in_flight(), 0);
-        drop(permits);
     }
 
     #[test]

@@ -19,9 +19,7 @@
 
 use crate::handlers::{handle, AppState};
 use crate::http::{read_request, write_response, HttpError, HttpLimits, Response};
-use crate::limits::{
-    GatewayStats, GatewayStatsSnapshot, InflightGate, RateLimitConfig, RateLimiter,
-};
+use crate::limits::{GatewayStats, GatewayStatsSnapshot, RateLimitConfig, RateLimiter};
 use crate::session::SessionCache;
 use cp_service::Platform;
 use std::collections::VecDeque;
@@ -32,6 +30,19 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Bounded accepted-connection queue; a full queue sheds new connections
+/// with an immediate `503` + close.
+const CONN_BACKLOG: usize = 64;
+/// Per-socket read deadline (covers both a stalled request head and an
+/// idle keep-alive gap).
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// Per-socket write deadline.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Write deadline for the `503` sent to a connection shed at accept time.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
+/// Per-connection session-cache capacity (rendered `/route` bodies).
+const SESSION_CACHE: usize = 32;
+
 /// Edge configuration.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -41,14 +52,6 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Resident handler threads (each owns one connection at a time).
     pub handler_threads: usize,
-    /// Bounded accepted-connection queue; a full queue sheds new
-    /// connections with an immediate `503` + close.
-    pub conn_backlog: usize,
-    /// Per-socket read deadline (covers both a stalled request head and
-    /// an idle keep-alive gap).
-    pub read_timeout: Duration,
-    /// Per-socket write deadline.
-    pub write_timeout: Duration,
     /// Most requests served over one keep-alive connection before the
     /// edge closes it (bounds per-connection state lifetime).
     pub keep_alive_requests: usize,
@@ -56,11 +59,6 @@ pub struct GatewayConfig {
     pub route_deadline: Duration,
     /// Per-client token-bucket rate limiting (`None` = unlimited).
     pub rate_limit: Option<RateLimitConfig>,
-    /// Global in-flight request cap (0 = uncapped).
-    pub max_inflight: usize,
-    /// Per-connection session-cache capacity (rendered `/route` bodies;
-    /// 0 disables).
-    pub session_cache: usize,
     /// HTTP parser hardening limits.
     pub http: HttpLimits,
 }
@@ -70,14 +68,9 @@ impl Default for GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
             handler_threads: 4,
-            conn_backlog: 64,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             keep_alive_requests: 1024,
             route_deadline: Duration::from_secs(2),
             rate_limit: None,
-            max_inflight: 0,
-            session_cache: 32,
             http: HttpLimits::default(),
         }
     }
@@ -124,12 +117,10 @@ impl Gateway {
                 platform,
                 stats: GatewayStats::new(),
                 limiter: cfg.rate_limit.map(RateLimiter::new),
-                inflight: InflightGate::new(cfg.max_inflight),
                 route_deadline: cfg.route_deadline,
             },
             cfg: GatewayConfig {
                 handler_threads: cfg.handler_threads.max(1),
-                conn_backlog: cfg.conn_backlog.max(1),
                 ..cfg
             },
             queue: Mutex::new(ConnQueue {
@@ -211,7 +202,6 @@ impl std::fmt::Debug for Gateway {
         f.debug_struct("Gateway")
             .field("addr", &self.addr)
             .field("handler_threads", &self.inner.cfg.handler_threads)
-            .field("conn_backlog", &self.inner.cfg.conn_backlog)
             .finish()
     }
 }
@@ -225,10 +215,10 @@ fn accept_loop(inner: &GwInner, listener: TcpListener) {
             Ok((stream, _peer)) => {
                 stats.inc(&stats.connections_accepted);
                 let mut q = inner.queue.lock().expect("conn queue poisoned");
-                if q.conns.len() >= inner.cfg.conn_backlog {
+                if q.conns.len() >= CONN_BACKLOG {
                     drop(q);
                     stats.inc(&stats.connections_shed);
-                    shed_connection(stream, &inner.cfg);
+                    shed_connection(stream);
                 } else {
                     q.conns.push_back(stream);
                     drop(q);
@@ -253,8 +243,8 @@ fn accept_loop(inner: &GwInner, listener: TcpListener) {
 /// Best-effort `503 Connection: close` for a connection shed at accept
 /// time (a short write deadline keeps a black-holed peer from wedging
 /// the acceptor).
-fn shed_connection(mut stream: TcpStream, cfg: &GatewayConfig) {
-    let _ = stream.set_write_timeout(Some(cfg.write_timeout.min(Duration::from_millis(250))));
+fn shed_connection(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
     let resp = Response::error(503, "overloaded", "connection queue full")
         .retry_after(1)
         .closing();
@@ -291,18 +281,14 @@ fn serve_connection(inner: &GwInner, mut stream: TcpStream) {
         .peer_addr()
         .map(|a| a.ip())
         .unwrap_or(IpAddr::V4(Ipv4Addr::UNSPECIFIED));
-    if stream
-        .set_read_timeout(Some(inner.cfg.read_timeout))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(inner.cfg.write_timeout))
-            .is_err()
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
         || stream.set_nodelay(true).is_err()
     {
         stats.inc(&stats.io_errors);
         return;
     }
-    let mut session = SessionCache::new(inner.cfg.session_cache);
+    let mut session = SessionCache::new(SESSION_CACHE);
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     for _ in 0..inner.cfg.keep_alive_requests {
         let req = match read_request(&mut stream, &mut buf, &inner.cfg.http) {

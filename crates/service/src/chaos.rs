@@ -141,17 +141,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Per-class injection rates.
     pub plan: FaultPlan,
-    /// Injected sleep for a `slow_worker` fault.
-    pub slow_worker_delay: Duration,
-    /// Injected sleep for a `stall_worker` fault.
-    pub stall_worker_delay: Duration,
-    /// Seconds added to a `crowd_slow_answer` fault's reported response
-    /// time.
-    pub crowd_slow_penalty_s: f64,
-    /// How many consecutive attempts an injected WAL fault fails before
-    /// the writer's retry succeeds (≥ the retry budget means the write
-    /// is lost and counted in `io_errors`).
-    pub durability_fail_attempts: u32,
 }
 
 impl ChaosConfig {
@@ -160,10 +149,6 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             plan: FaultPlan::standard(),
-            slow_worker_delay: Duration::from_micros(200),
-            stall_worker_delay: Duration::from_millis(2),
-            crowd_slow_penalty_s: 30.0,
-            durability_fail_attempts: 1,
         }
     }
 
@@ -257,15 +242,22 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Injected sleep for a `slow_worker` fault.
+pub(crate) const SLOW_WORKER_DELAY: Duration = Duration::from_micros(200);
+/// Injected sleep for a `stall_worker` fault.
+pub(crate) const STALL_WORKER_DELAY: Duration = Duration::from_millis(2);
+/// Seconds added to a `crowd_slow_answer` fault's reported response time.
+const CROWD_SLOW_PENALTY_S: f64 = 30.0;
+/// How many leading attempts an injected WAL fault fails before the
+/// writer's retry succeeds (so the retry loop, not just the error
+/// counter, is exercised).
+pub(crate) const DURABILITY_FAIL_ATTEMPTS: u32 = 1;
+
 /// Shared runtime state of an active chaos engine: per-site rates
 /// (retunable live), draw cursors and injected-fault counters. All
 /// atomics — a draw is two relaxed atomic ops and a multiply, no locks.
 pub(crate) struct ChaosState {
     seed: u64,
-    slow_worker_delay: Duration,
-    stall_worker_delay: Duration,
-    crowd_slow_penalty_s: f64,
-    durability_fail_attempts: u32,
     /// Per-site rate, stored as `f64::to_bits` for lock-free retuning.
     rates: [AtomicU64; FaultSite::COUNT],
     /// Per-site deterministic stream position.
@@ -278,10 +270,6 @@ impl ChaosState {
     pub(crate) fn new(cfg: &ChaosConfig) -> Self {
         let state = ChaosState {
             seed: cfg.seed,
-            slow_worker_delay: cfg.slow_worker_delay,
-            stall_worker_delay: cfg.stall_worker_delay,
-            crowd_slow_penalty_s: cfg.crowd_slow_penalty_s,
-            durability_fail_attempts: cfg.durability_fail_attempts.max(1),
             rates: std::array::from_fn(|_| AtomicU64::new(0)),
             draws: std::array::from_fn(|_| AtomicU64::new(0)),
             injected: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -313,18 +301,6 @@ impl ChaosState {
             self.injected[site.index()].fetch_add(1, Relaxed);
         }
         hit
-    }
-
-    pub(crate) fn slow_worker_delay(&self) -> Duration {
-        self.slow_worker_delay
-    }
-
-    pub(crate) fn stall_worker_delay(&self) -> Duration {
-        self.stall_worker_delay
-    }
-
-    pub(crate) fn durability_fail_attempts(&self) -> u32 {
-        self.durability_fail_attempts
     }
 
     /// Point-in-time injected-fault counts.
@@ -455,7 +431,7 @@ impl CrowdDesk for ChaosDesk {
     fn ask(&self, worker: WorkerId, landmark: &Landmark, truth: bool) -> (bool, f64) {
         let (answer, rt) = self.inner.ask(worker, landmark, truth);
         if self.chaos.roll(FaultSite::CrowdSlowAnswer) {
-            return (answer, rt + self.chaos.crowd_slow_penalty_s);
+            return (answer, rt + CROWD_SLOW_PENALTY_S);
         }
         (answer, rt)
     }

@@ -35,41 +35,24 @@ pub struct DurabilityConfig {
     /// When the writer thread fsyncs (defaults to
     /// [`FsyncPolicy::Group`]: one fsync per drained batch).
     pub fsync: FsyncPolicy,
-    /// Bounded depth of the commit-event channel; when full, events are
-    /// shed and counted rather than blocking serving workers.
-    pub queue_capacity: usize,
-    /// When set (and a janitor runs), the janitor checkpoints — rotates
-    /// the WAL, snapshots, truncates sealed segments — on this cadence.
-    pub checkpoint_interval: Option<Duration>,
 }
 
+/// Bounded depth of the commit-event channel; when full, events are
+/// shed and counted rather than blocking serving workers.
+const QUEUE_CAPACITY: usize = 4096;
+
 impl DurabilityConfig {
-    /// Durability into `dir` with group fsync, a 4096-event queue, and
-    /// no periodic checkpointing.
+    /// Durability into `dir` with group fsync.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Group,
-            queue_capacity: 4096,
-            checkpoint_interval: None,
         }
     }
 
     /// Sets the fsync policy.
     pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
         self.fsync = fsync;
-        self
-    }
-
-    /// Sets the commit-event queue depth (clamped to ≥ 1).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Enables periodic janitor checkpointing.
-    pub fn with_checkpoint_interval(mut self, interval: Duration) -> Self {
-        self.checkpoint_interval = Some(interval);
         self
     }
 }
@@ -169,7 +152,7 @@ impl DurableRuntime {
         chaos: Option<Arc<crate::chaos::ChaosState>>,
     ) -> Result<DurableRuntime, cp_durable::DurableError> {
         let wal = WalWriter::open(&cfg.dir)?;
-        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
+        let (tx, rx) = sync_channel(QUEUE_CAPACITY);
         let counters = Arc::new(DurableCounters::default());
         let thread_counters = Arc::clone(&counters);
         let fsync = cfg.fsync;
@@ -236,11 +219,9 @@ fn append_with_retry(
     counters: &DurableCounters,
     chaos: Option<&crate::chaos::ChaosState>,
 ) -> bool {
-    // An injected fault fails this many leading attempts (so the retry
-    // loop, not just the error counter, is exercised).
     let injected_failures = chaos
         .filter(|c| c.roll(crate::chaos::FaultSite::DurabilityIo))
-        .map_or(0, |c| c.durability_fail_attempts());
+        .map_or(0, |_| crate::chaos::DURABILITY_FAIL_ATTEMPTS);
     for attempt in 0..APPEND_ATTEMPTS {
         if attempt > 0 {
             counters.write_retries.fetch_add(1, Ordering::Relaxed);

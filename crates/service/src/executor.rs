@@ -141,13 +141,14 @@ pub struct ServedRoute {
     pub confidence: f64,
 }
 
+/// Candidate-cache capacity (cell-bucket keys).
+const CANDIDATE_CACHE_CAPACITY: usize = 1024;
+
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Truth-store shards (rounded up to a power of two).
     pub shards: usize,
-    /// Candidate-cache capacity (entries).
-    pub cache_capacity: usize,
     /// Most distinct OD pairs kept per candidate-cache cell-bucket key.
     /// Distinct ODs can alias one key when several nodes share a cell
     /// pair; each key holds up to this many per-OD entries (FIFO beyond
@@ -186,7 +187,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards: 16,
-            cache_capacity: 1024,
             cache_ods_per_key: 4,
             artifact_cache_origins: 256,
             truth_cap_per_shard: 0,
@@ -292,7 +292,7 @@ impl RouteService {
             world,
             truths: ShardedTruthStore::new(cfg.shards, cfg.cell_m, truth_bucket_s)
                 .with_per_shard_cap(cfg.truth_cap_per_shard),
-            cache: Mutex::new(Lru::new(cfg.cache_capacity)),
+            cache: Mutex::new(Lru::new(CANDIDATE_CACHE_CAPACITY)),
             cache_locks: LockStats::new(),
             artifacts: MiningArtifactCache::new(cfg.artifact_cache_origins),
             flights: FlightTable::new(),

@@ -971,18 +971,12 @@ impl Platform {
                     .expect("spawning a platform worker")
             })
             .collect();
-        let checkpoint_interval = inner
-            .cfg
-            .durability
-            .as_ref()
-            .and_then(|d| d.checkpoint_interval);
-        if inner.cfg.maintenance.is_some() || checkpoint_interval.is_some() {
-            let maintenance = inner.cfg.maintenance;
+        if let Some(maintenance) = inner.cfg.maintenance {
             let inner = Arc::clone(&inner);
             workers.push(
                 std::thread::Builder::new()
                     .name("cp-platform-janitor".into())
-                    .spawn(move || janitor_loop(&inner, maintenance, checkpoint_interval))
+                    .spawn(move || janitor_loop(&inner, maintenance))
                     .expect("spawning the platform janitor"),
             );
         }
@@ -1949,32 +1943,19 @@ fn maintenance_sweep(inner: &Inner, max_age: Duration) -> usize {
     evicted
 }
 
-/// The resident janitor: park until the next due task — maintenance
-/// sweeps and/or durability checkpoints, each on its own deadline-based
-/// cadence — run what is due, repeat, until shutdown wakes it. Both
-/// tasks are caller-invisible: sweeping touches only truths past
-/// `max_age`, checkpointing exports shards under brief read locks.
-fn janitor_loop(
-    inner: &Inner,
-    maintenance: Option<MaintenanceConfig>,
-    checkpoint: Option<Duration>,
-) {
-    let started = Instant::now();
-    let mut next_sweep = maintenance.map(|m| started + m.interval);
-    let mut next_checkpoint = checkpoint.map(|c| started + c);
+/// The resident janitor: park until the next sweep is due, sweep,
+/// repeat, until shutdown wakes it. Sweeping is caller-invisible
+/// (workers keep serving); only truths past `max_age` are touched.
+fn janitor_loop(inner: &Inner, cfg: MaintenanceConfig) {
+    let mut next_sweep = Instant::now() + cfg.interval;
     loop {
-        let wait = [next_sweep, next_checkpoint]
-            .into_iter()
-            .flatten()
-            .min()
-            .map(|due| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_secs(3600));
+        let wait = next_sweep.saturating_duration_since(Instant::now());
         let stop = inner
             .maintenance_stop
             .lock()
             .expect("maintenance stop poisoned");
         // Check before parking: a shutdown notification fired while the
-        // janitor was mid-task would otherwise be lost (condvar
+        // janitor was mid-sweep would otherwise be lost (condvar
         // notifications are not sticky) and shutdown would block for a
         // full interval.
         if *stop {
@@ -1989,23 +1970,9 @@ fn janitor_loop(
         }
         drop(stop);
         let now = Instant::now();
-        if let (Some(cfg), Some(due)) = (maintenance, next_sweep) {
-            if now >= due {
-                maintenance_sweep(inner, cfg.max_age);
-                next_sweep = Some(now + cfg.interval);
-            }
-        }
-        if let (Some(interval), Some(due)) = (checkpoint, next_checkpoint) {
-            if now >= due {
-                // A failed periodic checkpoint must not kill the
-                // janitor; it is counted and retried next interval.
-                if checkpoint_platform(inner).is_err() {
-                    if let Some(durable) = &inner.durable {
-                        durable.counters.io_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                next_checkpoint = Some(now + interval);
-            }
+        if now >= next_sweep {
+            maintenance_sweep(inner, cfg.max_age);
+            next_sweep = now + cfg.interval;
         }
     }
 }
@@ -2378,9 +2345,9 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
                 city.service.world().bump_generation();
             }
             if chaos.roll(FaultSite::StallWorker) {
-                std::thread::sleep(chaos.stall_worker_delay());
+                std::thread::sleep(crate::chaos::STALL_WORKER_DELAY);
             } else if chaos.roll(FaultSite::SlowWorker) {
-                std::thread::sleep(chaos.slow_worker_delay());
+                std::thread::sleep(crate::chaos::SLOW_WORKER_DELAY);
             }
         }
         let traced = city.service.tracer().enabled();
