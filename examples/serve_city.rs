@@ -1,105 +1,69 @@
-//! Open-loop load generator over the multi-city serving platform.
+//! The two-city serving platform behind the `cp-gateway` HTTP edge — the
+//! one runnable HTTP server in the tree.
 //!
-//! Instead of the old closed-batch thread sweep (which can never observe
-//! queueing delay — a closed loop only issues a request when the last
-//! one finished), this drives the platform the way real traffic does:
-//! Poisson arrivals at a target rate, submitted through the non-blocking
-//! `Platform::submit`, with per-request sojourn latency (queue wait +
-//! service time) read back from each `Ticket`. Sweeping the target rate
-//! shows the latency knee and the admission controller shedding load
-//! once the ingress queue saturates.
-//!
-//! Two cities share one platform: a Medium "metro" taking most of the
-//! traffic and a Small "satellite town" taking the rest. Each city has
-//! its own sharded ingress queue; `--metro-weight <n>` (default 4)
-//! sets the metro's weighted-DRR dispatch quantum, and a per-city line
-//! under each rate shows both cities' admissions, sheds and adaptive
-//! controller state.
+//! Two cities share one platform: a Medium "metro" and a Small
+//! "satellite town". Each city has its own sharded ingress queue;
+//! `--metro-weight <n>` (default 4) sets the metro's weighted-DRR
+//! dispatch quantum. The platform is built once and served on
+//! `127.0.0.1:8080` (`--http <addr>` overrides the bind address) —
+//! `GET /route`, `/stats`, `/trace`, `/healthz`. The process shuts down
+//! **gracefully**: type `stop` (or close stdin) and the gateway drains
+//! its connections before the platform drains its queue. Load
+//! generation and latency measurement live in `benchmark/` (`wire_mix`
+//! drives this same edge), not here.
 //!
 //! With `--crowd`, both cities are registered **crowd-backed** (the
 //! owned `CrowdResolver` pipeline on the resident pool): each city's
-//! resolvers share one quota-capped `SharedCrowd` desk, the sweep runs
-//! at lower rates (crowd tasks are orders of magnitude slower than the
-//! machine path), and the table gains desk-contention columns.
+//! resolvers share one quota-capped `SharedCrowd` desk.
 //!
 //! With `--batch`, workers dequeue coalesced runs of requests sharing
-//! `(city, origin cell)` — runs span time buckets — and mine them fused
-//! (one popularity expansion / locality scan per origin, one period
-//! aggregation per bucket, reused across batches via the per-city
-//! `MiningArtifactCache`) — the fused-mining share, artifact-cache hit
-//! rate and run count appear as extra columns. `--adaptive` batches
-//! with the self-tuning collection window instead of the fixed one
-//! (the chosen-delay column shows where the controller settled).
+//! `(city, origin cell)` and mine them through shared per-origin
+//! artifacts; `--adaptive` batches with the self-tuning collection
+//! window instead of the fixed one.
 //!
-//! With `--trace`, cities register with sampled span tracing enabled
-//! and each rate gains an attribution line: the top-3 pipeline stages
-//! by share of the end-to-end p95 sojourn, and the fraction of
-//! attributed time spent blocked on contended locks.
+//! With `--trace`, cities register with sampled span tracing enabled and
+//! `GET /trace` carries per-stage attribution and sampled request traces.
 //!
-//! With `--http [addr]`, the sweep is skipped entirely: the two-city
-//! platform is built once and served over HTTP by `cp-gateway` (default
-//! `127.0.0.1:8080`) — `GET /route`, `/stats`, `/trace`, `/healthz`.
-//! The process shuts down **gracefully**: type `stop` (or close stdin)
-//! and the gateway drains its connections before the platform drains
-//! its queue.
+//! With `--snapshot-dir <dir>`, the platform runs with durability on:
+//! committed resolutions stream into a write-ahead log under `<dir>`,
+//! existing state (snapshot + WAL) is **recovered on startup**, and a
+//! checkpoint (snapshot + log truncation) is written on clean exit —
+//! kill the process, restart, and the truth store and crowd answer
+//! history are intact.
 //!
-//! With `--snapshot-dir <dir>` (serve mode), the platform runs with
-//! durability on: committed resolutions stream into a write-ahead log
-//! under `<dir>`, existing state (snapshot + WAL) is **recovered on
-//! startup**, and a checkpoint (snapshot + log truncation) is written
-//! on clean exit — kill the process, restart, and the truth store and
-//! crowd answer history are intact.
+//! With `--chaos <seed>`, the platform runs its seeded chaos engine
+//! (the standard plan: 10% crowd no-shows + 1% slow workers) and crowd
+//! cities get a circuit breaker; `/stats` carries the injected-fault
+//! counts and `/healthz` the per-city breaker states.
 //!
 //! Run with:
 //!
 //! ```sh
-//! cargo run --release --example serve_city               # machine-only
+//! cargo run --release --example serve_city               # machine-only, 127.0.0.1:8080
 //! cargo run --release --example serve_city -- --crowd    # crowd-backed
-//! cargo run --release --example serve_city -- --batch    # + coalescing
-//! cargo run --release --example serve_city -- --adaptive # + self-tuning window
-//! cargo run --release --example serve_city -- --trace    # + stage attribution
-//! cargo run --release --example serve_city -- --http     # HTTP edge on :8080
-//! cargo run --release --example serve_city -- --http --snapshot-dir /tmp/cp  # durable
+//! cargo run --release --example serve_city -- --adaptive # + self-tuning coalescing
+//! cargo run --release --example serve_city -- --trace    # + stage attribution on /trace
+//! cargo run --release --example serve_city -- --http 127.0.0.1:0 --snapshot-dir /tmp/cp  # durable
 //! cargo run --release --example serve_city -- --crowd --chaos 7  # + fault injection
 //! ```
-//!
-//! With `--chaos <seed>`, the platform runs its seeded chaos engine
-//! (the standard plan: 10% crowd no-shows + 1% slow workers), crowd
-//! cities get a circuit breaker, and each sweep step gains a line with
-//! the injected-fault counts, per-city breaker state and whether the
-//! step ran degraded (any breaker not closed).
 
 use cp_gateway::{Gateway, GatewayConfig};
 use cp_service::{
-    BatchConfig, BreakerConfig, ChaosConfig, DurabilityConfig, Platform, PlatformConfig, Request,
-    ServiceConfig, ServiceError, Stage, Ticket, TraceConfig,
+    BatchConfig, BreakerConfig, ChaosConfig, DurabilityConfig, Platform, PlatformConfig,
+    ServiceConfig, TraceConfig,
 };
-use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
 use std::time::{Duration, Instant};
 
-/// One city's request pool: its platform id and the OD pairs traffic is
-/// drawn from.
+/// One registered city: its platform id and a pool of plausible OD
+/// pairs (the startup banner prints one as a sample `/route` query).
 struct CityTraffic {
     id: cp_service::CityId,
     ods: Vec<(cp_roadnet::NodeId, cp_roadnet::NodeId)>,
-    /// Share of the total arrival stream routed here.
-    share: f64,
 }
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64) * p).ceil().max(1.0) as usize - 1;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// Builds the shared two-city platform (85/15 metro/town) exactly as
-/// each sweep step does, honouring the resolution/batching/tracing
-/// flags.
+/// Builds the shared two-city platform, honouring the
+/// resolution/batching/tracing flags.
 fn build_platform(
     metro: &SimWorld,
     metro_world: &std::sync::Arc<cp_service::World>,
@@ -160,17 +124,15 @@ fn build_platform(
         CityTraffic {
             id: register(metro, metro_world, 42),
             ods: metro.request_stream(600, 4, 777),
-            share: 0.85,
         },
         CityTraffic {
             id: register(town, town_world, 7),
             ods: town.request_stream(120, 2, 778),
-            share: 1.0, // remainder
         },
     ];
-    // The metro carries ~85% of arrivals; give it a matching DRR
-    // quantum so a saturated platform serves the two queues roughly in
-    // proportion to their traffic instead of strictly alternating.
+    // The metro is expected to carry most arrivals; give it a matching
+    // DRR quantum so a saturated platform serves the two queues roughly
+    // in proportion to their traffic instead of strictly alternating.
     // The town keeps weight 1 — the deficit guarantees it can never be
     // starved, whatever the metro's weight.
     assert!(platform.set_city_weight(cities[0].id, metro_weight));
@@ -184,23 +146,23 @@ fn main() {
     let batch = adaptive || args.iter().any(|a| a == "--batch");
     let trace = args.iter().any(|a| a == "--trace");
     // `--metro-weight <n>`: the metro's DRR dispatch weight (the town
-    // stays at 1). Defaults to 4 — roughly the 85/15 traffic split.
+    // stays at 1). Defaults to 4.
     let metro_weight: u32 = args
         .iter()
         .position(|a| a == "--metro-weight")
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--metro-weight takes an integer"))
         .unwrap_or(4);
-    // `--http` serves instead of sweeping; an optional following
-    // argument overrides the bind address.
-    let http_addr: Option<String> = args.iter().position(|a| a == "--http").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:8080".to_string())
-    });
-    // `--snapshot-dir <dir>` (serve mode only): durability on, recover
-    // on startup, checkpoint on clean exit.
+    // `--http <addr>` overrides the bind address.
+    let addr: String = args
+        .iter()
+        .position(|a| a == "--http")
+        .and_then(|i| args.get(i + 1))
+        .filter(|a| !a.starts_with("--"))
+        .cloned()
+        .unwrap_or_else(|| "127.0.0.1:8080".to_string());
+    // `--snapshot-dir <dir>`: durability on, recover on startup,
+    // checkpoint on clean exit.
     let snapshot_dir: Option<std::path::PathBuf> = args
         .iter()
         .position(|a| a == "--snapshot-dir")
@@ -208,17 +170,14 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(std::path::PathBuf::from);
     // `--chaos <seed>`: run the seeded chaos engine (standard fault
-    // plan) on every platform this process builds; the seed defaults
-    // to 7 so `--chaos` alone is reproducible too.
+    // plan); the seed defaults to 7 so `--chaos` alone is reproducible
+    // too.
     let chaos_seed: Option<u64> = args.iter().position(|a| a == "--chaos").map(|i| {
         args.get(i + 1)
             .filter(|a| !a.starts_with("--"))
             .map(|v| v.parse().expect("--chaos takes an integer seed"))
             .unwrap_or(7)
     });
-    if snapshot_dir.is_some() && http_addr.is_none() {
-        eprintln!("--snapshot-dir only applies to serve mode (--http); ignoring for the sweep");
-    }
     let t0 = Instant::now();
     println!("building worlds (Medium metro + Small satellite)…");
     let metro = SimWorld::build(Scale::Medium, 42).expect("metro world");
@@ -238,330 +197,95 @@ fn main() {
         .unwrap_or(4)
         .min(8);
 
-    if let Some(addr) = http_addr {
-        // Serve mode: one long-lived platform behind the HTTP edge, no
-        // sweep.
-        let (platform, cities) = build_platform(
-            &metro,
-            &metro_world,
-            &town,
-            &town_world,
-            workers,
-            crowd,
-            batch,
-            adaptive,
-            trace,
-            metro_weight,
-            snapshot_dir.as_deref(),
-            chaos_seed,
-        );
-        // Warm restart: if the snapshot dir already holds state from a
-        // previous run, load it before opening the edge.
-        if let Some(dir) = &snapshot_dir {
-            match platform.recover_from(dir) {
-                Ok(report) => {
-                    if report.truths_restored + report.truths_replayed > 0
-                        || report.answers_replayed > 0
-                    {
-                        println!(
-                            "recovered from {}: {} truths from the snapshot, {} replayed \
-                             from the log ({} answers replayed)",
-                            dir.display(),
-                            report.truths_restored,
-                            report.truths_replayed,
-                            report.answers_replayed
-                        );
-                    }
-                }
-                Err(e) => eprintln!("recovery from {} failed: {e}; serving cold", dir.display()),
-            }
-        }
-        let platform = std::sync::Arc::new(platform);
-        let gw = Gateway::start(
-            std::sync::Arc::clone(&platform),
-            GatewayConfig {
-                addr,
-                handler_threads: workers,
-                ..GatewayConfig::default()
-            },
-        )
-        .expect("gateway binds");
-        let (from, to) = cities[0].ods[0];
-        println!("serving on http://{}", gw.local_addr());
-        println!(
-            "  GET /route?city={}&o={}&d={}&t=8  — plan a route",
-            cities[0].id.0, from.0, to.0
-        );
-        println!("  GET /stats                        — gateway + platform counters");
-        println!("  GET /trace                        — span-level trace report");
-        println!("  GET /healthz                      — liveness");
-        println!("type \"stop\" (or close stdin) for a graceful shutdown.");
-        // Graceful shutdown: block on stdin instead of parking forever.
-        // A "stop"/"quit" line — or EOF, so piped deployments can just
-        // close the handle — drains the edge before the platform.
-        let stdin = std::io::stdin();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match std::io::BufRead::read_line(&mut stdin.lock(), &mut line) {
-                Ok(0) => break, // EOF
-                Ok(_) => {
-                    let cmd = line.trim();
-                    if cmd.eq_ignore_ascii_case("stop") || cmd.eq_ignore_ascii_case("quit") {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        println!("draining the gateway…");
-        gw.shutdown();
-        if let Some(dir) = &snapshot_dir {
-            match platform.checkpoint() {
-                Ok(watermark) => println!(
-                    "checkpointed to {} (WAL watermark {watermark})",
-                    dir.display()
-                ),
-                Err(e) => eprintln!("checkpoint failed: {e}"),
-            }
-        }
-        // The joined gateway released its handle; either way `Drop`
-        // drains the platform.
-        match std::sync::Arc::try_unwrap(platform) {
-            Ok(platform) => platform.shutdown(),
-            Err(platform) => drop(platform),
-        }
-        println!("done.");
-        return;
-    }
-
-    println!(
-        "open-loop sweep ({}): Poisson arrivals, {workers} platform workers, \
-         85/15 metro/town split (DRR weights {metro_weight}:1), 1.5 s per target rate\n",
-        if crowd {
-            "crowd-backed resolution"
-        } else {
-            "machine-only resolution"
-        }
+    let (platform, cities) = build_platform(
+        &metro,
+        &metro_world,
+        &town,
+        &town_world,
+        workers,
+        crowd,
+        batch,
+        adaptive,
+        trace,
+        metro_weight,
+        snapshot_dir.as_deref(),
+        chaos_seed,
     );
-    println!(
-        "{:>7}  {:>8}  {:>8}  {:>6}  {:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>6}  {:>7}  {:>6}  {:>8}  {:>9}  {:>7}",
-        "req/s",
-        "offered",
-        "served",
-        "shed",
-        "shed%",
-        "p50",
-        "p95",
-        "p99",
-        "max",
-        "truth-hit",
-        "fused%",
-        "art-hit%",
-        "runs",
-        "delay",
-        "quota-rej",
-        "starved"
-    );
-
-    // Crowd resolution is orders of magnitude slower than the machine
-    // path (PMF fits + simulated worker dialogue), so the crowd sweep
-    // probes the knee at much lower offered rates.
-    let rates: &[f64] = if crowd {
-        &[10.0, 25.0, 50.0]
-    } else {
-        &[250.0, 500.0, 1000.0, 2000.0]
-    };
-    for &rate in rates {
-        // A fresh platform per rate so one rate's warm truth store does
-        // not flatter the next.
-        let (platform, cities) = build_platform(
-            &metro,
-            &metro_world,
-            &town,
-            &town_world,
-            workers,
-            crowd,
-            batch,
-            adaptive,
-            trace,
-            metro_weight,
-            None,
-            chaos_seed,
-        );
-
-        let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ rate as u64);
-        let duration = Duration::from_millis(1500);
-        let start = Instant::now();
-        let mut next_arrival = start;
-        let mut offered = 0u64;
-        let mut shed = 0u64;
-        let mut tickets: Vec<Ticket> = Vec::with_capacity((rate * 2.0) as usize);
-        // The open loop: arrivals fire on the Poisson clock whether or
-        // not earlier requests finished.
-        loop {
-            let now = Instant::now();
-            if now >= start + duration {
-                break;
+    // Warm restart: if the snapshot dir already holds state from a
+    // previous run, load it before opening the edge.
+    if let Some(dir) = &snapshot_dir {
+        match platform.recover_from(dir) {
+            Ok(report) => {
+                if report.truths_restored + report.truths_replayed > 0
+                    || report.answers_replayed > 0
+                {
+                    println!(
+                        "recovered from {}: {} truths from the snapshot, {} replayed \
+                         from the log ({} answers replayed)",
+                        dir.display(),
+                        report.truths_restored,
+                        report.truths_replayed,
+                        report.answers_replayed
+                    );
+                }
             }
-            if now < next_arrival {
-                std::thread::sleep(
-                    next_arrival
-                        .saturating_duration_since(now)
-                        .min(Duration::from_micros(200)),
-                );
-                continue;
-            }
-            // Exponential inter-arrival at the target rate.
-            let u: f64 = rng.random_range(0.0..1.0);
-            next_arrival += Duration::from_secs_f64(-(1.0 - u).ln() / rate);
-
-            let pick: f64 = rng.random_range(0.0..1.0);
-            let city = if pick < cities[0].share {
-                &cities[0]
-            } else {
-                &cities[1]
-            };
-            let (from, to) = city.ods[rng.random_range(0..city.ods.len())];
-            let hour = 7.0 + rng.random_range(0..4) as f64 * 0.5;
-            let req = Request::to_city(city.id, from, to, TimeOfDay::from_hours(hour));
-            offered += 1;
-            match platform.submit(req) {
-                Ok(ticket) => tickets.push(ticket),
-                Err(ServiceError::Busy) => shed += 1,
-                Err(e) => panic!("unexpected rejection: {e}"),
-            }
+            Err(e) => eprintln!("recovery from {} failed: {e}; serving cold", dir.display()),
         }
-
-        // Join everything still in flight, then read sojourn latencies
-        // (recorded at completion time, so joining order is irrelevant).
-        let mut latencies: Vec<Duration> = Vec::with_capacity(tickets.len());
-        for ticket in &tickets {
-            while !ticket.is_done() {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            latencies.push(ticket.latency().expect("completed ticket"));
-        }
-        latencies.sort_unstable();
-
-        let agg = platform.stats();
-        assert!(agg.is_consistent(), "admission accounting must balance");
-        // The platform's own Busy count must agree with what this load
-        // generator observed at submit time — surfacing the absolute
-        // shed count per rate step (not just a percentage) makes the
-        // admission controller's work visible even in machine-only runs
-        // where the percentage rounds to 0.0.
-        assert_eq!(
-            agg.rejected_busy, shed,
-            "platform Busy count must match submit-side shed count"
-        );
-        let truth_rate = agg.aggregate.truth_hit_rate();
-        println!(
-            "{rate:>7.0}  {offered:>8}  {:>8}  {shed:>6}  {:>5.1}%  {:>9.2?}  {:>9.2?}  {:>9.2?}  {:>9.2?}  {:>8.1}%  {:>5.1}%  {:>6.1}%  {:>6}  {:>8.0?}  {:>9}  {:>7}",
-            latencies.len(),
-            100.0 * shed as f64 / offered.max(1) as f64,
-            percentile(&latencies, 0.50),
-            percentile(&latencies, 0.95),
-            percentile(&latencies, 0.99),
-            latencies.last().copied().unwrap_or(Duration::ZERO),
-            100.0 * truth_rate,
-            100.0 * agg.aggregate.fused_mining_ratio(),
-            100.0 * agg.aggregate.artifact_hit_rate(),
-            agg.batch_runs,
-            agg.batch_delay,
-            agg.aggregate.crowd_quota_rejections,
-            agg.aggregate.crowd_starved,
-        );
-        // The per-city ledgers behind the aggregate row: each city's
-        // DRR weight, admissions, sheds and where its adaptive
-        // controller settled (window + run-size cap).
-        let per_city: Vec<String> = [("metro", &cities[0]), ("town", &cities[1])]
-            .iter()
-            .map(|(name, c)| {
-                let row = &agg.per_city[c.id.index()];
-                format!(
-                    "{name} w{} adm {} shed {} delay {:.0?} cap {}",
-                    row.weight, row.admitted, row.rejected_busy, row.batch_delay, row.max_batch
-                )
-            })
-            .collect();
-        println!("         per-city: {}", per_city.join(" | "));
-        // The chaos line: what the engine injected this step, each
-        // crowd city's breaker state, and whether the step ran
-        // degraded (any breaker away from closed = machine-only or
-        // probing its way back).
-        if let Some(c) = &agg.chaos {
-            let breakers: Vec<String> = [("metro", &cities[0]), ("town", &cities[1])]
-                .iter()
-                .filter_map(|(name, city)| {
-                    let b = agg.per_city[city.id.index()].breaker.as_ref()?;
-                    Some(format!(
-                        "{name} {} (trips {} probes {} recoveries {} machine {})",
-                        b.state.name(),
-                        b.trips,
-                        b.probes,
-                        b.recoveries,
-                        b.machine_serves
-                    ))
-                })
-                .collect();
-            let degraded = agg.per_city.iter().any(|row| {
-                row.breaker
-                    .as_ref()
-                    .is_some_and(|b| b.state != cp_service::BreakerState::Closed)
-            });
-            println!(
-                "         chaos: injected {} (no-show {} slow-answer {} slow-worker {} \
-                 stall {} panic {} io {} churn {})  degraded {}  breaker [{}]",
-                c.total_injected(),
-                c.crowd_no_shows,
-                c.crowd_slow_answers,
-                c.slow_workers,
-                c.stalled_workers,
-                c.resolver_panics,
-                c.durability_io_errors,
-                c.generation_bumps,
-                degraded,
-                if breakers.is_empty() {
-                    "none".to_string()
-                } else {
-                    breakers.join(" | ")
-                },
-            );
-        }
-        if trace {
-            let stages = &agg.aggregate.stages;
-            let p95 = percentile(&latencies, 0.95);
-            let mut ranked: Vec<Stage> = Stage::ALL
-                .into_iter()
-                .filter(|s| stages[s.index()].count > 0)
-                .collect();
-            ranked.sort_by_key(|s| std::cmp::Reverse(stages[s.index()].p95));
-            let top: Vec<String> = ranked
-                .iter()
-                .take(3)
-                .map(|s| {
-                    let share = if p95.is_zero() {
-                        0.0
-                    } else {
-                        100.0 * stages[s.index()].p95.as_secs_f64() / p95.as_secs_f64()
-                    };
-                    format!("{} {:.0}%", s.name(), share)
-                })
-                .collect();
-            let attributed: Duration = stages.iter().map(|s| s.total).sum();
-            let lock_wait: Duration = agg.aggregate.locks.iter().map(|l| l.wait).sum();
-            let lock_pct = if attributed.is_zero() {
-                0.0
-            } else {
-                100.0 * lock_wait.as_secs_f64() / attributed.as_secs_f64()
-            };
-            println!(
-                "         trace: top stages by p95 share [{}]  lock-wait {lock_pct:.2}% of attributed time",
-                top.join(", ")
-            );
-        }
-        platform.shutdown();
     }
-    println!("\ndone in {:.1?}", t0.elapsed());
+    let platform = std::sync::Arc::new(platform);
+    let gw = Gateway::start(
+        std::sync::Arc::clone(&platform),
+        GatewayConfig {
+            addr,
+            handler_threads: workers,
+            ..GatewayConfig::default()
+        },
+    )
+    .expect("gateway binds");
+    let (from, to) = cities[0].ods[0];
+    println!("serving on http://{}", gw.local_addr());
+    println!(
+        "  GET /route?city={}&o={}&d={}&t=8  — plan a route",
+        cities[0].id.0, from.0, to.0
+    );
+    println!("  GET /stats                        — gateway + platform counters");
+    println!("  GET /trace                        — span-level trace report");
+    println!("  GET /healthz                      — liveness");
+    println!("type \"stop\" (or close stdin) for a graceful shutdown.");
+    // Graceful shutdown: block on stdin instead of parking forever.
+    // A "stop"/"quit" line — or EOF, so piped deployments can just
+    // close the handle — drains the edge before the platform.
+    let stdin = std::io::stdin();
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match std::io::BufRead::read_line(&mut stdin.lock(), &mut line) {
+            Ok(0) => break, // EOF
+            Ok(_) => {
+                let cmd = line.trim();
+                if cmd.eq_ignore_ascii_case("stop") || cmd.eq_ignore_ascii_case("quit") {
+                    break;
+                }
+            }
+            Err(_) => break,
+        }
+    }
+    println!("draining the gateway…");
+    gw.shutdown();
+    if let Some(dir) = &snapshot_dir {
+        match platform.checkpoint() {
+            Ok(watermark) => println!(
+                "checkpointed to {} (WAL watermark {watermark})",
+                dir.display()
+            ),
+            Err(e) => eprintln!("checkpoint failed: {e}"),
+        }
+    }
+    // The joined gateway released its handle; either way `Drop`
+    // drains the platform.
+    match std::sync::Arc::try_unwrap(platform) {
+        Ok(platform) => platform.shutdown(),
+        Err(platform) => drop(platform),
+    }
+    println!("done.");
 }
