@@ -26,7 +26,7 @@ use crate::http::{escape_json, HttpRequest, Response};
 use crate::limits::{GatewayStats, RateLimiter};
 use crate::session::{SessionCache, SessionKey};
 use cp_service::{
-    CityId, CityQueueSnapshot, Platform, PlatformSnapshot, Request, Served, ServedRoute,
+    json, CityId, CityQueueSnapshot, Platform, PlatformSnapshot, Request, Served, ServedRoute,
     ServiceError, StatsSnapshot,
 };
 use cp_traj::TimeOfDay;
@@ -285,126 +285,67 @@ fn stats(state: &AppState) -> Response {
 
 /// The platform's admission/dispatch counters as JSON.
 fn platform_json(snap: &PlatformSnapshot) -> String {
-    let durability = match &snap.durability {
-        None => "null".to_string(),
-        Some(d) => format!(
-            concat!(
-                "{{\"events_logged\": {}, \"events_shed\": {}, \"wal_bytes\": {}, ",
-                "\"io_errors\": {}, \"write_retries\": {}, \"writes_recovered\": {}, ",
-                "\"checkpoints\": {}, \"last_checkpoint_seq\": {}}}"
-            ),
-            d.events_logged,
-            d.events_shed,
-            d.wal_bytes,
-            d.io_errors,
-            d.write_retries,
-            d.writes_recovered,
-            d.checkpoints,
-            d.last_checkpoint_seq,
-        ),
-    };
-    let chaos = match &snap.chaos {
-        None => "null".to_string(),
-        Some(c) => format!(
-            concat!(
-                "{{\"seed\": {}, \"crowd_no_shows\": {}, \"crowd_slow_answers\": {}, ",
-                "\"slow_workers\": {}, \"stalled_workers\": {}, \"resolver_panics\": {}, ",
-                "\"durability_io_errors\": {}, \"generation_bumps\": {}, ",
-                "\"total_injected\": {}}}"
-            ),
-            c.seed,
-            c.crowd_no_shows,
-            c.crowd_slow_answers,
-            c.slow_workers,
-            c.stalled_workers,
-            c.resolver_panics,
-            c.durability_io_errors,
-            c.generation_bumps,
-            c.total_injected(),
-        ),
-    };
-    format!(
-        concat!(
-            "{{\"submitted\": {}, \"admitted\": {}, \"rejected_busy\": {}, ",
-            "\"rejected_unknown_city\": {}, \"rejected_shutdown\": {}, ",
-            "\"rejected_offboarded\": {}, \"shed\": {}, ",
-            "\"completed\": {}, \"cities\": {}, \"queue_depth\": {}, ",
-            "\"batched_requests\": {}, \"unbatched_requests\": {}, ",
-            "\"batch_runs\": {}, \"batch_max\": {}, \"batch_adaptive\": {}, ",
-            "\"batch_delay_us\": {}, \"maintenance_sweeps\": {}, ",
-            "\"per_city\": {}, \"durability\": {}, \"chaos\": {}}}"
-        ),
-        snap.submitted,
-        snap.admitted,
-        snap.rejected_busy,
-        snap.rejected_unknown_city,
-        snap.rejected_shutdown,
-        snap.rejected_offboarded,
-        snap.shed,
-        snap.completed,
-        snap.cities,
-        snap.queue_depth,
-        snap.batched_requests,
-        snap.unbatched_requests,
-        snap.batch_runs,
-        snap.batch_max,
-        snap.batch_adaptive,
-        snap.batch_delay.as_micros(),
-        snap.maintenance_sweeps,
-        per_city_json(&snap.per_city),
-        durability,
-        chaos,
-    )
+    let durability = json::or_null(snap.durability.as_ref(), |d| d.to_json().finish());
+    let chaos = json::or_null(snap.chaos.as_ref(), |c| {
+        c.to_json()
+            .field("total_injected", c.total_injected())
+            .finish()
+    });
+    json::object()
+        .field("submitted", snap.submitted)
+        .field("admitted", snap.admitted)
+        .field("rejected_busy", snap.rejected_busy)
+        .field("rejected_unknown_city", snap.rejected_unknown_city)
+        .field("rejected_shutdown", snap.rejected_shutdown)
+        .field("rejected_offboarded", snap.rejected_offboarded)
+        .field("shed", snap.shed)
+        .field("completed", snap.completed)
+        .field("cities", snap.cities)
+        .field("queue_depth", snap.queue_depth)
+        .field("batched_requests", snap.batched_requests)
+        .field("unbatched_requests", snap.unbatched_requests)
+        .field("batch_runs", snap.batch_runs)
+        .field("batch_max", snap.batch_max)
+        .field("batch_adaptive", snap.batch_adaptive)
+        .field("batch_delay_us", snap.batch_delay.as_micros())
+        .field("maintenance_sweeps", snap.maintenance_sweeps)
+        .field("per_city", per_city_json(&snap.per_city))
+        .field("durability", durability)
+        .field("chaos", chaos)
+        .finish()
 }
 
 /// Each city's slice of the sharded ingress — queue depth, DRR weight,
 /// shed count and the city's adaptive-controller choices — as a JSON
 /// array indexed by city.
 fn per_city_json(per_city: &[CityQueueSnapshot]) -> String {
-    let rows: Vec<String> = per_city
-        .iter()
-        .map(|c| {
-            let breaker = match &c.breaker {
-                None => "null".to_string(),
-                Some(b) => format!(
-                    concat!(
-                        "{{\"state\": \"{}\", \"trips\": {}, \"probes\": {}, ",
-                        "\"recoveries\": {}, \"machine_serves\": {}, ",
-                        "\"window_failures\": {}, \"window_samples\": {}}}"
-                    ),
-                    b.state.name(),
-                    b.trips,
-                    b.probes,
-                    b.recoveries,
-                    b.machine_serves,
-                    b.window_failures,
-                    b.window_samples,
-                ),
-            };
-            format!(
-                concat!(
-                    "{{\"city\": {}, \"weight\": {}, \"queue_depth\": {}, ",
-                    "\"admitted\": {}, \"rejected_busy\": {}, ",
-                    "\"batched_requests\": {}, \"unbatched_requests\": {}, ",
-                    "\"batch_delay_us\": {}, \"max_batch\": {}, ",
-                    "\"offboarded\": {}, \"shed\": {}, \"breaker\": {}}}"
-                ),
-                c.city.index(),
-                c.weight,
-                c.queue_depth,
-                c.admitted,
-                c.rejected_busy,
-                c.batched_requests,
-                c.unbatched_requests,
-                c.batch_delay.as_micros(),
-                c.max_batch,
-                c.offboarded,
-                c.shed,
-                breaker,
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
+    json::array(per_city.iter().map(|c| {
+        let breaker = json::or_null(c.breaker.as_ref(), |b| {
+            json::object()
+                .string("state", b.state.name())
+                .field("trips", b.trips)
+                .field("probes", b.probes)
+                .field("recoveries", b.recoveries)
+                .field("machine_serves", b.machine_serves)
+                .field("window_failures", b.window_failures)
+                .field("window_samples", b.window_samples)
+                .finish()
+        });
+        json::object()
+            .field("city", c.city.index())
+            .field("weight", c.weight)
+            .field("queue_depth", c.queue_depth)
+            .field("admitted", c.admitted)
+            .field("rejected_busy", c.rejected_busy)
+            .field("batched_requests", c.batched_requests)
+            .field("unbatched_requests", c.unbatched_requests)
+            .field("batch_delay_us", c.batch_delay.as_micros())
+            .field("max_batch", c.max_batch)
+            .field("offboarded", c.offboarded)
+            .field("shed", c.shed)
+            .field("breaker", breaker)
+            .finish()
+    }))
 }
 
 /// `GET /healthz`: always `ok` while the edge answers (liveness), plus
@@ -422,48 +363,52 @@ fn healthz_json(platform: &Platform) -> String {
             if b.state != cp_service::BreakerState::Closed {
                 degraded = true;
             }
-            Some(format!(
-                "{{\"city\": {}, \"state\": \"{}\"}}",
-                c.city.index(),
-                b.state.name()
-            ))
+            Some(
+                json::object()
+                    .field("city", c.city.index())
+                    .string("state", b.state.name())
+                    .finish(),
+            )
         })
         .collect();
-    format!(
-        "{{\"ok\": true, \"degraded\": {}, \"breakers\": [{}]}}",
-        degraded,
-        breakers.join(", ")
-    )
+    json::object()
+        .field("ok", true)
+        .field("degraded", degraded)
+        .field("breakers", json::array(breakers))
+        .finish()
 }
 
 /// The aggregate service statistics as JSON (counter subset + derived
 /// rates + sojourn percentiles).
 fn aggregate_json(agg: &StatsSnapshot) -> String {
-    format!(
-        concat!(
-            "{{\"requests\": {}, \"truth_hits\": {}, \"dedup_hits\": {}, ",
-            "\"resolved\": {}, \"errors\": {}, \"truth_hit_rate\": {:.4}, ",
-            "\"cache_hit_rate\": {:.4}, \"artifact_hit_rate\": {:.4}, ",
-            "\"fused_minings\": {}, \"crowd_questions\": {}, ",
-            "\"crowd_starved\": {}, \"latency_us\": ",
-            "{{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}}}"
-        ),
-        agg.requests,
-        agg.truth_hits,
-        agg.dedup_hits,
-        agg.resolved,
-        agg.errors,
-        agg.truth_hit_rate(),
-        agg.cache_hit_rate(),
-        agg.artifact_hit_rate(),
-        agg.fused_minings,
-        agg.crowd_questions,
-        agg.crowd_starved,
-        agg.latency.p50.as_micros(),
-        agg.latency.p95.as_micros(),
-        agg.latency.p99.as_micros(),
-        agg.latency.max.as_micros(),
-    )
+    let latency = json::object()
+        .field("p50", agg.latency.p50.as_micros())
+        .field("p95", agg.latency.p95.as_micros())
+        .field("p99", agg.latency.p99.as_micros())
+        .field("max", agg.latency.max.as_micros());
+    json::object()
+        .field("requests", agg.requests)
+        .field("truth_hits", agg.truth_hits)
+        .field("dedup_hits", agg.dedup_hits)
+        .field("resolved", agg.resolved)
+        .field("errors", agg.errors)
+        .field(
+            "truth_hit_rate",
+            format_args!("{:.4}", agg.truth_hit_rate()),
+        )
+        .field(
+            "cache_hit_rate",
+            format_args!("{:.4}", agg.cache_hit_rate()),
+        )
+        .field(
+            "artifact_hit_rate",
+            format_args!("{:.4}", agg.artifact_hit_rate()),
+        )
+        .field("fused_minings", agg.fused_minings)
+        .field("crowd_questions", agg.crowd_questions)
+        .field("crowd_starved", agg.crowd_starved)
+        .field("latency_us", latency.finish())
+        .finish()
 }
 
 #[cfg(test)]

@@ -244,38 +244,28 @@ impl GatewayStatsSnapshot {
             && self.connections_closed + self.connections_shed <= self.connections_accepted
     }
 
-    /// JSON object body (no surrounding braces' newline conventions —
-    /// the caller composes it into the `/stats` document).
+    /// The counters as one JSON object (the caller composes it into the
+    /// `/stats` document).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"connections_accepted\": {}, \"connections_shed\": {}, ",
-                "\"connections_closed\": {}, \"requests\": {}, ",
-                "\"parse_rejections\": {}, \"io_errors\": {}, \"ok\": {}, ",
-                "\"session_hits\": {}, \"rate_limited\": {}, ",
-                "\"upstream_busy\": {}, ",
-                "\"timeouts\": {}, \"not_found\": {}, \"bad_params\": {}, ",
-                "\"method_not_allowed\": {}, \"no_route\": {}, ",
-                "\"server_errors\": {}, \"unavailable\": {}}}"
-            ),
-            self.connections_accepted,
-            self.connections_shed,
-            self.connections_closed,
-            self.requests,
-            self.parse_rejections,
-            self.io_errors,
-            self.ok,
-            self.session_hits,
-            self.rate_limited,
-            self.upstream_busy,
-            self.timeouts,
-            self.not_found,
-            self.bad_params,
-            self.method_not_allowed,
-            self.no_route,
-            self.server_errors,
-            self.unavailable,
-        )
+        cp_service::json::object()
+            .field("connections_accepted", self.connections_accepted)
+            .field("connections_shed", self.connections_shed)
+            .field("connections_closed", self.connections_closed)
+            .field("requests", self.requests)
+            .field("parse_rejections", self.parse_rejections)
+            .field("io_errors", self.io_errors)
+            .field("ok", self.ok)
+            .field("session_hits", self.session_hits)
+            .field("rate_limited", self.rate_limited)
+            .field("upstream_busy", self.upstream_busy)
+            .field("timeouts", self.timeouts)
+            .field("not_found", self.not_found)
+            .field("bad_params", self.bad_params)
+            .field("method_not_allowed", self.method_not_allowed)
+            .field("no_route", self.no_route)
+            .field("server_errors", self.server_errors)
+            .field("unavailable", self.unavailable)
+            .finish()
     }
 }
 

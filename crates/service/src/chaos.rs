@@ -36,6 +36,7 @@
 //! [`PlatformSnapshot`]: crate::platform::PlatformSnapshot
 
 use crate::error::ServiceError;
+use crate::json::{self, JsonObject};
 use crate::resolver::{MachineResolver, Resolved, Resolver};
 use cp_crowd::{
     AnswerTally, CrowdDesk, CrowdObserve, DeskStats, QuotaExhausted, WorkerId, WorkerPopulation,
@@ -352,6 +353,20 @@ impl ChaosSnapshot {
             + self.resolver_panics
             + self.durability_io_errors
             + self.generation_bumps
+    }
+
+    /// The counters as a JSON object, left open so `/stats` can append
+    /// its derived `total_injected`.
+    pub fn to_json(&self) -> JsonObject {
+        json::object()
+            .field("seed", self.seed)
+            .field("crowd_no_shows", self.crowd_no_shows)
+            .field("crowd_slow_answers", self.crowd_slow_answers)
+            .field("slow_workers", self.slow_workers)
+            .field("stalled_workers", self.stalled_workers)
+            .field("resolver_panics", self.resolver_panics)
+            .field("durability_io_errors", self.durability_io_errors)
+            .field("generation_bumps", self.generation_bumps)
     }
 }
 

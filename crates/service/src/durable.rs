@@ -13,6 +13,7 @@
 //! (`events_shed`) instead of blocking a worker: durability degrades
 //! under overload, serving does not.
 
+use crate::json::{self, JsonObject};
 use cp_crowd::AnswerRecord;
 use cp_durable::{Event, FsyncPolicy, WalWriter};
 use cp_roadnet::NodeId;
@@ -84,6 +85,22 @@ pub struct DurabilitySnapshot {
     pub last_checkpoint_seq: u64,
     /// Time since the last checkpoint (`None` before the first).
     pub last_checkpoint_age: Option<Duration>,
+}
+
+impl DurabilitySnapshot {
+    /// The counters as a JSON object (shared by `trace_report()` and the
+    /// gateway's `/stats`; the checkpoint age is not exported).
+    pub fn to_json(&self) -> JsonObject {
+        json::object()
+            .field("events_logged", self.events_logged)
+            .field("events_shed", self.events_shed)
+            .field("wal_bytes", self.wal_bytes)
+            .field("io_errors", self.io_errors)
+            .field("write_retries", self.write_retries)
+            .field("writes_recovered", self.writes_recovered)
+            .field("checkpoints", self.checkpoints)
+            .field("last_checkpoint_seq", self.last_checkpoint_seq)
+    }
 }
 
 /// Shared durability counters (writer thread + sinks + checkpointer).

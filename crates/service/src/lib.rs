@@ -126,6 +126,7 @@ pub mod chaos;
 pub mod durable;
 pub mod error;
 pub mod executor;
+pub mod json;
 pub mod platform;
 pub mod resolver;
 pub mod singleflight;

@@ -28,6 +28,7 @@
 //! `trace_equivalence` proptest, and the zero-allocation claim for
 //! `Off` is enforced by the `trace_overhead` counting-allocator test.
 
+use crate::json;
 use crate::stats::ServiceStats;
 use cp_roadnet::NodeId;
 use cp_traj::TimeOfDay;
@@ -583,122 +584,70 @@ impl TraceReport {
         self.cities.iter().map(|c| c.traces.len()).sum()
     }
 
-    /// Hand-rolled JSON export (std-only; all stage/site names are
-    /// static snake_case, so no escaping is needed).
+    /// JSON export (std-only; all stage/site names are static
+    /// snake_case, so no escaping is needed).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"ingress\": ");
-        out.push_str(&format!(
-            "{{\"waits\": {}, \"wait_us\": {:.1}}},\n",
-            self.ingress.waits,
-            us(self.ingress.wait)
-        ));
+        let ingress = json::object()
+            .field("waits", self.ingress.waits)
+            .field("wait_us", format_args!("{:.1}", us(self.ingress.wait)));
+        out.push_str(&format!("{{\n  \"ingress\": {},\n", ingress.finish()));
         if let Some(d) = &self.durability {
-            out.push_str(&format!(
-                "  \"durability\": {{\"events_logged\": {}, \"events_shed\": {}, \
-                 \"wal_bytes\": {}, \"io_errors\": {}, \"write_retries\": {}, \
-                 \"writes_recovered\": {}, \"checkpoints\": {}, \
-                 \"last_checkpoint_seq\": {}}},\n",
-                d.events_logged,
-                d.events_shed,
-                d.wal_bytes,
-                d.io_errors,
-                d.write_retries,
-                d.writes_recovered,
-                d.checkpoints,
-                d.last_checkpoint_seq
-            ));
+            out.push_str(&format!("  \"durability\": {},\n", d.to_json().finish()));
         }
         if let Some(c) = &self.chaos {
-            out.push_str(&format!(
-                "  \"chaos\": {{\"seed\": {}, \"crowd_no_shows\": {}, \
-                 \"crowd_slow_answers\": {}, \"slow_workers\": {}, \
-                 \"stalled_workers\": {}, \"resolver_panics\": {}, \
-                 \"durability_io_errors\": {}, \"generation_bumps\": {}}},\n",
-                c.seed,
-                c.crowd_no_shows,
-                c.crowd_slow_answers,
-                c.slow_workers,
-                c.stalled_workers,
-                c.resolver_panics,
-                c.durability_io_errors,
-                c.generation_bumps
-            ));
+            out.push_str(&format!("  \"chaos\": {},\n", c.to_json().finish()));
         }
         out.push_str("  \"cities\": [\n");
         for (ci, city) in self.cities.iter().enumerate() {
-            out.push_str(&format!("    {{\"city\": {},\n", city.city));
-            out.push_str("     \"stages\": [");
-            let mut first = true;
-            for stage in Stage::ALL {
+            let stages = Stage::ALL.into_iter().filter_map(|stage| {
                 let s = &city.stages[stage.index()];
-                if s.count == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(&format!(
-                    "{{\"stage\": \"{}\", \"count\": {}, \"total_us\": {:.1}, \
-                     \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"max_us\": {:.1}}}",
-                    stage.name(),
-                    s.count,
-                    us(s.total),
-                    us(s.p50),
-                    us(s.p95),
-                    us(s.max)
-                ));
-            }
-            out.push_str("],\n     \"locks\": [");
-            let mut first = true;
-            for site in LockSite::ALL {
+                (s.count > 0).then(|| {
+                    json::object()
+                        .string("stage", stage.name())
+                        .field("count", s.count)
+                        .field("total_us", format_args!("{:.1}", us(s.total)))
+                        .field("p50_us", format_args!("{:.1}", us(s.p50)))
+                        .field("p95_us", format_args!("{:.1}", us(s.p95)))
+                        .field("max_us", format_args!("{:.1}", us(s.max)))
+                        .finish()
+                })
+            });
+            let locks = LockSite::ALL.into_iter().filter_map(|site| {
                 let l = &city.locks[site.index()];
-                if l.waits == 0 && l.poisoned == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(&format!(
-                    "{{\"site\": \"{}\", \"waits\": {}, \"wait_us\": {:.1}, \
-                     \"poisoned\": {}}}",
-                    site.name(),
-                    l.waits,
-                    us(l.wait),
-                    l.poisoned
-                ));
-            }
-            out.push_str("],\n     \"traces\": [\n");
+                (l.waits != 0 || l.poisoned != 0).then(|| {
+                    json::object()
+                        .string("site", site.name())
+                        .field("waits", l.waits)
+                        .field("wait_us", format_args!("{:.1}", us(l.wait)))
+                        .field("poisoned", l.poisoned)
+                        .finish()
+                })
+            });
+            out.push_str(&format!(
+                "    {{\"city\": {},\n     \"stages\": {},\n     \"locks\": {},\n     \"traces\": [\n",
+                city.city,
+                json::array(stages),
+                json::array(locks)
+            ));
             for (ti, trace) in city.traces.iter().enumerate() {
-                out.push_str(&format!(
-                    "       {{\"from\": {}, \"to\": {}, \"departure_s\": {:.1}, \
-                     \"batch\": {}, \"outcome\": \"{}\", \"total_us\": {:.1}, \"spans\": [",
-                    trace.from.0,
-                    trace.to.0,
-                    trace.departure_s,
-                    trace.batch_size,
-                    trace.outcome,
-                    us(trace.total)
-                ));
-                for (si, (stage, d)) in trace.spans.iter().enumerate() {
-                    if si > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("[\"{}\", {:.1}]", stage.name(), us(*d)));
-                }
-                out.push_str("]}");
-                if ti + 1 < city.traces.len() {
-                    out.push(',');
-                }
-                out.push('\n');
+                let spans = trace
+                    .spans
+                    .iter()
+                    .map(|(stage, d)| format!("[\"{}\", {:.1}]", stage.name(), us(*d)));
+                let row = json::object()
+                    .field("from", trace.from.0)
+                    .field("to", trace.to.0)
+                    .field("departure_s", format_args!("{:.1}", trace.departure_s))
+                    .field("batch", trace.batch_size)
+                    .string("outcome", trace.outcome)
+                    .field("total_us", format_args!("{:.1}", us(trace.total)))
+                    .field("spans", json::array(spans));
+                let sep = if ti + 1 < city.traces.len() { "," } else { "" };
+                out.push_str(&format!("       {}{sep}\n", row.finish()));
             }
-            out.push_str("     ]}");
-            if ci + 1 < self.cities.len() {
-                out.push(',');
-            }
-            out.push('\n');
+            let sep = if ci + 1 < self.cities.len() { "," } else { "" };
+            out.push_str(&format!("     ]}}{sep}\n"));
         }
         out.push_str("  ]\n}\n");
         out

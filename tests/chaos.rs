@@ -20,37 +20,19 @@
 //!    a healthy run when only slow/stalled workers and generation
 //!    churn are injected: chaos may cost latency, never answers.
 
-use cp_core::Config;
+mod common;
+use common::{crowd_forcing_config, sim as world, truth_sig};
+
 use cp_crowd::CrowdDesk;
 use cp_service::{
     BreakerConfig, BreakerState, ChaosConfig, CrowdServing, DurabilityConfig, FaultPlan,
-    FsyncPolicy, Platform, PlatformConfig, Request, RouteService, ServedRoute, ServiceConfig,
-    ServiceError, Ticket,
+    FsyncPolicy, Platform, PlatformConfig, Request, ServedRoute, ServiceConfig, ServiceError,
+    Ticket,
 };
 use cp_traj::TimeOfDay;
-use crowdplanner::sim::{Scale, SimWorld};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One shared world: building the road network, trips and mining state
-/// dominates test time, and every test here treats it as read-only.
-fn world() -> &'static SimWorld {
-    static WORLD: OnceLock<SimWorld> = OnceLock::new();
-    WORLD.get_or_init(|| SimWorld::build(Scale::Small, 5).expect("world"))
-}
-
-/// A config that pushes every request through the crowd: no agreement
-/// shortcut, no confidence shortcut, no reuse.
-fn crowd_forcing_config() -> Config {
-    let mut cfg = Config::default();
-    cfg.agreement_similarity = 1.0;
-    cfg.agreement_quorum = 1.0;
-    cfg.eta_confidence = 1.0;
-    cfg.reuse_radius = 0.0;
-    cfg.reuse_time_window = 0.0;
-    cfg
-}
 
 /// Joins a ticket with a hard no-lost-ticket deadline: under fault
 /// injection every admitted request must still reach a terminal state.
@@ -76,24 +58,6 @@ fn chaos_platform(workers: usize, chaos: Option<ChaosConfig>) -> Platform {
         durability: None,
         chaos,
     })
-}
-
-/// A store's contents as comparable bytes, in sequence order.
-fn truth_sig(svc: &RouteService) -> Vec<(u64, u32, u32, u64, u64, Vec<u32>)> {
-    svc.truths()
-        .export()
-        .into_iter()
-        .map(|(seq, e)| {
-            (
-                seq,
-                e.from.0,
-                e.to.0,
-                e.departure.0.to_bits(),
-                e.confidence.to_bits(),
-                e.path.edges().iter().map(|id| id.0).collect(),
-            )
-        })
-        .collect()
 }
 
 /// Trip on a crowd no-show storm, serve machine-only while open (zero

@@ -18,6 +18,9 @@
 //!    thread — the reserve → ask → commit protocol and the `Arc`-owned
 //!    world handles change nothing about the paper pipeline's output.
 
+mod common;
+use common::crowd_forcing_config;
+
 use cp_core::Config;
 use cp_crowd::{
     AnswerTally, CrowdDesk, CrowdObserve, DeskStats, QuotaExhausted, SharedCrowd, WorkerId,
@@ -129,18 +132,6 @@ impl CrowdDesk for SpyDesk {
     fn desk_stats(&self) -> DeskStats {
         self.inner.desk_stats()
     }
-}
-
-/// A config that pushes every request through the crowd: no agreement
-/// shortcut, no confidence shortcut, no reuse.
-fn crowd_forcing_config() -> Config {
-    let mut cfg = Config::default();
-    cfg.agreement_similarity = 1.0;
-    cfg.agreement_quorum = 1.0;
-    cfg.eta_confidence = 1.0;
-    cfg.reuse_radius = 0.0;
-    cfg.reuse_time_window = 0.0;
-    cfg
 }
 
 #[test]

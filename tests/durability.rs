@@ -17,29 +17,19 @@
 //!    numbers strictly above everything it restored, and a second
 //!    recovery sees the union of both serving phases.
 
-use cp_core::Config;
+mod common;
+use common::{crowd_forcing_config, truth_sig};
+
 use cp_crowd::{CrowdDesk, CrowdState};
 use cp_service::{
     CityId, CrowdServing, DurabilityConfig, FsyncPolicy, Platform, PlatformConfig, Request,
-    RouteService, ServiceConfig,
+    ServiceConfig,
 };
 use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// A config that pushes every request through the crowd: no agreement
-/// shortcut, no confidence shortcut, no reuse.
-fn crowd_forcing_config() -> Config {
-    let mut cfg = Config::default();
-    cfg.agreement_similarity = 1.0;
-    cfg.agreement_quorum = 1.0;
-    cfg.eta_confidence = 1.0;
-    cfg.reuse_radius = 0.0;
-    cfg.reuse_time_window = 0.0;
-    cfg
-}
 
 /// A fresh scratch directory under the system temp dir.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -74,24 +64,6 @@ fn serve_wave(platform: &Platform, id: CityId, ods: &[(cp_roadnet::NodeId, cp_ro
     for t in tickets {
         t.wait().expect("request serves");
     }
-}
-
-/// A store's contents as comparable bytes, in sequence order.
-fn truth_sig(svc: &RouteService) -> Vec<(u64, u32, u32, u64, u64, Vec<u32>)> {
-    svc.truths()
-        .export()
-        .into_iter()
-        .map(|(seq, e)| {
-            (
-                seq,
-                e.from.0,
-                e.to.0,
-                e.departure.0.to_bits(),
-                e.confidence.to_bits(),
-                e.path.edges().iter().map(|id| id.0).collect(),
-            )
-        })
-        .collect()
 }
 
 /// Registers a crowd-backed city whose desk state is reachable for

@@ -6,20 +6,17 @@
 //! routes served over HTTP are byte-identical to the same requests
 //! served through `Platform::submit` in-process.
 
+mod common;
+use common::sim;
+
 use cp_gateway::{route_json, Gateway, GatewayConfig, RateLimitConfig};
 use cp_service::{Platform, PlatformConfig, Request, ServiceConfig};
 use cp_traj::TimeOfDay;
-use crowdplanner::sim::{Scale, SimWorld};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
-
-fn sim() -> &'static SimWorld {
-    static SIM: OnceLock<SimWorld> = OnceLock::new();
-    SIM.get_or_init(|| SimWorld::build(Scale::Small, 5).expect("world"))
-}
 
 /// A platform with one strict-deterministic city (always city 0) —
 /// each call builds a fresh, identical world.

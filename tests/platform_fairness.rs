@@ -7,17 +7,13 @@
 //! and per-city admission means the firehose sheds `Busy` against its
 //! own queue only.
 
+mod common;
+use common::sim;
+
 use cp_service::{BatchConfig, CityId, Platform, PlatformConfig, Request, ServiceConfig};
 use cp_traj::TimeOfDay;
-use crowdplanner::sim::{Scale, SimWorld};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-fn sim() -> &'static SimWorld {
-    static SIM: OnceLock<SimWorld> = OnceLock::new();
-    SIM.get_or_init(|| SimWorld::build(Scale::Small, 5).expect("world"))
-}
 
 /// Cold-city probes per measurement (each joined before the next, so
 /// the cold queue never holds more than one job — `Busy` is impossible

@@ -9,20 +9,16 @@
 //! exact reconciliation between per-stage histogram counts and the
 //! request counters on a sequential machine-resolved workload.
 
-use cp_service::{
-    BatchConfig, MachineResolver, Platform, PlatformConfig, Request, RouteService, ServiceConfig,
-    Stage, Ticket, TraceConfig,
-};
-use cp_traj::TimeOfDay;
-use crowdplanner::sim::{Scale, SimWorld};
-use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+mod common;
+use common::{assert_same_truths, requests_from, sequential_baseline, sim};
 
-fn sim() -> &'static SimWorld {
-    static SIM: OnceLock<SimWorld> = OnceLock::new();
-    SIM.get_or_init(|| SimWorld::build(Scale::Small, 5).expect("world"))
-}
+use cp_service::{
+    BatchConfig, MachineResolver, Platform, PlatformConfig, RouteService, ServiceConfig, Stage,
+    Ticket, TraceConfig,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The three instrumentation levels under test. `every: 1` samples every
 /// call, so any non-empty workload must land traces in the ring.
@@ -32,80 +28,6 @@ fn trace_levels() -> [TraceConfig; 3] {
         TraceConfig::counters(),
         TraceConfig::sampled(1, 64),
     ]
-}
-
-/// Materialises a pick list into a hot-spot request stream (same
-/// construction as the batch-equivalence suite: two shared origins, a
-/// destination pool, three departure buckets).
-fn requests_from(picks: &[(usize, usize, usize)]) -> Vec<Request> {
-    let sim = sim();
-    let origins: Vec<_> = sim
-        .request_stream(2, 2, 777)
-        .into_iter()
-        .map(|(from, _)| from)
-        .collect();
-    let dests: Vec<_> = sim
-        .request_stream(12, 2, 778)
-        .into_iter()
-        .map(|(_, to)| to)
-        .collect();
-    picks
-        .iter()
-        .map(|&(o, d, h)| {
-            Request::new(
-                origins[o % origins.len()],
-                dests[d % dests.len()],
-                TimeOfDay::from_hours(7.0 + (h % 3) as f64),
-            )
-        })
-        .filter(|r| r.from != r.to)
-        .collect()
-}
-
-/// Serves `requests` one at a time on a fresh *untraced* strict service
-/// and returns (service, per-request paths).
-fn sequential_baseline(requests: &[Request]) -> (RouteService, Vec<cp_roadnet::Path>) {
-    let sw = sim().service_world();
-    let cfg = ServiceConfig::strict_deterministic();
-    let service = RouteService::new(Arc::clone(&sw), cfg.clone());
-    let mut resolver = MachineResolver::new(sw.graph_arc(), cfg.core);
-    let paths = requests
-        .iter()
-        .map(|&r| service.handle(r, &mut resolver).expect("baseline").path)
-        .collect();
-    (service, paths)
-}
-
-/// Asserts both services hold byte-identical truth-store contents for
-/// the given request set.
-fn assert_same_truths(
-    a: &RouteService,
-    b: &RouteService,
-    requests: &[Request],
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.truths().len(), b.truths().len());
-    let graph = a.world().graph();
-    let core = &a.config().core;
-    for req in requests {
-        let dep = a.canonical_departure(req);
-        let ea = a.truths().lookup(graph, req.from, req.to, dep, core);
-        let eb = b.truths().lookup(graph, req.from, req.to, dep, core);
-        match (ea, eb) {
-            (Some(x), Some(y)) => {
-                prop_assert_eq!(x.path, y.path);
-                prop_assert_eq!(x.from, y.from);
-                prop_assert_eq!(x.to, y.to);
-            }
-            (None, None) => {}
-            (x, y) => prop_assert!(
-                false,
-                "truth presence differs: {} vs {}",
-                x.is_some(),
-                y.is_some()
-            ),
-        }
-    }
-    Ok(())
 }
 
 proptest! {
