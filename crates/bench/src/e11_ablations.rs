@@ -1,7 +1,7 @@
 //! E11 — ablations of CrowdPlanner's design choices.
 //!
-//! Not a paper experiment: DESIGN.md calls out several mechanisms whose
-//! value is worth isolating. Each row disables or degrades exactly one
+//! Not a paper experiment (see the root README's *Substitutions* table):
+//! several mechanisms are worth isolating. Each row disables or degrades exactly one
 //! mechanism and reruns the end-to-end workload of E9.
 
 use crate::common::{header, row};

@@ -1,6 +1,7 @@
 //! # cp-bench — the CrowdPlanner experiment harness
 //!
-//! One module per reconstructed experiment (`e1`…`e10`, see DESIGN.md §4).
+//! One module per reconstructed experiment (`e1`…`e10`; see the root
+//! README's *Substitutions* table).
 //! Each module exposes `run(fast: bool)`, printing the table/series the
 //! corresponding paper figure would show. `fast` shrinks the workload for
 //! smoke tests; the `experiments` binary runs the full versions.

@@ -10,7 +10,7 @@
 //! (exp(−∞) = 0). Distances inside the exponent are normalised by η_dis so
 //! the exponential lives on a sane scale regardless of the city's units
 //! (the paper leaves units unspecified; this normalisation is recorded in
-//! DESIGN.md).
+//! the root README's *Substitutions* table).
 
 use crate::config::Config;
 use crate::worker_selection::matrix::SparseObservations;

@@ -21,7 +21,7 @@
 //! Because the answer channels one person's preference, LDR inherits that
 //! person's idiosyncrasies — exactly why the paper treats it as one noisy
 //! voice among several candidate sources. This interpretation is recorded
-//! in DESIGN.md as a documented substitution.
+//! in the root README's *Substitutions* table.
 
 use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, DijkstraResult};
 use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};

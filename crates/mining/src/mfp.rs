@@ -7,8 +7,8 @@
 //! the path whose *bottleneck* footmark is maximal (the weakest segment is
 //! as strongly supported as possible), tie-broken toward shorter routes.
 //!
-//! Our adaptation (recorded in DESIGN.md): the bottleneck (max–min
-//! footmark) objective is kept as a diagnostic ([`best_bottleneck`]), but
+//! Our adaptation (a row of the root README's *Substitutions* table):
+//! the bottleneck (max–min footmark) objective is kept as a diagnostic ([`best_bottleneck`]), but
 //! the returned route minimises saturating-frequency-discounted travel
 //! time `Σ travel_time(e) / (1 + β·f/(f+f̄))` over the period-filtered
 //! footmark graph (`f̄` = mean positive footmark; the bounded discount

@@ -4,7 +4,8 @@
 //! Map" and compares against them. The only property the system depends on
 //! is that a service returns a distance- or time-optimal route as a black
 //! box, so the simulation is exactly that: A*-computed shortest-distance
-//! and fastest-time providers (see DESIGN.md substitution table).
+//! and fastest-time providers (see the root README's *Substitutions*
+//! table).
 
 use cp_roadnet::routing::astar_path;
 use cp_roadnet::{NodeId, Path, RoadClass, RoadGraph, RoadNetError};

@@ -6,8 +6,8 @@
 //! * planar [`geo`]metry primitives;
 //! * a compact directed road [`graph`] with road classes and traffic lights;
 //! * a deterministic synthetic-city [`generator`] (the substitute for the
-//!   real city the paper evaluated on — see `DESIGN.md` for the
-//!   substitution argument);
+//!   real city the paper evaluated on — see the root README's
+//!   *Substitutions* table);
 //! * [`routing`] algorithms: Dijkstra, A*, and Yen's k-shortest paths;
 //! * [`path`] metrics (length, time, lights, turns) and route-agreement
 //!   similarity;

@@ -17,7 +17,8 @@ use std::time::Duration;
 const BUCKETS: usize = 32;
 
 /// Percentile over a log₂ bucket histogram: the upper edge (`2^i` ns)
-/// of the bucket containing the `p`-quantile observation.
+/// of the bucket containing the `p`-quantile observation. Callers clamp
+/// it to the recorded maximum, which the edge can overshoot.
 fn bucket_percentile(buckets: &[u64], count: u64, p: f64) -> Duration {
     if count == 0 {
         return Duration::ZERO;
@@ -262,7 +263,8 @@ impl ServiceStats {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
-        let percentile = |p: f64| -> Duration { bucket_percentile(&buckets, count, p) };
+        let max = Duration::from_nanos(self.lat_max_ns.load(Ordering::Relaxed));
+        let percentile = |p: f64| -> Duration { bucket_percentile(&buckets, count, p).min(max) };
         let min = self.lat_min_ns.load(Ordering::Relaxed);
         let mut stages = [StageSummary::default(); Stage::COUNT];
         for (i, summary) in stages.iter_mut().enumerate() {
@@ -274,12 +276,13 @@ impl ServiceStats {
             if stage_count == 0 {
                 continue;
             }
+            let stage_max = Duration::from_nanos(self.stage_max_ns[i].load(Ordering::Relaxed));
             *summary = StageSummary {
                 count: stage_count,
                 total: Duration::from_nanos(self.stage_sum_ns[i].load(Ordering::Relaxed)),
-                p50: bucket_percentile(&stage_buckets, stage_count, 0.50),
-                p95: bucket_percentile(&stage_buckets, stage_count, 0.95),
-                max: Duration::from_nanos(self.stage_max_ns[i].load(Ordering::Relaxed)),
+                p50: bucket_percentile(&stage_buckets, stage_count, 0.50).min(stage_max),
+                p95: bucket_percentile(&stage_buckets, stage_count, 0.95).min(stage_max),
+                max: stage_max,
             };
         }
         StatsSnapshot {
@@ -323,7 +326,7 @@ impl ServiceStats {
                 } else {
                     Duration::from_nanos(min)
                 },
-                max: Duration::from_nanos(self.lat_max_ns.load(Ordering::Relaxed)),
+                max,
                 p50: percentile(0.50),
                 p95: percentile(0.95),
                 p99: percentile(0.99),
@@ -333,7 +336,8 @@ impl ServiceStats {
 }
 
 /// Coarse latency distribution (log₂ buckets: percentiles are upper
-/// bucket edges, i.e. ≤ 2× the true value).
+/// bucket edges clamped to `max`, i.e. above the true value by less
+/// than 2× and never above the slowest request).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Requests measured.
@@ -344,11 +348,11 @@ pub struct LatencySummary {
     pub min: Duration,
     /// Slowest request.
     pub max: Duration,
-    /// Median (bucket upper edge).
+    /// Median (bucket upper edge, at most `max`).
     pub p50: Duration,
-    /// 95th percentile (bucket upper edge).
+    /// 95th percentile (bucket upper edge, at most `max`).
     pub p95: Duration,
-    /// 99th percentile (bucket upper edge).
+    /// 99th percentile (bucket upper edge, at most `max`).
     pub p99: Duration,
 }
 
@@ -556,6 +560,14 @@ mod tests {
         // p50 upper edge must cover the median but not the outlier.
         assert!(l.p50 >= Duration::from_micros(30));
         assert!(l.p50 < Duration::from_micros(1000));
+        assert!(l.p99 <= l.max, "{l:?}");
+        // One 1 200 ns sample sits in the [1 024, 2 048) bucket: every
+        // quantile is that sample, not the bucket's 2 048 ns edge.
+        let one = ServiceStats::new();
+        one.record_latency(Duration::from_nanos(1_200));
+        let l = one.snapshot().latency;
+        assert_eq!(l.max, Duration::from_nanos(1_200));
+        assert_eq!((l.p50, l.p95, l.p99), (l.max, l.max, l.max));
     }
 
     #[test]
@@ -715,6 +727,10 @@ mod tests {
         assert_eq!(mining.max, Duration::from_micros(5000));
         assert!(mining.p50 <= mining.p95, "{mining:?}");
         assert!(mining.p95 >= Duration::from_micros(5000) / 2, "{mining:?}");
+        // 5 ms sits below its bucket's 8.4 ms edge; quantiles stop at it.
+        assert!(mining.p95 <= mining.max, "{mining:?}");
+        let commit = snap.stages[Stage::Commit.index()];
+        assert_eq!((commit.p50, commit.p95), (commit.max, commit.max));
         assert_eq!(snap.stages[Stage::Commit.index()].count, 1);
         assert_eq!(
             snap.stages[Stage::QueueWait.index()],

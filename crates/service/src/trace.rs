@@ -211,16 +211,17 @@ impl TraceConfig {
 
 /// One stage's latency distribution in a
 /// [`StatsSnapshot`](crate::StatsSnapshot) (log₂ buckets: percentiles
-/// are upper bucket edges, like the request-latency summary).
+/// are upper bucket edges clamped to `max`, like the request-latency
+/// summary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageSummary {
     /// Spans recorded.
     pub count: u64,
     /// Total time attributed to the stage.
     pub total: Duration,
-    /// Median span (bucket upper edge).
+    /// Median span (bucket upper edge, at most `max`).
     pub p50: Duration,
-    /// 95th-percentile span (bucket upper edge).
+    /// 95th-percentile span (bucket upper edge, at most `max`).
     pub p95: Duration,
     /// Longest span.
     pub max: Duration,

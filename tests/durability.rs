@@ -38,14 +38,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn durable_platform(workers: usize, dir: Option<&Path>) -> Platform {
+fn durable_platform(workers: usize, dir: Option<&Path>, fsync: FsyncPolicy) -> Platform {
     Platform::start(PlatformConfig {
         workers,
         city_weight: 1,
         queue_capacity: 64,
         maintenance: None,
         batch: None,
-        durability: dir.map(|d| DurabilityConfig::new(d).with_fsync(FsyncPolicy::Never)),
+        durability: dir.map(|d| DurabilityConfig::new(d).with_fsync(fsync)),
         chaos: None,
     })
 }
@@ -89,6 +89,114 @@ fn register_crowd_city(
     (id, shared)
 }
 
+/// One recover-equals-live case: serve a crowd-backed city with the log
+/// on under `fsync` (optionally checkpointing mid-stream), then rebuild
+/// it through `recover_from`, `replay_log` and `replay_until`.
+fn recovery_and_replay_case(
+    seed: u64,
+    workers: usize,
+    checkpoint_mid: bool,
+    fsync: FsyncPolicy,
+    cut: usize,
+) -> Result<(), TestCaseError> {
+    let dir = scratch_dir(&format!(
+        "equiv_{seed}_{workers}_{checkpoint_mid}_{fsync:?}"
+    ));
+    let sim = SimWorld::build(Scale::Small, 1234).expect("world");
+    let ods = sim.request_stream(16, 2, 900 + seed);
+
+    // Live run, logging on.
+    let live = durable_platform(workers, Some(&dir), fsync);
+    let (id, desk) = register_crowd_city(&live, &sim, seed);
+    serve_wave(&live, id, &ods[..8]);
+    if checkpoint_mid {
+        let watermark = live.checkpoint().expect("checkpoint");
+        prop_assert!(watermark > 0, "8 crowd-forced requests must log events");
+    }
+    serve_wave(&live, id, &ods[8..]);
+    live.sync_durable();
+    let stats = live.durability_stats().expect("durability is on");
+    prop_assert_eq!(stats.events_shed, 0, "nothing may be shed at this scale");
+    let live_truths = truth_sig(&live.city_service(id).expect("registered"));
+    let live_state = desk.export_state();
+    let snap = live.city_stats(id).expect("registered");
+    prop_assert!(snap.is_consistent(), "{:?}", snap);
+    live.shutdown();
+    prop_assert!(!live_truths.is_empty(), "the run must commit truths");
+    prop_assert!(live_state.generation > 0, "the crowd must answer");
+
+    // Warm restart: snapshot + log.
+    let recovered = durable_platform(1, None, fsync);
+    let (rid, rdesk) = register_crowd_city(&recovered, &sim, seed);
+    let report = recovered.recover_from(&dir).expect("recovery");
+    prop_assert_eq!(
+        (report.truths_restored + report.truths_replayed) as usize,
+        live_truths.len(),
+        "every truth applied exactly once: {:?}",
+        report
+    );
+    prop_assert_eq!(
+        truth_sig(&recovered.city_service(rid).expect("registered")),
+        live_truths.clone()
+    );
+    let rstate = rdesk.export_state();
+    prop_assert_eq!(rstate.generation, live_state.generation);
+    prop_assert_eq!(rstate.history, live_state.history.clone());
+    prop_assert_eq!(rstate.response_times, live_state.response_times.clone());
+    recovered.shutdown();
+
+    // Replay oracle: the log alone, from a cold store. Only valid
+    // while the log is untruncated, i.e. when no checkpoint ran.
+    if !checkpoint_mid {
+        // Point-in-time prefix: `replay_until(k)` applies exactly the
+        // records up to WAL sequence `k` — the truths among them, and
+        // the crowd answers up to the last one the prefix holds.
+        let log = cp_durable::read_log(&dir).expect("log reads");
+        let upto = log[cut % log.len()].0;
+        let mut prefix_truths = std::collections::HashSet::new();
+        let mut prefix_generation = 0u64;
+        for (_, event) in log.iter().take_while(|(wal_seq, _)| *wal_seq <= upto) {
+            match event {
+                cp_durable::Event::Truth { seq, .. } => {
+                    prefix_truths.insert(*seq);
+                }
+                cp_durable::Event::Answer { generation, .. } => prefix_generation = *generation,
+            }
+        }
+        let partial = durable_platform(1, None, fsync);
+        let (qid, qdesk) = register_crowd_city(&partial, &sim, seed);
+        let report = partial.replay_until(&dir, upto).expect("bounded replay");
+        prop_assert_eq!(report.last_wal_seq, Some(upto));
+        let want: Vec<_> = live_truths
+            .iter()
+            .filter(|t| prefix_truths.contains(&t.0))
+            .cloned()
+            .collect();
+        prop_assert_eq!(
+            truth_sig(&partial.city_service(qid).expect("registered")),
+            want
+        );
+        prop_assert_eq!(qdesk.export_state().generation, prefix_generation);
+        partial.shutdown();
+
+        let replayed = durable_platform(1, None, fsync);
+        let (pid, pdesk) = register_crowd_city(&replayed, &sim, seed);
+        let report = replayed.replay_log(&dir).expect("replay");
+        prop_assert_eq!(report.truths_replayed as usize, live_truths.len());
+        prop_assert_eq!(
+            truth_sig(&replayed.city_service(pid).expect("registered")),
+            live_truths
+        );
+        let pstate = pdesk.export_state();
+        prop_assert_eq!(pstate.generation, live_state.generation);
+        prop_assert_eq!(pstate.history, live_state.history);
+        prop_assert_eq!(pstate.response_times, live_state.response_times);
+        replayed.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
@@ -96,75 +204,31 @@ proptest! {
     /// rebuild a crowd-backed platform entry-wise identically to the
     /// live one: truth store, answer history, response times and
     /// generation all match, with or without a mid-stream checkpoint,
-    /// at 1 and at 4 workers.
+    /// at 1 and at 4 workers; `replay_until` rebuilds exactly the log
+    /// prefix it was given.
     #[test]
     fn recovery_and_replay_rebuild_the_live_state(
         seed in 0u64..500,
         worker_pick in 0usize..2,
         checkpoint_mid in 0u8..2,
+        cut in 0usize..1024,
     ) {
         let workers = [1usize, 4][worker_pick];
-        let checkpoint_mid = checkpoint_mid == 1;
-        let dir = scratch_dir(&format!("equiv_{seed}_{workers}_{checkpoint_mid}"));
-        let sim = SimWorld::build(Scale::Small, 1234).expect("world");
-        let ods = sim.request_stream(16, 2, 900 + seed);
-
-        // Live run, logging on.
-        let live = durable_platform(workers, Some(&dir));
-        let (id, desk) = register_crowd_city(&live, &sim, seed);
-        serve_wave(&live, id, &ods[..8]);
-        if checkpoint_mid {
-            let watermark = live.checkpoint().expect("checkpoint");
-            prop_assert!(watermark > 0, "8 crowd-forced requests must log events");
-        }
-        serve_wave(&live, id, &ods[8..]);
-        live.sync_durable();
-        let stats = live.durability_stats().expect("durability is on");
-        prop_assert_eq!(stats.events_shed, 0, "nothing may be shed at this scale");
-        let live_truths = truth_sig(&live.city_service(id).expect("registered"));
-        let live_state = desk.export_state();
-        let snap = live.city_stats(id).expect("registered");
-        prop_assert!(snap.is_consistent(), "{:?}", snap);
-        live.shutdown();
-        prop_assert!(!live_truths.is_empty(), "the run must commit truths");
-        prop_assert!(live_state.generation > 0, "the crowd must answer");
-
-        // Warm restart: snapshot + log.
-        let recovered = durable_platform(1, None);
-        let (rid, rdesk) = register_crowd_city(&recovered, &sim, seed);
-        let report = recovered.recover_from(&dir).expect("recovery");
-        prop_assert_eq!(
-            (report.truths_restored + report.truths_replayed) as usize,
-            live_truths.len(),
-            "every truth applied exactly once: {:?}",
-            report
-        );
-        prop_assert_eq!(truth_sig(&recovered.city_service(rid).expect("registered")), live_truths.clone());
-        let rstate = rdesk.export_state();
-        prop_assert_eq!(rstate.generation, live_state.generation);
-        prop_assert_eq!(rstate.history, live_state.history.clone());
-        prop_assert_eq!(rstate.response_times, live_state.response_times.clone());
-        recovered.shutdown();
-
-        // Replay oracle: the log alone, from a cold store. Only valid
-        // while the log is untruncated, i.e. when no checkpoint ran.
-        if !checkpoint_mid {
-            let replayed = durable_platform(1, None);
-            let (pid, pdesk) = register_crowd_city(&replayed, &sim, seed);
-            let report = replayed.replay_log(&dir).expect("replay");
-            prop_assert_eq!(report.truths_replayed as usize, live_truths.len());
-            prop_assert_eq!(
-                truth_sig(&replayed.city_service(pid).expect("registered")),
-                live_truths
-            );
-            let pstate = pdesk.export_state();
-            prop_assert_eq!(pstate.generation, live_state.generation);
-            prop_assert_eq!(pstate.history, live_state.history);
-            prop_assert_eq!(pstate.response_times, live_state.response_times);
-            replayed.shutdown();
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        recovery_and_replay_case(seed, workers, checkpoint_mid == 1, FsyncPolicy::Never, cut)?;
     }
+}
+
+/// The same case under the default — and only power-loss-safe — policy,
+/// `DurabilityConfig::new(dir)` unmodified: one `wal.sync()` per drained
+/// batch.
+#[test]
+fn group_fsync_recovery_and_replay_rebuild_the_live_state() {
+    assert_eq!(
+        DurabilityConfig::new("unused").fsync,
+        FsyncPolicy::Group,
+        "Group is the default policy"
+    );
+    recovery_and_replay_case(7, 4, false, FsyncPolicy::Group, 5).expect("group-fsync case");
 }
 
 /// Truncating the log at every byte boundary inside the final record
@@ -174,7 +238,7 @@ proptest! {
 fn torn_wal_tail_recovers_longest_valid_prefix() {
     let dir = scratch_dir("torn_tail");
     let sim = SimWorld::build(Scale::Small, 7).expect("world");
-    let platform = durable_platform(2, Some(&dir));
+    let platform = durable_platform(2, Some(&dir), FsyncPolicy::Never);
     let id = platform.register_city(sim.service_world(), ServiceConfig::strict_deterministic());
     serve_wave(&platform, id, &sim.request_stream(10, 2, 41));
     platform.sync_durable();
@@ -240,7 +304,7 @@ fn torn_wal_tail_recovers_longest_valid_prefix() {
         &bytes[..last_start + (bytes.len() - last_start) / 2],
     )
     .expect("tearing the live dir");
-    let fresh = durable_platform(1, None);
+    let fresh = durable_platform(1, None, FsyncPolicy::Never);
     let fid = fresh.register_city(sim.service_world(), ServiceConfig::strict_deterministic());
     let report = fresh.recover_from(&dir).expect("torn recovery");
     assert_eq!(report.truths_replayed as usize, n - 1);
@@ -260,7 +324,7 @@ fn torn_wal_tail_recovers_longest_valid_prefix() {
 fn stale_snapshot_tmp_never_shadows_the_previous_checkpoint() {
     let dir = scratch_dir("mid_snapshot");
     let sim = SimWorld::build(Scale::Small, 11).expect("world");
-    let platform = durable_platform(2, Some(&dir));
+    let platform = durable_platform(2, Some(&dir), FsyncPolicy::Never);
     let id = platform.register_city(sim.service_world(), ServiceConfig::strict_deterministic());
     let ods = sim.request_stream(12, 2, 77);
     serve_wave(&platform, id, &ods[..6]);
@@ -277,7 +341,7 @@ fn stale_snapshot_tmp_never_shadows_the_previous_checkpoint() {
     )
     .expect("stale tmp writes");
 
-    let fresh = durable_platform(1, None);
+    let fresh = durable_platform(1, None, FsyncPolicy::Never);
     let fid = fresh.register_city(sim.service_world(), ServiceConfig::strict_deterministic());
     let report = fresh.recover_from(&dir).expect("recovery ignores the tmp");
     assert!(
@@ -302,7 +366,7 @@ fn recovered_platform_resumes_sequence_monotonically() {
     let ods = sim.request_stream(12, 2, 3000);
 
     // Phase 1: serve, checkpoint (snapshot + log truncation), shut down.
-    let first = durable_platform(2, Some(&dir));
+    let first = durable_platform(2, Some(&dir), FsyncPolicy::Never);
     let id = first.register_city(sim.service_world(), ServiceConfig::strict_deterministic());
     serve_wave(&first, id, &ods[..6]);
     first.checkpoint().expect("checkpoint");
@@ -311,7 +375,7 @@ fn recovered_platform_resumes_sequence_monotonically() {
 
     // Phase 2: recover into a platform that keeps logging to the same
     // directory, then serve fresh work.
-    let second = durable_platform(2, Some(&dir));
+    let second = durable_platform(2, Some(&dir), FsyncPolicy::Never);
     let sid = second.register_city(sim.service_world(), ServiceConfig::strict_deterministic());
     let report = second.recover_from(&dir).expect("recovery");
     assert_eq!(report.truths_restored as usize, phase1.len());
@@ -342,7 +406,7 @@ fn recovered_platform_resumes_sequence_monotonically() {
     }
 
     // A third platform recovering the same directory sees the union.
-    let third = durable_platform(1, None);
+    let third = durable_platform(1, None, FsyncPolicy::Never);
     let tid = third.register_city(sim.service_world(), ServiceConfig::strict_deterministic());
     let report = third.recover_from(&dir).expect("second recovery");
     assert_eq!(

@@ -9,9 +9,13 @@
 mod common;
 use common::sim;
 
-use cp_gateway::{route_json, Gateway, GatewayConfig, RateLimitConfig};
+use cp_gateway::http::read_request;
+use cp_gateway::{
+    route_json, Gateway, GatewayConfig, HttpError, HttpLimits, HttpRequest, RateLimitConfig,
+};
 use cp_service::{Platform, PlatformConfig, Request, ServiceConfig};
 use cp_traj::TimeOfDay;
+use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -533,4 +537,123 @@ fn graceful_shutdown_answers_in_flight_then_platform_drains() {
         .wait()
         .expect("serve");
     assert!(!served.path.nodes().is_empty());
+}
+
+/// Hands `bytes` out in the given read sizes (cycled), then EOF — a TCP
+/// stream that fragments wherever it likes.
+struct SplitReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    splits: &'a [usize],
+    reads: usize,
+}
+
+impl Read for SplitReader<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let want = self.splits[self.reads % self.splits.len()];
+        self.reads += 1;
+        let n = want.min(out.len()).min(self.bytes.len() - self.pos);
+        out[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// A well-formed request rendered from fuzz picks: method, target and an
+/// optional `Content-Length` body.
+fn render_request((method, target, body): (u8, u8, u8)) -> Vec<u8> {
+    let method = ["GET", "POST", "HEAD"][method as usize % 3];
+    let target = [
+        "/healthz",
+        "/route?city=0&o=1&d=2&t=8.5",
+        "/a%20b?x=%41&flag",
+        "/",
+    ][target as usize % 4];
+    let body = vec![body; body as usize % 7];
+    let mut out = format!(
+        "{method} {target} HTTP/1.1\r\nHost: cp\r\nX-Pick: {}\r\n",
+        body.len()
+    );
+    if !body.is_empty() {
+        out.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    }
+    out.push_str("\r\n");
+    let mut out = out.into_bytes();
+    out.extend(body);
+    out
+}
+
+/// Parses `bytes` to exhaustion through a [`SplitReader`], checking after
+/// every returned request that the parser consumed exactly that
+/// request's bytes and left the rest of its buffer untouched. Returns
+/// the requests and the error that ended the stream.
+fn parse_stream(
+    bytes: &[u8],
+    splits: &[usize],
+) -> Result<(Vec<HttpRequest>, HttpError), TestCaseError> {
+    let mut reader = SplitReader {
+        bytes,
+        pos: 0,
+        splits,
+        reads: 0,
+    };
+    let mut buf = Vec::new();
+    let mut consumed = 0;
+    let mut requests = Vec::new();
+    loop {
+        match read_request(&mut reader, &mut buf, &HttpLimits::default()) {
+            Ok(req) => {
+                let end = reader.pos - buf.len();
+                let taken = &bytes[consumed..end];
+                let head_end = taken
+                    .windows(4)
+                    .position(|w| w == b"\r\n\r\n")
+                    .expect("a returned request has a terminated head")
+                    + 4;
+                prop_assert_eq!(taken.len(), head_end + req.body.len());
+                prop_assert_eq!(&taken[head_end..], &req.body[..]);
+                prop_assert_eq!(&buf[..], &bytes[end..reader.pos]);
+                consumed = end;
+                requests.push(req);
+            }
+            Err(e) => {
+                prop_assert!(!matches!(e, HttpError::Io(_)), "the reader never fails");
+                if e == HttpError::Closed {
+                    prop_assert_eq!(consumed, bytes.len(), "Closed only at a boundary");
+                }
+                return Ok((requests, e));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The parser over arbitrary bytes delivered in arbitrary read sizes:
+    /// it never panics, every outcome is `Ok` or a typed parse error, it
+    /// never consumes past the request it returns, and a valid pipelined
+    /// stream parses to the same requests however it is split.
+    #[test]
+    fn http_parser_survives_arbitrary_bytes_and_read_splits(
+        picks in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
+        noise in proptest::collection::vec(any::<u8>(), 0..48),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+        splits in proptest::collection::vec(1usize..64, 1..12),
+    ) {
+        let valid: Vec<u8> = picks.iter().flat_map(|&p| render_request(p)).collect();
+        let whole = parse_stream(&valid, &[usize::MAX])?;
+        prop_assert_eq!(whole.0.len(), picks.len());
+        prop_assert_eq!(&whole.1, &HttpError::Closed);
+        prop_assert_eq!(&parse_stream(&valid, &splits)?, &whole);
+
+        // The same stream with bytes overwritten and junk appended.
+        let mut corrupt = valid;
+        corrupt.extend(noise);
+        for (at, byte) in flips {
+            let at = at % corrupt.len();
+            corrupt[at] = byte;
+        }
+        parse_stream(&corrupt, &splits)?;
+    }
 }
