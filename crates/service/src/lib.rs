@@ -73,7 +73,10 @@
 //!   durability writer, and runtime **city offboarding**
 //!   ([`Platform::deregister_city`] — drains in-flight work exactly
 //!   once, sheds the queue with a terminal error, reclaims cache
-//!   memory).
+//!   memory);
+//! * [`json`] — the small object/array writer behind the cold-path
+//!   exports ([`TraceReport::to_json`], the gateway's `/stats` and
+//!   `/healthz`).
 //!
 //! No external dependencies: everything is built on `std::thread`,
 //! `std::sync::mpsc` channels, `RwLock`/`Mutex`/`Condvar` and atomics.

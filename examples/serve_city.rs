@@ -55,15 +55,8 @@ use cp_service::{
 use crowdplanner::sim::{Scale, SimWorld};
 use std::time::{Duration, Instant};
 
-/// One registered city: its platform id and a pool of plausible OD
-/// pairs (the startup banner prints one as a sample `/route` query).
-struct CityTraffic {
-    id: cp_service::CityId,
-    ods: Vec<(cp_roadnet::NodeId, cp_roadnet::NodeId)>,
-}
-
 /// Builds the shared two-city platform, honouring the
-/// resolution/batching/tracing flags.
+/// resolution/batching/tracing flags; returns it with the metro's id.
 fn build_platform(
     metro: &SimWorld,
     metro_world: &std::sync::Arc<cp_service::World>,
@@ -77,7 +70,7 @@ fn build_platform(
     metro_weight: u32,
     snapshot_dir: Option<&std::path::Path>,
     chaos_seed: Option<u64>,
-) -> (Platform, [CityTraffic; 2]) {
+) -> (Platform, cp_service::CityId) {
     let platform = Platform::start(PlatformConfig {
         workers,
         city_weight: 1,
@@ -120,23 +113,15 @@ fn build_platform(
             platform.register_city(world.clone(), service_cfg())
         }
     };
-    let cities = [
-        CityTraffic {
-            id: register(metro, metro_world, 42),
-            ods: metro.request_stream(600, 4, 777),
-        },
-        CityTraffic {
-            id: register(town, town_world, 7),
-            ods: town.request_stream(120, 2, 778),
-        },
-    ];
+    let metro_id = register(metro, metro_world, 42);
+    register(town, town_world, 7);
     // The metro is expected to carry most arrivals; give it a matching
     // DRR quantum so a saturated platform serves the two queues roughly
     // in proportion to their traffic instead of strictly alternating.
     // The town keeps weight 1 — the deficit guarantees it can never be
     // starved, whatever the metro's weight.
-    assert!(platform.set_city_weight(cities[0].id, metro_weight));
-    (platform, cities)
+    assert!(platform.set_city_weight(metro_id, metro_weight));
+    (platform, metro_id)
 }
 
 fn main() {
@@ -197,7 +182,7 @@ fn main() {
         .unwrap_or(4)
         .min(8);
 
-    let (platform, cities) = build_platform(
+    let (platform, metro_id) = build_platform(
         &metro,
         &metro_world,
         &town,
@@ -242,11 +227,11 @@ fn main() {
         },
     )
     .expect("gateway binds");
-    let (from, to) = cities[0].ods[0];
+    let (from, to) = metro.request_stream(1, 4, 777)[0];
     println!("serving on http://{}", gw.local_addr());
     println!(
         "  GET /route?city={}&o={}&d={}&t=8  — plan a route",
-        cities[0].id.0, from.0, to.0
+        metro_id.0, from.0, to.0
     );
     println!("  GET /stats                        — gateway + platform counters");
     println!("  GET /trace                        — span-level trace report");
