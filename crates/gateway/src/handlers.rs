@@ -306,8 +306,6 @@ fn platform_json(snap: &PlatformSnapshot) -> String {
         .field("unbatched_requests", snap.unbatched_requests)
         .field("batch_runs", snap.batch_runs)
         .field("batch_max", snap.batch_max)
-        .field("batch_adaptive", snap.batch_adaptive)
-        .field("batch_delay_us", snap.batch_delay.as_micros())
         .field("maintenance_sweeps", snap.maintenance_sweeps)
         .field("per_city", per_city_json(&snap.per_city))
         .field("durability", durability)
@@ -316,8 +314,8 @@ fn platform_json(snap: &PlatformSnapshot) -> String {
 }
 
 /// Each city's slice of the sharded ingress — queue depth, DRR weight,
-/// shed count and the city's adaptive-controller choices — as a JSON
-/// array indexed by city.
+/// admission, dispatch and shed counts — as a JSON array indexed by
+/// city.
 fn per_city_json(per_city: &[CityQueueSnapshot]) -> String {
     json::array(per_city.iter().map(|c| {
         let breaker = json::or_null(c.breaker.as_ref(), |b| {
@@ -339,8 +337,6 @@ fn per_city_json(per_city: &[CityQueueSnapshot]) -> String {
             .field("rejected_busy", c.rejected_busy)
             .field("batched_requests", c.batched_requests)
             .field("unbatched_requests", c.unbatched_requests)
-            .field("batch_delay_us", c.batch_delay.as_micros())
-            .field("max_batch", c.max_batch)
             .field("offboarded", c.offboarded)
             .field("shed", c.shed)
             .field("breaker", breaker)

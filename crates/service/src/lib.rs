@@ -26,12 +26,10 @@
 //!   control ([`Platform::submit`] is non-blocking and returns
 //!   [`ServiceError::Busy`] when full), joinable/pollable [`Ticket`]s,
 //!   opportunistic **origin-cell request coalescing**
-//!   ([`PlatformConfig::batch`] / [`BatchConfig`]: workers dequeue runs
-//!   of `(city, origin cell)`-mates — spanning time buckets — instead
-//!   of single jobs, with a **fixed or adaptive** collection window:
-//!   [`BatchConfig::Adaptive`] moves the delay between zero and a
-//!   ceiling from observed queue depth and run occupancy), per-city
-//!   plus exact aggregate statistics, and graceful draining
+//!   ([`PlatformConfig::batch`] / [`BatchConfig`]: a worker dequeues
+//!   its job together with every already-queued `(city, origin
+//!   cell)`-mate — spanning time buckets — and never waits for more),
+//!   per-city plus exact aggregate statistics, and graceful draining
 //!   [`Platform::shutdown`];
 //! * [`MiningArtifactCache`] — the **cross-batch mining-reuse layer**:
 //!   a bounded, generation-versioned per-city LRU of all-day per-origin

@@ -93,140 +93,46 @@ impl Default for MaintenanceConfig {
     }
 }
 
-/// Opportunistic request-coalescing configuration: workers dequeue
-/// *runs* of queued jobs sharing `(city, origin cell)` — time buckets
-/// may mix freely, the fused mining path splits only its
-/// period-dependent MFP aggregation per bucket — and serve them through
+/// Opportunistic request coalescing: a worker dispatches its seed job
+/// together with every job *already queued* in the same city that
+/// shares its origin cell — time buckets mix freely, the fused mining
+/// path splits only its period-dependent MFP aggregation per bucket —
+/// up to `max_batch`, and serves the run through
 /// [`RouteService::serve_coalesced`], so a hot origin cell pays its
 /// expensive single-source mining once per run instead of once per
 /// request.
+///
+/// A worker never holds a run open waiting for more arrivals. Backlog
+/// is what forms runs, and backlog is exactly when fusing pays; on an
+/// idle or all-hit queue a collection window only adds latency (see
+/// the crate README for the measurement).
 #[derive(Debug, Clone, Copy)]
-pub enum BatchConfig {
-    /// A fixed collection window: every under-full run is held open for
-    /// exactly `max_delay` waiting for more same-key arrivals.
-    /// `Duration::ZERO` is purely opportunistic — only jobs already
-    /// queued coalesce, and an idle queue never delays a request.
-    Fixed {
-        /// Most jobs coalesced into one run (≥ 1; 1 disables coalescing
-        /// in all but name).
-        max_batch: usize,
-        /// The fixed collection window.
-        max_delay: Duration,
-    },
-    /// A self-tuning collection window: a controller observes the
-    /// ingress queue depth and recent run occupancy and moves the
-    /// actual delay between zero and `max_delay` (the ceiling). At
-    /// saturation the queue itself supplies coalescable backlog, so the
-    /// delay snaps to zero (waiting would only add latency). Off a
-    /// shallow queue it climbs optimistically — a lone opportunistic
-    /// dispatch opens a ceiling/16 probe and lone paid windows keep
-    /// doubling (a short window cannot prove its value, so persistence
-    /// is required to find the window where trickling same-cell
-    /// arrivals meet) — but [`ADAPTIVE_GIVE_UP`] consecutive paid
-    /// windows that each bought nothing snap it back to zero with an
-    /// [`ADAPTIVE_PROBE_COOLDOWN`]-dispatch cooldown, so traffic that
-    /// never coalesces pays a bounded, amortised probe tax instead of
-    /// a permanent ceiling-sized window. The chosen delay and the
-    /// controller's transition counts are exported in
-    /// [`PlatformSnapshot`].
-    Adaptive {
-        /// Most jobs coalesced into one run (≥ 1).
-        max_batch: usize,
-        /// The ceiling the controller may raise the delay to.
-        max_delay: Duration,
-    },
+pub struct BatchConfig {
+    /// Most jobs coalesced into one run (clamped to ≥ 1; 1 disables
+    /// coalescing in all but name).
+    pub max_batch: usize,
 }
-
-/// Consecutive *paid* collection windows that may each dispatch a lone
-/// run before the adaptive controller gives up and snaps the window to
-/// zero (see [`BatchConfig::Adaptive`]).
-pub const ADAPTIVE_GIVE_UP: u32 = 8;
-
-/// Lone zero-window dispatches the adaptive controller waits out after
-/// a give-up before probing again. Bounds the amortised cost of
-/// probing on traffic that never coalesces to
-/// `GIVE_UP × ceiling / (GIVE_UP + COOLDOWN)` per dispatch at worst.
-pub const ADAPTIVE_PROBE_COOLDOWN: u32 = 32;
-
-/// Consecutive dispatched runs filling at most a quarter of the current
-/// run-size cap before the adaptive controller halves the cap: sparse
-/// runs mean the cap is paying collection-scan cost (every dequeue
-/// walks the queue looking for cell-mates up to the cap) without buying
-/// coalescing. A run that *fills* the cap raises it back (doubling
-/// toward the configured `max_batch`). Fixed mode never steps the cap.
-pub const ADAPTIVE_CAP_SPARSE_RUNS: u32 = 4;
-
-/// The lowest the adaptive run-size cap may drop (a cap of 2 still
-/// coalesces pairs; dropping to 1 would silently disable batching).
-pub const ADAPTIVE_CAP_FLOOR: usize = 2;
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig::Fixed {
-            max_batch: 16,
-            max_delay: Duration::ZERO,
-        }
+        BatchConfig { max_batch: 16 }
     }
 }
 
 impl BatchConfig {
-    /// A fixed-window configuration (the PR-4 behaviour).
-    pub fn fixed(max_batch: usize, max_delay: Duration) -> Self {
-        BatchConfig::Fixed {
-            max_batch,
-            max_delay,
-        }
-    }
-
-    /// An adaptive configuration with the given delay ceiling.
-    pub fn adaptive(max_batch: usize, max_delay: Duration) -> Self {
-        BatchConfig::Adaptive {
-            max_batch,
-            max_delay,
-        }
-    }
-
-    /// The largest run a worker may coalesce.
-    pub fn max_batch(&self) -> usize {
-        match *self {
-            BatchConfig::Fixed { max_batch, .. } | BatchConfig::Adaptive { max_batch, .. } => {
-                max_batch
-            }
-        }
-    }
-
-    /// The most a worker may hold an under-full run open: the fixed
-    /// window, or the adaptive controller's ceiling.
-    pub fn delay_ceiling(&self) -> Duration {
-        match *self {
-            BatchConfig::Fixed { max_delay, .. } | BatchConfig::Adaptive { max_delay, .. } => {
-                max_delay
-            }
-        }
-    }
-
-    /// Whether the collection window self-tunes.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, BatchConfig::Adaptive { .. })
+    /// Coalescing of up to `max_batch` queued jobs per run.
+    ///
+    /// The `Duration` has no effect: it is accepted only because
+    /// `benchmark/` calls this signature. There is no collection window
+    /// to bound.
+    pub fn adaptive(max_batch: usize, _max_delay: Duration) -> Self {
+        BatchConfig { max_batch }
     }
 
     /// Clamps `max_batch` to ≥ 1.
     fn normalized(self) -> Self {
-        match self {
-            BatchConfig::Fixed {
-                max_batch,
-                max_delay,
-            } => BatchConfig::Fixed {
-                max_batch: max_batch.max(1),
-                max_delay,
-            },
-            BatchConfig::Adaptive {
-                max_batch,
-                max_delay,
-            } => BatchConfig::Adaptive {
-                max_batch: max_batch.max(1),
-                max_delay,
-            },
+        BatchConfig {
+            max_batch: self.max_batch.max(1),
         }
     }
 }
@@ -252,8 +158,9 @@ pub struct PlatformConfig {
     /// Optional background maintenance (truth-age sweeps + stats
     /// snapshot export). `None` (the default) spawns no janitor.
     pub maintenance: Option<MaintenanceConfig>,
-    /// Optional origin-cell request coalescing. `None` (the default)
-    /// dispatches one job — a run of one — per worker wakeup.
+    /// Optional origin-cell request coalescing of already-queued jobs
+    /// (see [`BatchConfig`]). `None` (the default) dispatches one job —
+    /// a run of one — per worker wakeup.
     pub batch: Option<BatchConfig>,
     /// Optional durability: a write-ahead log of committed resolutions
     /// plus checkpointable snapshots (see [`DurabilityConfig`]). `None`
@@ -385,9 +292,9 @@ struct Job {
     slot: Arc<TicketSlot>,
 }
 
-/// One city's bounded ingress queue plus its drain flag, admission and
-/// dispatch accounting and its adaptive batch controller, all under the
-/// city's own mutex. The counters are mutated in the same critical
+/// One city's bounded ingress queue plus its drain flag and its
+/// admission and dispatch accounting, all under the city's own mutex.
+/// The counters are mutated in the same critical
 /// sections that move jobs, so `admitted == batched_requests +
 /// unbatched_requests + queue_depth` holds per city at every instant a
 /// snapshot can observe (admission also bumps `admitted` under this
@@ -414,32 +321,6 @@ struct CityIngress {
     batch_runs: u64,
     /// Largest run dispatched (high-water mark).
     batch_max: u64,
-    /// The collection window currently in force (nanoseconds): the
-    /// fixed window, or this city's adaptive controller's chosen value.
-    /// Mutated only under this lock, in the same critical sections that
-    /// move jobs, so snapshots observe a coherent controller state.
-    delay_ns: u64,
-    /// Adaptive-controller transitions that raised the delay.
-    delay_raises: u64,
-    /// Adaptive-controller transitions that dropped the delay.
-    delay_drops: u64,
-    /// Consecutive *paid* collection windows that still dispatched a
-    /// lone run — the adaptive give-up streak.
-    unproductive: u32,
-    /// Lone zero-window dispatches remaining before the probe may
-    /// reopen after a give-up.
-    probe_cooldown: u32,
-    /// The run-size cap currently in force: the configured `max_batch`
-    /// in fixed mode, stepped by observed run occupancy in adaptive
-    /// mode (between [`ADAPTIVE_CAP_FLOOR`] and the configured cap).
-    max_batch_cur: usize,
-    /// Adaptive-cap transitions that raised the cap.
-    cap_raises: u64,
-    /// Adaptive-cap transitions that lowered the cap.
-    cap_drops: u64,
-    /// Consecutive dispatched runs that filled ≤ 1/4 of the current
-    /// cap — the cap-lowering streak.
-    sparse_runs: u32,
 }
 
 /// One city's sharded ingress: its bounded queue (own mutex/condvar
@@ -448,9 +329,6 @@ struct CityIngress {
 /// peek, and its DRR weight.
 struct CityQueue {
     queue: Mutex<CityIngress>,
-    /// Signalled when a job lands in *this* city's queue (collectors
-    /// holding a delay window open listen here) or its drain starts.
-    arrivals: Condvar,
     /// Signalled when a job leaves this city's queue or drain starts
     /// (blocking submitters listen here).
     not_full: Condvar,
@@ -480,24 +358,7 @@ impl CityQueue {
                 unbatched_requests: 0,
                 batch_runs: 0,
                 batch_max: 0,
-                // Fixed mode pins the window; adaptive starts at zero
-                // (opportunistic) and earns its delay from evidence.
-                delay_ns: match cfg.batch {
-                    Some(b) if !b.is_adaptive() => {
-                        b.delay_ceiling().as_nanos().min(u64::MAX as u128) as u64
-                    }
-                    _ => 0,
-                },
-                delay_raises: 0,
-                delay_drops: 0,
-                unproductive: 0,
-                probe_cooldown: 0,
-                max_batch_cur: cfg.batch.map(|b| b.max_batch()).unwrap_or(0),
-                cap_raises: 0,
-                cap_drops: 0,
-                sparse_runs: 0,
             }),
-            arrivals: Condvar::new(),
             not_full: Condvar::new(),
             locks: LockStats::new(),
             depth: AtomicUsize::new(0),
@@ -509,8 +370,8 @@ impl CityQueue {
 /// The weighted deficit-round-robin schedule the workers drive: a
 /// rotating cursor over the registered cities plus per-city deficit
 /// counters, under one mutex whose critical section is a handful of
-/// atomic peeks — the per-job queue work (push, pop, run collection,
-/// delay windows) all happens under the per-city locks.
+/// atomic peeks — the per-job queue work (push, pop, run collection)
+/// all happens under the per-city locks.
 struct Scheduler {
     draining: bool,
     /// The city whose quantum the rotation is currently spending.
@@ -609,8 +470,8 @@ pub struct RecoveryReport {
 }
 
 /// One city's slice of the sharded ingress, captured atomically under
-/// that city's queue lock: depth, weight, admission/dispatch counters
-/// and the city's adaptive batch-controller state.
+/// that city's queue lock: depth, weight and admission/dispatch
+/// counters.
 #[derive(Debug, Clone)]
 pub struct CityQueueSnapshot {
     /// The city.
@@ -632,20 +493,6 @@ pub struct CityQueueSnapshot {
     pub batch_runs: u64,
     /// Largest coalesced run dispatched (high-water mark).
     pub batch_max: u64,
-    /// The collection window this city's controller currently holds.
-    pub batch_delay: Duration,
-    /// This city's delay raises.
-    pub batch_delay_raises: u64,
-    /// This city's delay drops.
-    pub batch_delay_drops: u64,
-    /// The run-size cap currently in force (the configured `max_batch`
-    /// in fixed mode; stepped by run occupancy in adaptive mode; 0 with
-    /// batching off).
-    pub max_batch: usize,
-    /// Adaptive-cap raises (0 in fixed mode).
-    pub batch_cap_raises: u64,
-    /// Adaptive-cap drops (0 in fixed mode).
-    pub batch_cap_drops: u64,
     /// Contention on this city's ingress mutex (zeros unless the city
     /// traces).
     pub ingress: LockSummary,
@@ -712,24 +559,18 @@ pub struct PlatformSnapshot {
     pub batch_runs: u64,
     /// Largest coalesced run dispatched (high-water mark).
     pub batch_max: u64,
-    /// Whether the collection window self-tunes
-    /// ([`BatchConfig::Adaptive`]).
-    pub batch_adaptive: bool,
-    /// The widest collection window any city's controller currently
-    /// holds (the fixed window, or the max over per-city adaptive
-    /// choices; zero when batching is off).
+    /// Always zero: workers coalesce only already-queued jobs and never
+    /// hold a run open. Kept because `benchmark/` reads it
+    /// (`service.platform.batch_delay_us`).
     pub batch_delay: Duration,
-    /// The most the window may be held open: the fixed window itself,
-    /// or the adaptive ceiling.
-    pub batch_delay_ceiling: Duration,
-    /// Adaptive-controller transitions that raised a delay, summed over
-    /// cities (0 in fixed mode).
+    /// Always zero: there is no delay controller. Kept because
+    /// `benchmark/` reads it (`service.platform.delay_raises`).
     pub batch_delay_raises: u64,
-    /// Adaptive-controller transitions that snapped a delay to zero on
-    /// saturation, summed over cities (0 in fixed mode).
+    /// Always zero: there is no delay controller. Kept because
+    /// `benchmark/` reads it (`service.platform.delay_drops`).
     pub batch_delay_drops: u64,
-    /// Every city's queue/controller slice, each captured atomically
-    /// under its own queue lock (indexed by city).
+    /// Every city's queue slice, each captured atomically under its own
+    /// queue lock (indexed by city).
     pub per_city: Vec<CityQueueSnapshot>,
     /// Background maintenance sweeps completed (0 when no janitor is
     /// configured).
@@ -753,10 +594,7 @@ impl PlatformSnapshot {
     /// critical sections that move jobs), so every per-city ledger —
     /// and therefore their sum, `admitted == batched + unbatched +
     /// Σ per-city queue_depth` — is exact at every observable instant,
-    /// not just at quiescence. Additionally, no city's adaptive-delay
-    /// controller may hold a window above the ceiling, the adaptive
-    /// run-size cap stays within `[ADAPTIVE_CAP_FLOOR, max_batch]`, and
-    /// a fixed window never transitions (raises and drops stay zero).
+    /// not just at quiescence.
     pub fn is_consistent(&self) -> bool {
         let per_city_depth: u64 = self.per_city.iter().map(|c| c.queue_depth as u64).sum();
         self.admitted
@@ -776,18 +614,7 @@ impl PlatformSnapshot {
             && self.per_city.iter().all(CityQueueSnapshot::is_consistent)
             && self.batch_max <= self.batched_requests
             && self.batch_runs <= self.batched_requests
-            && self.batch_delay <= self.batch_delay_ceiling
-            && self
-                .per_city
-                .iter()
-                .all(|c| c.batch_delay <= self.batch_delay_ceiling && c.weight >= 1)
-            && (self.batch_adaptive
-                || (self.batch_delay_raises == 0
-                    && self.batch_delay_drops == 0
-                    && self
-                        .per_city
-                        .iter()
-                        .all(|c| c.batch_cap_raises == 0 && c.batch_cap_drops == 0)))
+            && self.per_city.iter().all(|c| c.weight >= 1)
     }
 }
 
@@ -1245,10 +1072,8 @@ impl Platform {
             }
             self.inner.queued.fetch_sub(n as u64, Ordering::SeqCst);
         }
-        // Wake everything parked on this queue: blocking submitters
-        // re-check and get `CityOffboarded`; collectors holding a delay
-        // window open re-check and close it.
-        ing.arrivals.notify_all();
+        // Wake blocking submitters: they re-check and get
+        // `CityOffboarded`.
         ing.not_full.notify_all();
         drop(q);
         // Fulfil outside the queue lock: ticket waiters take their own
@@ -1369,9 +1194,6 @@ impl Platform {
             self.inner.backlogged.fetch_add(1, Ordering::SeqCst);
         }
         self.inner.queued.fetch_add(1, Ordering::SeqCst);
-        // A collector holding this city's delay window open must see the
-        // arrival now, not when its window expires.
-        ing.arrivals.notify_all();
         drop(q);
         // Wake a parked worker — but only touch the shared scheduler
         // lock when someone is actually parked. Under load `sleepers` is
@@ -1672,7 +1494,6 @@ impl Platform {
             for city in cities.iter() {
                 let mut q = city.ingress.locks.lock(&city.ingress.queue);
                 q.draining = true;
-                city.ingress.arrivals.notify_all();
                 city.ingress.not_full.notify_all();
                 drop(q);
             }
@@ -1721,8 +1542,8 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
     }
     let mut aggregate = agg.snapshot();
     aggregate.truth_evictions = truth_evictions;
-    // Capture each city's slice — depth, admission, dispatch counters,
-    // controller state — under that city's queue lock: dispatch mutates
+    // Capture each city's slice — depth, admission, dispatch counters —
+    // under that city's queue lock: dispatch mutates
     // them in the same critical sections that move jobs, so every
     // per-city ledger in [`PlatformSnapshot::is_consistent`] is exact
     // even mid-flight (and so are their sums: cities are captured at
@@ -1742,12 +1563,6 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
             unbatched_requests: q.unbatched_requests,
             batch_runs: q.batch_runs,
             batch_max: q.batch_max,
-            batch_delay: Duration::from_nanos(q.delay_ns),
-            batch_delay_raises: q.delay_raises,
-            batch_delay_drops: q.delay_drops,
-            max_batch: q.max_batch_cur,
-            batch_cap_raises: q.cap_raises,
-            batch_cap_drops: q.cap_drops,
             ingress: ingress_summary,
             offboarded: q.offboarded,
             shed: q.shed,
@@ -1779,19 +1594,9 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
         unbatched_requests: per_city.iter().map(|c| c.unbatched_requests).sum(),
         batch_runs: per_city.iter().map(|c| c.batch_runs).sum(),
         batch_max: per_city.iter().map(|c| c.batch_max).max().unwrap_or(0),
-        batch_adaptive: inner.cfg.batch.is_some_and(|b| b.is_adaptive()),
-        batch_delay: per_city
-            .iter()
-            .map(|c| c.batch_delay)
-            .max()
-            .unwrap_or(Duration::ZERO),
-        batch_delay_ceiling: inner
-            .cfg
-            .batch
-            .map(|b| b.delay_ceiling())
-            .unwrap_or(Duration::ZERO),
-        batch_delay_raises: per_city.iter().map(|c| c.batch_delay_raises).sum(),
-        batch_delay_drops: per_city.iter().map(|c| c.batch_delay_drops).sum(),
+        batch_delay: Duration::ZERO,
+        batch_delay_raises: 0,
+        batch_delay_drops: 0,
         per_city,
         maintenance_sweeps: inner.maintenance_sweeps.load(Ordering::Relaxed),
         durability: inner.durable.as_ref().map(|d| d.counters.snapshot()),
@@ -1994,184 +1799,42 @@ impl std::fmt::Debug for Platform {
 }
 
 /// Extends a freshly dequeued job into a coalesced run: extracts (in
-/// queue order) every job queued in the seed's *city* sharing its
-/// origin cell — time buckets mix freely, the fused mining path shares
-/// the all-day origin artifacts across them and splits only the MFP
-/// period aggregation — and, when the collection window allows, holds
-/// the under-full run open for more same-key arrivals on the city's
-/// `arrivals` condvar. The whole collection runs under the city's own
-/// queue lock: other cities' queues, and the scheduler, are untouched.
+/// queue order) every job already queued in the seed's *city* sharing
+/// its origin cell, up to `max_batch` — time buckets mix freely, the
+/// fused mining path shares the all-day origin artifacts across them
+/// and splits only the MFP period aggregation. It never waits for more
+/// arrivals. The collection runs under the city's own queue lock:
+/// other cities' queues, and the scheduler, are untouched.
 ///
-/// In [`BatchConfig::Adaptive`] mode the window is the *city's*
-/// controller's current choice, and the controller is stepped at the
-/// end of every collection (under the same city lock that moves jobs):
-/// a deep queue or a filled run snaps the delay to zero — at saturation
-/// the backlog itself supplies coalescable work and waiting only adds
-/// latency. Off a shallow queue the controller climbs optimistically
-/// (small windows cannot prove their value, so a lone zero-window
-/// dispatch opens a ceiling/16 probe and lone *paid* windows keep
-/// doubling toward the ceiling), runs that earn 2..cap reset the
-/// give-up streak, and [`ADAPTIVE_GIVE_UP`] consecutive paid windows
-/// that each bought nothing snap the window to zero with an
-/// [`ADAPTIVE_PROBE_COOLDOWN`]-dispatch cooldown — so sustained
-/// unique-origin traffic pays a bounded, amortised probe tax instead
-/// of a permanent ceiling-sized window.
-///
-/// Adaptive mode also steps the **run-size cap** on observed occupancy:
-/// a filled run doubles the cap toward the configured `max_batch`
-/// (demand outgrew it), while [`ADAPTIVE_CAP_SPARSE_RUNS`] consecutive
-/// runs filling ≤ 1/4 of it halve the cap toward
-/// [`ADAPTIVE_CAP_FLOOR`] (the cap was all scan cost, no coalescing).
-///
-/// The dispatch counters are reclassified in the same critical sections
-/// that move jobs, so the per-city snapshot ledger `admitted == batched
-/// + unbatched + queue_depth` never wavers. The drain flag is
-/// re-checked immediately after **every** condvar wake, so a shutdown
-/// racing a delay window ends the collection at notification latency —
-/// never a full `max_delay` later.
+/// The dispatch counters are reclassified in the same critical section
+/// that moves jobs, so the per-city snapshot ledger `admitted == batched
+/// + unbatched + queue_depth` never wavers.
 fn collect_run(inner: &Inner, city: &CityState, run: &mut Vec<Job>, batch: BatchConfig) {
     let service = &city.service;
     let cell = service.origin_cell_of(run[0].req.from);
-    let same_key = |j: &Job| service.origin_cell_of(j.req.from) == cell;
-    let ceiling = batch.delay_ceiling();
-    let mut reclassified = false;
     let ing = &city.ingress;
     let mut q = ing.locks.lock(&ing.queue);
-    // This collection's run-size cap: the city's adaptive choice (== the
-    // configured max_batch in fixed mode).
-    let max_batch = q.max_batch_cur.max(1);
-    // The depth the seed popped off (our own pop excluded): the
-    // controller's saturation signal.
-    let seed_depth = q.jobs.len();
-    let delay = Duration::from_nanos(q.delay_ns);
-    let deadline = Instant::now() + delay;
-    loop {
-        let mut i = 0;
-        let mut took = 0u64;
-        while i < q.jobs.len() && run.len() < max_batch {
-            if same_key(&q.jobs[i]) {
-                run.push(q.jobs.remove(i).expect("index in bounds"));
-                took += 1;
-            } else {
-                i += 1;
-            }
-        }
-        if took > 0 {
-            if !reclassified {
-                // The seed was booked as unbatched when popped; it now
-                // leads a run of ≥ 2.
-                q.unbatched_requests -= 1;
-                q.batched_requests += 1;
-                q.batch_runs += 1;
-                reclassified = true;
-            }
-            q.batched_requests += took;
-            q.batch_max = q.batch_max.max(run.len() as u64);
-            if ing.depth.fetch_sub(took as usize, Ordering::SeqCst) == took as usize {
-                inner.backlogged.fetch_sub(1, Ordering::SeqCst);
-            }
-            inner.queued.fetch_sub(took, Ordering::SeqCst);
-            ing.not_full.notify_all();
-        }
-        if run.len() >= max_batch || q.draining || q.offboarded {
-            break;
-        }
-        let now = Instant::now();
-        let Some(remaining) = deadline
-            .checked_duration_since(now)
-            .filter(|d| !d.is_zero())
-        else {
-            break;
-        };
-        let (guard, _) = ing
-            .arrivals
-            .wait_timeout(q, remaining)
-            .expect("ingress queue poisoned");
-        q = guard;
-        // Re-check the drain/offboard flags on every wake, before
-        // rescanning: a drain — or a deregistration — racing this delay
-        // window must not hold the worker until the deadline. (The loop
-        // top still harvests already-queued cell-mates into the run on
-        // the drain pass — they drain faster fused than one by one.)
-        if q.draining || q.offboarded {
-            continue;
+    let mut i = 0;
+    while i < q.jobs.len() && run.len() < batch.max_batch {
+        if service.origin_cell_of(q.jobs[i].req.from) == cell {
+            run.push(q.jobs.remove(i).expect("index in bounds"));
+        } else {
+            i += 1;
         }
     }
-    if batch.is_adaptive() {
-        let ceiling_ns = ceiling.as_nanos().min(u64::MAX as u128) as u64;
-        let step = (ceiling_ns / 16).max(1);
-        if seed_depth + 1 >= max_batch || run.len() >= max_batch {
-            // Saturation: backlog (or a filled run) means coalescing
-            // needs no help — zero the window. Real load also resets
-            // the give-up bookkeeping: probing is worth retrying once
-            // the backlog drains.
-            if q.delay_ns > 0 {
-                q.delay_ns = 0;
-                q.delay_drops += 1;
-            }
-            q.unproductive = 0;
-            q.probe_cooldown = 0;
-        } else if run.len() == 1 {
-            if delay.is_zero() {
-                // A lone opportunistic dispatch. Small windows cannot
-                // prove their value (a mate rarely lands inside one),
-                // so climbing must be optimistic — but only when the
-                // last give-up has cooled off, so sustained
-                // unique-origin traffic pays a bounded, amortised tax
-                // instead of a window on every request.
-                if q.probe_cooldown > 0 {
-                    q.probe_cooldown -= 1;
-                } else if q.delay_ns < step {
-                    q.delay_ns = step.min(ceiling_ns);
-                    q.delay_raises += 1;
-                }
-            } else {
-                // We paid a window and it bought nothing.
-                q.unproductive += 1;
-                if q.unproductive >= ADAPTIVE_GIVE_UP {
-                    // Enough consecutive unproductive windows: give up,
-                    // snap to zero and let the cooldown meter out the
-                    // next probe. Total waste per cycle is bounded by
-                    // GIVE_UP × ceiling across GIVE_UP + COOLDOWN
-                    // dispatches.
-                    q.delay_ns = 0;
-                    q.delay_drops += 1;
-                    q.unproductive = 0;
-                    q.probe_cooldown = ADAPTIVE_PROBE_COOLDOWN;
-                } else if q.delay_ns < ceiling_ns {
-                    // Keep ramping: the window may simply still be too
-                    // short to catch the trickle.
-                    q.delay_ns = q.delay_ns.saturating_mul(2).min(ceiling_ns);
-                    q.delay_raises += 1;
-                }
-            }
-        } else {
-            // A run of 2..cap off a shallow queue: coalescing is being
-            // earned at this window.
-            q.unproductive = 0;
-            if !delay.is_zero() && q.delay_ns > 0 && q.delay_ns < ceiling_ns {
-                q.delay_ns = q.delay_ns.saturating_mul(2).min(ceiling_ns);
-                q.delay_raises += 1;
-            }
+    let took = run.len() - 1;
+    if took > 0 {
+        // The seed was booked as unbatched when popped; it now leads a
+        // run of ≥ 2.
+        q.unbatched_requests -= 1;
+        q.batched_requests += run.len() as u64;
+        q.batch_runs += 1;
+        q.batch_max = q.batch_max.max(run.len() as u64);
+        if ing.depth.fetch_sub(took, Ordering::SeqCst) == took {
+            inner.backlogged.fetch_sub(1, Ordering::SeqCst);
         }
-        // Step the run-size cap on observed occupancy.
-        let configured = batch.max_batch();
-        let floor = ADAPTIVE_CAP_FLOOR.min(configured);
-        if run.len() >= max_batch && max_batch < configured {
-            // The cap was binding: demand outgrew it.
-            q.max_batch_cur = max_batch.saturating_mul(2).min(configured);
-            q.cap_raises += 1;
-            q.sparse_runs = 0;
-        } else if run.len() >= 2 && run.len().saturating_mul(4) <= max_batch {
-            q.sparse_runs += 1;
-            if q.sparse_runs >= ADAPTIVE_CAP_SPARSE_RUNS && max_batch > floor {
-                q.max_batch_cur = (max_batch / 2).max(floor);
-                q.cap_drops += 1;
-                q.sparse_runs = 0;
-            }
-        } else if run.len() >= 2 {
-            q.sparse_runs = 0;
-        }
+        inner.queued.fetch_sub(took as u64, Ordering::SeqCst);
+        ing.not_full.notify_all();
     }
 }
 
@@ -2352,13 +2015,13 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
         }
         let traced = city.service.tracer().enabled();
         if traced {
-            // The seed's queue wait ends at its pop; run members booked
-            // below additionally wait through the collection window.
+            // The seed's queue wait ends at its pop; run members' at
+            // their harvest below.
             record_queue_wait(&city.service, &job);
         }
         let mut run = vec![job];
         if let Some(batch) = inner.cfg.batch {
-            if batch.max_batch() > 1 {
+            if batch.max_batch > 1 {
                 let collect_t0 = traced.then(Instant::now);
                 collect_run(inner, &city, &mut run, batch);
                 if let Some(t0) = collect_t0 {
@@ -2863,6 +2526,50 @@ mod tests {
         assert!(desk.desk_stats().is_drained());
     }
 
+    /// A one-worker platform over `world` coalescing up to `max_batch`
+    /// queued jobs, whose resolver holds its first resolution until the
+    /// returned sender fires: a burst submitted meanwhile is fully
+    /// queued behind the first dispatch, so runs of ≥ 2 must form.
+    fn gated_platform(
+        world: &Arc<World>,
+        max_batch: usize,
+    ) -> (Platform, CityId, std::sync::mpsc::Sender<()>) {
+        use crate::resolver::Resolved;
+        use cp_mining::CandidateRoute;
+
+        struct Gated(MachineResolver, Option<std::sync::mpsc::Receiver<()>>);
+        impl Resolver for Gated {
+            fn resolve(
+                &mut self,
+                from: NodeId,
+                to: NodeId,
+                departure: TimeOfDay,
+                candidates: &[CandidateRoute],
+            ) -> Result<Resolved, ServiceError> {
+                if let Some(gate) = self.1.take() {
+                    gate.recv().expect("the test opens the gate");
+                }
+                self.0.resolve(from, to, departure, candidates)
+            }
+        }
+
+        let platform = Platform::start(PlatformConfig {
+            workers: 1,
+            batch: Some(BatchConfig { max_batch }),
+            ..PlatformConfig::default()
+        });
+        let cfg = ServiceConfig::strict_deterministic();
+        let core = cfg.core.clone();
+        let graph = world.graph_arc();
+        let (open, gate) = std::sync::mpsc::channel();
+        let gate = Mutex::new(Some(gate));
+        let id = platform.register_city_with(Arc::clone(world), cfg, move |_| {
+            let gate = gate.lock().expect("gate poisoned").take();
+            Gated(MachineResolver::new(Arc::clone(&graph), core.clone()), gate)
+        });
+        (platform, id, open)
+    }
+
     #[test]
     fn batching_dispatcher_coalesces_hot_origin_runs() {
         let world = mini_world(7);
@@ -2890,19 +2597,7 @@ mod tests {
             })
             .collect();
 
-        // One worker + a generous collection window: the burst below is
-        // fully queued long before the window closes, so coalesced runs
-        // of ≥ 2 must form.
-        let platform = Platform::start(PlatformConfig {
-            city_weight: 1,
-            workers: 1,
-            queue_capacity: 64,
-            maintenance: None,
-            batch: Some(BatchConfig::fixed(8, Duration::from_millis(200))),
-            durability: None,
-            chaos: None,
-        });
-        let id = platform.register_city(Arc::clone(&world), cfg);
+        let (platform, id, open) = gated_platform(&world, 8);
         let tickets: Vec<Ticket> = requests
             .iter()
             .map(|&r| {
@@ -2911,6 +2606,7 @@ mod tests {
                 platform.submit_blocking(req).expect("admitted")
             })
             .collect();
+        open.send(()).expect("the gate is held");
         let mut paths = Vec::new();
         for t in tickets {
             paths.push(t.wait().expect("served"));
@@ -2932,124 +2628,9 @@ mod tests {
         let city = platform.city_stats(id).unwrap();
         assert!(city.is_consistent(), "{city:?}");
         assert_eq!(city.requests, requests.len() as u64);
-        assert_eq!(city.batched_requests, snap.batched_requests);
+        assert_eq!(city.requests, snap.admitted);
+        assert_eq!(city.batched_requests, city.requests);
         assert_eq!(city.batch_max, snap.batch_max);
-        platform.shutdown();
-    }
-
-    #[test]
-    fn adaptive_controller_climbs_then_gives_up_on_unproductive_windows() {
-        let ceiling = Duration::from_millis(4);
-        let platform = Platform::start(PlatformConfig {
-            city_weight: 1,
-            workers: 1,
-            queue_capacity: 256,
-            maintenance: None,
-            batch: Some(BatchConfig::adaptive(4, ceiling)),
-            durability: None,
-            chaos: None,
-        });
-        let id = platform.register_city(mini_world(7), ServiceConfig::strict_deterministic());
-        let single = |i: u32| {
-            platform
-                .submit_blocking(Request::to_city(
-                    id,
-                    NodeId(i % 20),
-                    NodeId(59 - (i % 13)),
-                    TimeOfDay::from_hours(8.0),
-                ))
-                .unwrap()
-                .wait()
-                .unwrap();
-        };
-
-        // Phase 1 — a few isolated singles (each joined before the next
-        // submit): the first lone dispatch (no window paid) opens the
-        // probe; later lone *paid* windows keep ramping optimistically.
-        for i in 0..4u32 {
-            single(i);
-        }
-        let snap = platform.stats();
-        assert!(snap.batch_adaptive);
-        assert_eq!(snap.batch_delay_ceiling, ceiling);
-        assert!(snap.batch_delay > Duration::ZERO, "the climb must start");
-        assert!(snap.batch_delay <= ceiling);
-        assert!(snap.batch_delay_raises >= 2);
-        assert!(snap.is_consistent(), "{snap:?}");
-
-        // Phase 2 — keep the unique-origin trickle coming: after
-        // ADAPTIVE_GIVE_UP consecutive unproductive paid windows the
-        // controller must give up (snap to zero) and hold the probe
-        // closed through its cooldown, so sparse traffic is not taxed
-        // on every request.
-        for i in 4..4 + ADAPTIVE_GIVE_UP + 4 {
-            single(i);
-        }
-        let snap = platform.stats();
-        assert_eq!(
-            snap.batch_delay,
-            Duration::ZERO,
-            "sustained unproductive windows must converge to zero: {snap:?}"
-        );
-        assert!(snap.batch_delay_drops >= 1, "the give-up counts as a drop");
-        assert!(snap.is_consistent(), "{snap:?}");
-
-        // Phase 3 — a same-origin burst: saturation keeps the window at
-        // zero (drops need not move — it already is zero) and resets
-        // the give-up bookkeeping; runs must coalesce.
-        let tickets: Vec<Ticket> = (0..64u32)
-            .map(|i| {
-                platform
-                    .submit_blocking(Request::to_city(
-                        id,
-                        NodeId(0),
-                        NodeId(1 + (i % 58)),
-                        TimeOfDay::from_hours(8.0),
-                    ))
-                    .unwrap()
-            })
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let snap = platform.stats();
-        assert!(snap.batch_delay <= ceiling);
-        assert!(snap.batch_runs >= 1, "the burst must coalesce");
-        assert!(snap.is_consistent(), "{snap:?}");
-        platform.shutdown();
-    }
-
-    #[test]
-    fn fixed_mode_reports_its_window_and_never_transitions() {
-        let platform = Platform::start(PlatformConfig {
-            city_weight: 1,
-            workers: 1,
-            queue_capacity: 64,
-            maintenance: None,
-            batch: Some(BatchConfig::fixed(4, Duration::from_millis(1))),
-            durability: None,
-            chaos: None,
-        });
-        let id = platform.register_city(mini_world(7), ServiceConfig::strict_deterministic());
-        for i in 0..6u32 {
-            platform
-                .submit_blocking(Request::to_city(
-                    id,
-                    NodeId(i),
-                    NodeId(59 - i),
-                    TimeOfDay::from_hours(8.0),
-                ))
-                .unwrap()
-                .wait()
-                .unwrap();
-        }
-        let snap = platform.stats();
-        assert!(!snap.batch_adaptive);
-        assert_eq!(snap.batch_delay, Duration::from_millis(1));
-        assert_eq!(snap.batch_delay_ceiling, Duration::from_millis(1));
-        assert_eq!(snap.batch_delay_raises, 0);
-        assert_eq!(snap.batch_delay_drops, 0);
-        assert!(snap.is_consistent(), "{snap:?}");
         platform.shutdown();
     }
 
@@ -3081,16 +2662,7 @@ mod tests {
             })
             .collect();
 
-        let platform = Platform::start(PlatformConfig {
-            city_weight: 1,
-            workers: 1,
-            queue_capacity: 64,
-            maintenance: None,
-            batch: Some(BatchConfig::fixed(12, Duration::from_millis(200))),
-            durability: None,
-            chaos: None,
-        });
-        let id = platform.register_city(Arc::clone(&world), cfg);
+        let (platform, id, open) = gated_platform(&world, 12);
         let tickets: Vec<Ticket> = requests
             .iter()
             .map(|&r| {
@@ -3099,6 +2671,7 @@ mod tests {
                 platform.submit_blocking(req).expect("admitted")
             })
             .collect();
+        open.send(()).expect("the gate is held");
         for (i, t) in tickets.into_iter().enumerate() {
             assert_eq!(t.wait().expect("served").path, expected[i], "request {i}");
         }
@@ -3266,13 +2839,12 @@ mod tests {
             }
             inner.queued.fetch_add(1, Ordering::SeqCst);
         }
-        ing.arrivals.notify_all();
     }
 
     /// One worker dispatch against `city`: pop the seed (booked
     /// unbatched, as `next_job` does) and extend it via `collect_run`.
     /// Returns the run length.
-    fn dispatch_once(inner: &Inner, city: &CityState, batch: BatchConfig) -> usize {
+    fn dispatch_once(inner: &Inner, city: &CityState) -> usize {
         let ing = &city.ingress;
         let job = {
             let mut q = ing.queue.lock().unwrap();
@@ -3285,8 +2857,63 @@ mod tests {
             job
         };
         let mut run = vec![job];
-        collect_run(inner, city, &mut run, batch);
+        collect_run(inner, city, &mut run, inner.cfg.batch.expect("batching on"));
         run.len()
+    }
+
+    /// A bare one-city dispatcher coalescing up to 16 queued jobs.
+    fn bare_batching() -> (Inner, Arc<CityState>) {
+        let inner = bare_inner(PlatformConfig {
+            workers: 1,
+            batch: Some(BatchConfig::adaptive(16, Duration::from_secs(60))),
+            ..PlatformConfig::default()
+        });
+        let city = bare_city(&inner.cfg);
+        (inner, city)
+    }
+
+    #[test]
+    fn lone_seed_never_waits() {
+        // A lone seed dispatches at once, and so does the next one: no
+        // earlier dispatch may leave a window open for a later one.
+        let (inner, city) = bare_batching();
+        for origin in [0, 7] {
+            push_jobs(&inner, &city, origin, 1);
+            let t0 = Instant::now();
+            assert_eq!(dispatch_once(&inner, &city), 1);
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "a lone seed waited {:?}",
+                t0.elapsed()
+            );
+        }
+    }
+
+    #[test]
+    fn queued_burst_is_not_truncated_by_history() {
+        let (inner, city) = bare_batching();
+        for _ in 0..8 {
+            push_jobs(&inner, &city, 0, 2);
+            assert_eq!(dispatch_once(&inner, &city), 2);
+        }
+        // 16 same-cell jobs interleaved with three other-cell ones: the
+        // whole burst is one run, whatever the earlier runs looked like,
+        // and the other cells keep their queue order.
+        let others = [40u32, 45, 50];
+        let cell = |n: u32| city.service.origin_cell_of(NodeId(n));
+        assert!(others.iter().all(|&o| cell(o) != cell(0)));
+        for i in 0..16 {
+            push_jobs(&inner, &city, 0, 1);
+            if i % 5 == 2 {
+                push_jobs(&inner, &city, others[i / 5], 1);
+            }
+        }
+        assert_eq!(dispatch_once(&inner, &city), 16);
+        let q = city.ingress.queue.lock().unwrap();
+        let left: Vec<u32> = q.jobs.iter().map(|j| j.req.from.0).collect();
+        assert_eq!(left, others);
+        assert_eq!(q.batch_max, 16);
+        assert_eq!(inner.queued.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -3360,65 +2987,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_cap_steps_on_run_occupancy() {
-        let batch = BatchConfig::adaptive(16, Duration::from_millis(1));
-        let inner = bare_inner(PlatformConfig {
-            city_weight: 1,
-            workers: 1,
-            queue_capacity: 256,
-            maintenance: None,
-            batch: Some(batch),
-            durability: None,
-            chaos: None,
-        });
-        let city = bare_city(&inner.cfg);
-        let cap = |c: &CityState| c.ingress.queue.lock().unwrap().max_batch_cur;
-        assert_eq!(cap(&city), 16, "the cap starts at the configured max");
-
-        // Sustained sparse runs (2 of a 16-cap, ≤ 1/4 occupancy) walk
-        // the cap down: 16 → 8 after ADAPTIVE_CAP_SPARSE_RUNS, then
-        // 8 → 4 (runs of 2 still ≤ 1/4 of 8).
-        for _ in 0..ADAPTIVE_CAP_SPARSE_RUNS {
-            push_jobs(&inner, &city, 0, 2);
-            assert_eq!(dispatch_once(&inner, &city, batch), 2);
-        }
-        assert_eq!(cap(&city), 8);
-        for _ in 0..ADAPTIVE_CAP_SPARSE_RUNS {
-            push_jobs(&inner, &city, 0, 2);
-            assert_eq!(dispatch_once(&inner, &city, batch), 2);
-        }
-        assert_eq!(cap(&city), 4);
-        // Runs of 2 fill half of a 4-cap — no longer sparse; the cap
-        // holds.
-        for _ in 0..2 * ADAPTIVE_CAP_SPARSE_RUNS {
-            push_jobs(&inner, &city, 0, 2);
-            assert_eq!(dispatch_once(&inner, &city, batch), 2);
-        }
-        assert_eq!(cap(&city), 4);
-
-        // A filled run means the cap was binding: it doubles back
-        // toward the configured max — and the cap truncates the run.
-        push_jobs(&inner, &city, 0, 6);
-        assert_eq!(dispatch_once(&inner, &city, batch), 4);
-        assert_eq!(cap(&city), 8);
-        // Drain the truncated leftovers (a run of 2: sparse counter
-        // restarts but a lone pair cannot drop the cap).
-        assert_eq!(dispatch_once(&inner, &city, batch), 2);
-        push_jobs(&inner, &city, 0, 8);
-        assert_eq!(dispatch_once(&inner, &city, batch), 8);
-        assert_eq!(cap(&city), 16);
-        // At the configured max a filled run raises nothing further.
-        push_jobs(&inner, &city, 0, 16);
-        assert_eq!(dispatch_once(&inner, &city, batch), 16);
-        assert_eq!(cap(&city), 16);
-
-        let q = city.ingress.queue.lock().unwrap();
-        assert_eq!(q.cap_drops, 2);
-        assert_eq!(q.cap_raises, 2);
-        assert!(q.jobs.is_empty());
-    }
-
-    #[test]
     fn busy_sheds_are_isolated_per_city() {
         // One worker behind two 1-slot queues: the hot city's firehose
         // must shed against its own queue only — the cold city, whose
@@ -3472,48 +3040,5 @@ mod tests {
         assert_eq!(snap.per_city[hot.index()].rejected_busy, shed);
         assert_eq!(snap.per_city[cold.index()].rejected_busy, 0);
         platform.shutdown();
-    }
-
-    #[test]
-    fn shutdown_interrupts_open_collection_windows() {
-        // Workers holding a full fixed collection window open (lone
-        // unique-origin seeds, mates never coming) must notice a drain
-        // at the condvar wake, not at the window deadline.
-        let max_delay = Duration::from_secs(5);
-        let platform = Platform::start(PlatformConfig {
-            city_weight: 1,
-            workers: 2,
-            queue_capacity: 64,
-            maintenance: None,
-            batch: Some(BatchConfig::fixed(8, max_delay)),
-            durability: None,
-            chaos: None,
-        });
-        let id = platform.register_city(mini_world(7), ServiceConfig::strict_deterministic());
-        let tickets: Vec<Ticket> = (0..2u32)
-            .map(|i| {
-                platform
-                    .submit(Request::to_city(
-                        id,
-                        NodeId(i * 7),
-                        NodeId(59 - i),
-                        TimeOfDay::from_hours(8.0),
-                    ))
-                    .unwrap()
-            })
-            .collect();
-        // Let both workers pop their seeds and park in the window.
-        std::thread::sleep(Duration::from_millis(30));
-        let t0 = Instant::now();
-        platform.shutdown();
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed < max_delay / 2,
-            "shutdown must interrupt open collection windows, took {elapsed:?}"
-        );
-        for t in &tickets {
-            assert!(t.is_done(), "drain resolves every admitted ticket");
-            assert!(t.try_wait().unwrap().is_ok());
-        }
     }
 }

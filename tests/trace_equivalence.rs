@@ -106,7 +106,7 @@ proptest! {
                     city_weight: 1,
                     queue_capacity: 64,
                     maintenance: None,
-                    batch: Some(BatchConfig::fixed(8, Duration::from_millis(2))),
+                    batch: Some(BatchConfig::adaptive(8, Duration::from_millis(2))),
                     durability: None,
                     chaos: None,
                 });
