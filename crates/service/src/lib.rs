@@ -53,7 +53,7 @@
 //!   exactly across cities;
 //! * [`SpanRecorder`] / [`TraceConfig`] — span-level request tracing:
 //!   every request's sojourn attributed to pipeline [`Stage`]s (queue
-//!   wait, batch collect, truth lookup, cache lookup, flight wait,
+//!   wait, truth lookup, cache lookup, flight wait,
 //!   artifact fetch, mining, machine/crowd resolve, commit) with
 //!   per-stage histograms in [`StatsSnapshot`], lock-wait counters
 //!   ([`LockStats`]) on the contended primitives, and a bounded ring of

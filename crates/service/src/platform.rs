@@ -365,6 +365,31 @@ impl CityQueue {
             weight: AtomicU32::new(cfg.city_weight.max(1)),
         }
     }
+
+    /// Books `n ≥ 1` jobs just pushed onto this queue. Call under the
+    /// queue lock: every 0↔non-zero depth transition must serialise
+    /// there for `backlogged` to stay exact.
+    fn pushed(&self, inner: &Inner, n: usize) {
+        if self.depth.fetch_add(n, Ordering::SeqCst) == 0 {
+            inner.backlogged.fetch_add(1, Ordering::SeqCst);
+        }
+        inner.queued.fetch_add(n as u64, Ordering::SeqCst);
+    }
+
+    /// Books `n ≥ 1` jobs just taken off this queue (call under the
+    /// queue lock, like [`CityQueue::pushed`]) and wakes blocking
+    /// submitters for the freed slots.
+    fn popped(&self, inner: &Inner, n: usize) {
+        if self.depth.fetch_sub(n, Ordering::SeqCst) == n {
+            inner.backlogged.fetch_sub(1, Ordering::SeqCst);
+        }
+        inner.queued.fetch_sub(n as u64, Ordering::SeqCst);
+        if n == 1 {
+            self.not_full.notify_one();
+        } else {
+            self.not_full.notify_all();
+        }
+    }
 }
 
 /// The weighted deficit-round-robin schedule the workers drive: a
@@ -1067,13 +1092,10 @@ impl Platform {
         let n = dropped.len();
         q.shed += n as u64;
         if n > 0 {
-            if ing.depth.fetch_sub(n, Ordering::SeqCst) == n {
-                self.inner.backlogged.fetch_sub(1, Ordering::SeqCst);
-            }
-            self.inner.queued.fetch_sub(n as u64, Ordering::SeqCst);
+            ing.popped(&self.inner, n);
         }
-        // Wake blocking submitters: they re-check and get
-        // `CityOffboarded`.
+        // Wake every blocking submitter, even with nothing queued: they
+        // re-check and get `CityOffboarded`.
         ing.not_full.notify_all();
         drop(q);
         // Fulfil outside the queue lock: ticket waiters take their own
@@ -1190,10 +1212,7 @@ impl Platform {
             slot: Arc::clone(&slot),
         });
         q.admitted += 1;
-        if ing.depth.fetch_add(1, Ordering::SeqCst) == 0 {
-            self.inner.backlogged.fetch_add(1, Ordering::SeqCst);
-        }
-        self.inner.queued.fetch_add(1, Ordering::SeqCst);
+        ing.pushed(&self.inner, 1);
         drop(q);
         // Wake a parked worker — but only touch the shared scheduler
         // lock when someone is actually parked. Under load `sleepers` is
@@ -1798,44 +1817,40 @@ impl std::fmt::Debug for Platform {
     }
 }
 
-/// Extends a freshly dequeued job into a coalesced run: extracts (in
-/// queue order) every job already queued in the seed's *city* sharing
-/// its origin cell, up to `max_batch` — time buckets mix freely, the
-/// fused mining path shares the all-day origin artifacts across them
-/// and splits only the MFP period aggregation. It never waits for more
-/// arrivals. The collection runs under the city's own queue lock:
-/// other cities' queues, and the scheduler, are untouched.
-///
-/// The dispatch counters are reclassified in the same critical section
-/// that moves jobs, so the per-city snapshot ledger `admitted == batched
-/// + unbatched + queue_depth` never wavers.
-fn collect_run(inner: &Inner, city: &CityState, run: &mut Vec<Job>, batch: BatchConfig) {
+/// Pops `city`'s front job plus every queued job sharing its origin
+/// cell — in queue order, up to `max_batch` — and books the run, all in
+/// one critical section under the city's own queue lock, so the
+/// per-city ledger `admitted == batched + unbatched + queue_depth`
+/// never wavers. Time buckets mix freely: the fused mining path shares
+/// the all-day origin artifacts across them and splits only the MFP
+/// period aggregation. Never waits for more arrivals; `None` when the
+/// queue is empty.
+fn pop_run(inner: &Inner, city: &CityState) -> Option<Vec<Job>> {
+    let max_batch = inner.cfg.batch.map_or(1, |b| b.max_batch);
     let service = &city.service;
-    let cell = service.origin_cell_of(run[0].req.from);
     let ing = &city.ingress;
     let mut q = ing.locks.lock(&ing.queue);
+    let seed = q.jobs.pop_front()?;
+    let cell = service.origin_cell_of(seed.req.from);
+    let mut run = vec![seed];
     let mut i = 0;
-    while i < q.jobs.len() && run.len() < batch.max_batch {
+    while i < q.jobs.len() && run.len() < max_batch {
         if service.origin_cell_of(q.jobs[i].req.from) == cell {
             run.push(q.jobs.remove(i).expect("index in bounds"));
         } else {
             i += 1;
         }
     }
-    let took = run.len() - 1;
-    if took > 0 {
-        // The seed was booked as unbatched when popped; it now leads a
-        // run of ≥ 2.
-        q.unbatched_requests -= 1;
-        q.batched_requests += run.len() as u64;
+    let n = run.len();
+    if n == 1 {
+        q.unbatched_requests += 1;
+    } else {
+        q.batched_requests += n as u64;
         q.batch_runs += 1;
-        q.batch_max = q.batch_max.max(run.len() as u64);
-        if ing.depth.fetch_sub(took, Ordering::SeqCst) == took {
-            inner.backlogged.fetch_sub(1, Ordering::SeqCst);
-        }
-        inner.queued.fetch_sub(took as u64, Ordering::SeqCst);
-        ing.not_full.notify_all();
+        q.batch_max = q.batch_max.max(n as u64);
     }
+    ing.popped(inner, n);
+    Some(run)
 }
 
 /// Nanoseconds since `t0`, saturating at `u64::MAX`.
@@ -1896,12 +1911,11 @@ fn drr_pick(s: &mut Scheduler, cities: &[Arc<CityState>]) -> Option<usize> {
 
 /// The worker-side dispatch: pick a city — straight off the single
 /// backlogged queue when at most one city has work (no scheduler lock
-/// touched), via weighted DRR when two or more compete — pop its front
-/// job (booking it unbatched under the city's lock; `collect_run`
-/// reclassifies if a run forms), or park on the shared `work` condvar
-/// until a submission or drain wakes us. Returns `None` — the worker's
-/// exit signal — only when draining is set and every queue is empty.
-fn next_job(inner: &Inner) -> Option<(usize, Arc<CityState>, Job)> {
+/// touched), via weighted DRR when two or more compete — and pop its
+/// next run ([`pop_run`]), or park on the shared `work` condvar until a
+/// submission or drain wakes us. Returns `None` — the worker's exit
+/// signal — only when draining is set and every queue is empty.
+fn next_job(inner: &Inner) -> Option<(usize, Arc<CityState>, Vec<Job>)> {
     loop {
         {
             // Registry read lock, then scheduler lock — the same order
@@ -1931,20 +1945,11 @@ fn next_job(inner: &Inner) -> Option<(usize, Arc<CityState>, Job)> {
             if let Some(i) = picked {
                 let city = Arc::clone(&cities[i]);
                 drop(cities);
-                let ing = &city.ingress;
-                let mut q = ing.locks.lock(&ing.queue);
-                if let Some(job) = q.jobs.pop_front() {
-                    q.unbatched_requests += 1;
-                    if ing.depth.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        inner.backlogged.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    inner.queued.fetch_sub(1, Ordering::SeqCst);
-                    ing.not_full.notify_one();
-                    drop(q);
-                    return Some((i, city, job));
+                if let Some(run) = pop_run(inner, &city) {
+                    return Some((i, city, run));
                 }
-                // Another worker (or a collector's run) emptied the
-                // queue between the peek and the pop; rescan.
+                // Another worker emptied the queue between the peek
+                // and the pop; rescan.
                 continue;
             }
         }
@@ -1981,9 +1986,9 @@ fn next_job(inner: &Inner) -> Option<(usize, Arc<CityState>, Job)> {
     }
 }
 
-/// The resident worker: pick a `(city, job)` via weighted DRR
-/// (extending the job into a coalesced run when
-/// [`PlatformConfig::batch`] is set), route it to the city's service
+/// The resident worker: pick a `(city, run)` via weighted DRR (a run of
+/// one unless [`PlatformConfig::batch`] coalesces queued cell-mates),
+/// route it to the city's service
 /// with this worker's cached per-city resolver, fulfil the ticket(s).
 /// Exits once draining is set and every city's queue is empty — never
 /// before, so every admitted ticket is resolved exactly once. A
@@ -1995,7 +2000,7 @@ fn next_job(inner: &Inner) -> Option<(usize, Arc<CityState>, Job)> {
 fn worker_loop(inner: &Inner, worker_idx: usize) {
     let mut resolvers: Vec<Option<Box<dyn Resolver + Send>>> = Vec::new();
     loop {
-        let Some((city_idx, city, job)) = next_job(inner) else {
+        let Some((city_idx, city, run)) = next_job(inner) else {
             break;
         };
         if let Some(chaos) = &inner.chaos {
@@ -2013,27 +2018,9 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
                 std::thread::sleep(crate::chaos::SLOW_WORKER_DELAY);
             }
         }
-        let traced = city.service.tracer().enabled();
-        if traced {
-            // The seed's queue wait ends at its pop; run members' at
-            // their harvest below.
-            record_queue_wait(&city.service, &job);
-        }
-        let mut run = vec![job];
-        if let Some(batch) = inner.cfg.batch {
-            if batch.max_batch > 1 {
-                let collect_t0 = traced.then(Instant::now);
-                collect_run(inner, &city, &mut run, batch);
-                if let Some(t0) = collect_t0 {
-                    city.service
-                        .raw_stats()
-                        .record_stage(Stage::BatchCollect, elapsed_ns(t0));
-                }
-                if traced {
-                    for member in &run[1..] {
-                        record_queue_wait(&city.service, member);
-                    }
-                }
+        if city.service.tracer().enabled() {
+            for job in &run {
+                record_queue_wait(&city.service, job);
             }
         }
         if resolvers.len() <= city_idx {
@@ -2753,7 +2740,7 @@ mod tests {
     }
 
     /// A bare `Inner` with no worker threads: lets tests drive
-    /// `collect_run`/`drr_pick` deterministically (the public
+    /// `pop_run`/`drr_pick` deterministically (the public
     /// `Platform::start` clamps `workers` to ≥ 1).
     fn bare_inner(cfg: PlatformConfig) -> Inner {
         Inner {
@@ -2833,32 +2820,15 @@ mod tests {
                     sojourn_ns: AtomicU64::new(0),
                 }),
             });
-            q.admitted += 1;
-            if ing.depth.fetch_add(1, Ordering::SeqCst) == 0 {
-                inner.backlogged.fetch_add(1, Ordering::SeqCst);
-            }
-            inner.queued.fetch_add(1, Ordering::SeqCst);
         }
+        q.admitted += n as u64;
+        ing.pushed(inner, n);
     }
 
-    /// One worker dispatch against `city`: pop the seed (booked
-    /// unbatched, as `next_job` does) and extend it via `collect_run`.
+    /// One worker dispatch against `city`, as `next_job` does it.
     /// Returns the run length.
     fn dispatch_once(inner: &Inner, city: &CityState) -> usize {
-        let ing = &city.ingress;
-        let job = {
-            let mut q = ing.queue.lock().unwrap();
-            let job = q.jobs.pop_front().expect("a seed job is queued");
-            q.unbatched_requests += 1;
-            if ing.depth.fetch_sub(1, Ordering::SeqCst) == 1 {
-                inner.backlogged.fetch_sub(1, Ordering::SeqCst);
-            }
-            inner.queued.fetch_sub(1, Ordering::SeqCst);
-            job
-        };
-        let mut run = vec![job];
-        collect_run(inner, city, &mut run, inner.cfg.batch.expect("batching on"));
-        run.len()
+        pop_run(inner, city).expect("a seed job is queued").len()
     }
 
     /// A bare one-city dispatcher coalescing up to 16 queued jobs.

@@ -2,8 +2,8 @@
 //!
 //! PRs 1–5 made the serving stack fast on one worker; this module makes
 //! it *explainable* at many. Every request's lifetime is attributed to
-//! pipeline [`Stage`]s — ingress queue wait, batch collection, truth
-//! lookup, candidate-cache lookup, flight-table wait, artifact
+//! pipeline [`Stage`]s — ingress queue wait, truth lookup,
+//! candidate-cache lookup, flight-table wait, artifact
 //! fetch/build, fused mining, machine/crowd resolution, truth commit —
 //! and every contended primitive (the ingress mutex, truth-shard
 //! `RwLock`s, artifact-cache and candidate-cache mutexes, the flight
@@ -46,12 +46,8 @@ use std::time::{Duration, Instant};
 #[repr(usize)]
 pub enum Stage {
     /// Waiting in the platform ingress queue for a worker (measured at
-    /// dispatch from the ticket's submission instant; for run members
-    /// collected by the batcher this includes the collection window).
+    /// dispatch from the ticket's submission instant).
     QueueWait,
-    /// The batcher holding a run open for same-cell arrivals
-    /// (`collect_run`; booked once per run against its seed request).
-    BatchCollect,
     /// Sharded truth-store lookups (pre-pass and leader double-checks).
     TruthLookup,
     /// Candidate-LRU probes.
@@ -76,12 +72,11 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (array dimension for per-stage histograms).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::QueueWait,
-        Stage::BatchCollect,
         Stage::TruthLookup,
         Stage::CacheLookup,
         Stage::FlightWait,
@@ -97,7 +92,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
-            Stage::BatchCollect => "batch_collect",
             Stage::TruthLookup => "truth_lookup",
             Stage::CacheLookup => "cache_lookup",
             Stage::FlightWait => "flight_wait",
