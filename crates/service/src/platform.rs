@@ -18,6 +18,10 @@
 //!   [`ServiceError::Busy`] when the queue is full (shed load instead of
 //!   collapsing under it). [`Platform::submit_blocking`] waits for space
 //!   instead;
+//! * **origin-cell coalescing** — with [`PlatformConfig::batch`] set, a
+//!   worker dispatches its job together with every job already queued
+//!   for the same city and origin cell, up to
+//!   [`BatchConfig::max_batch`], as one run; it never waits for more;
 //! * **joinable, pollable tickets** — [`Ticket::wait`] blocks for the
 //!   result, [`Ticket::try_wait`] polls without blocking, and
 //!   [`Ticket::latency`] reports the submit→completion sojourn time
@@ -102,7 +106,7 @@ impl Default for MaintenanceConfig {
 /// expensive single-source mining once per run instead of once per
 /// request.
 ///
-/// A worker never holds a run open waiting for more arrivals. Backlog
+/// A worker never holds a run open waiting for more jobs. Backlog
 /// is what forms runs, and backlog is exactly when fusing pays; on an
 /// idle or all-hit queue a collection window only adds latency (see
 /// the crate README for the measurement).
@@ -111,12 +115,6 @@ pub struct BatchConfig {
     /// Most jobs coalesced into one run (clamped to ≥ 1; 1 disables
     /// coalescing in all but name).
     pub max_batch: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig { max_batch: 16 }
-    }
 }
 
 impl BatchConfig {
@@ -1562,8 +1560,8 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
     let mut aggregate = agg.snapshot();
     aggregate.truth_evictions = truth_evictions;
     // Capture each city's slice — depth, admission, dispatch counters —
-    // under that city's queue lock: dispatch mutates
-    // them in the same critical sections that move jobs, so every
+    // under that city's queue lock: dispatch mutates them in the same
+    // critical sections that move jobs, so every
     // per-city ledger in [`PlatformSnapshot::is_consistent`] is exact
     // even mid-flight (and so are their sums: cities are captured at
     // different instants, but each city's terms balance internally).
@@ -1823,7 +1821,7 @@ impl std::fmt::Debug for Platform {
 /// per-city ledger `admitted == batched + unbatched + queue_depth`
 /// never wavers. Time buckets mix freely: the fused mining path shares
 /// the all-day origin artifacts across them and splits only the MFP
-/// period aggregation. Never waits for more arrivals; `None` when the
+/// period aggregation. Never waits for more jobs; `None` when the
 /// queue is empty.
 fn pop_run(inner: &Inner, city: &CityState) -> Option<Vec<Job>> {
     let max_batch = inner.cfg.batch.map_or(1, |b| b.max_batch);
@@ -1988,8 +1986,8 @@ fn next_job(inner: &Inner) -> Option<(usize, Arc<CityState>, Vec<Job>)> {
 
 /// The resident worker: pick a `(city, run)` via weighted DRR (a run of
 /// one unless [`PlatformConfig::batch`] coalesces queued cell-mates),
-/// route it to the city's service
-/// with this worker's cached per-city resolver, fulfil the ticket(s).
+/// route it to the city's service with this worker's cached per-city
+/// resolver, fulfil the ticket(s).
 /// Exits once draining is set and every city's queue is empty — never
 /// before, so every admitted ticket is resolved exactly once. A
 /// panicking resolver is contained: the affected tickets resolve with

@@ -16,10 +16,9 @@
 //! owned `CrowdResolver` pipeline on the resident pool): each city's
 //! resolvers share one quota-capped `SharedCrowd` desk.
 //!
-//! With `--batch`, workers dequeue coalesced runs of requests sharing
-//! `(city, origin cell)` and mine them through shared per-origin
-//! artifacts; `--adaptive` batches with the self-tuning collection
-//! window instead of the fixed one.
+//! With `--batch`, workers dequeue each request together with up to 15
+//! already-queued requests sharing its `(city, origin cell)` and mine
+//! the run through shared per-origin artifacts.
 //!
 //! With `--trace`, cities register with sampled span tracing enabled and
 //! `GET /trace` carries per-stage attribution and sampled request traces.
@@ -41,7 +40,7 @@
 //! ```sh
 //! cargo run --release --example serve_city               # machine-only, 127.0.0.1:8080
 //! cargo run --release --example serve_city -- --crowd    # crowd-backed
-//! cargo run --release --example serve_city -- --adaptive # + self-tuning coalescing
+//! cargo run --release --example serve_city -- --batch    # + origin-cell coalescing
 //! cargo run --release --example serve_city -- --trace    # + stage attribution on /trace
 //! cargo run --release --example serve_city -- --http 127.0.0.1:0 --snapshot-dir /tmp/cp  # durable
 //! cargo run --release --example serve_city -- --crowd --chaos 7  # + fault injection
@@ -65,7 +64,6 @@ fn build_platform(
     workers: usize,
     crowd: bool,
     batch: bool,
-    adaptive: bool,
     trace: bool,
     metro_weight: u32,
     snapshot_dir: Option<&std::path::Path>,
@@ -76,13 +74,7 @@ fn build_platform(
         city_weight: 1,
         queue_capacity: 512,
         maintenance: None,
-        batch: batch.then(|| {
-            if adaptive {
-                BatchConfig::adaptive(16, Duration::from_millis(2))
-            } else {
-                BatchConfig::default()
-            }
-        }),
+        batch: batch.then(|| BatchConfig::adaptive(16, Duration::from_millis(2))),
         durability: snapshot_dir.map(DurabilityConfig::new),
         chaos: chaos_seed.map(ChaosConfig::new),
     });
@@ -115,7 +107,7 @@ fn build_platform(
     };
     let metro_id = register(metro, metro_world, 42);
     register(town, town_world, 7);
-    // The metro is expected to carry most arrivals; give it a matching
+    // The metro is expected to carry most requests; give it a matching
     // DRR quantum so a saturated platform serves the two queues roughly
     // in proportion to their traffic instead of strictly alternating.
     // The town keeps weight 1 — the deficit guarantees it can never be
@@ -127,8 +119,7 @@ fn build_platform(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let crowd = args.iter().any(|a| a == "--crowd");
-    let adaptive = args.iter().any(|a| a == "--adaptive");
-    let batch = adaptive || args.iter().any(|a| a == "--batch");
+    let batch = args.iter().any(|a| a == "--batch");
     let trace = args.iter().any(|a| a == "--trace");
     // `--metro-weight <n>`: the metro's DRR dispatch weight (the town
     // stays at 1). Defaults to 4.
@@ -190,7 +181,6 @@ fn main() {
         workers,
         crowd,
         batch,
-        adaptive,
         trace,
         metro_weight,
         snapshot_dir.as_deref(),
