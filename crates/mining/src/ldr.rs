@@ -23,7 +23,7 @@
 //! voice among several candidate sources. This interpretation is recorded
 //! in the root README's *Substitutions* table.
 
-use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, DijkstraResult};
+use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, time_cost, DijkstraResult};
 use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
 use cp_traj::{DriverId, Trip};
 use std::collections::HashMap;
@@ -183,15 +183,16 @@ pub(crate) fn expert_habit_tree(
     params: &LdrParams,
 ) -> DijkstraResult {
     let freq = expert_frequencies(graph, trips, expert);
+    let times = graph.travel_times();
     shortest_path_tree(graph, from, None, |e| {
-        graph.edge(e).travel_time() / (1.0 + params.beta * freq[e.index()])
+        times[e.index()] / (1.0 + params.beta * freq[e.index()])
     })
 }
 
 /// The **full** stage-4 fastest-fallback tree from `from`; `path_to` is
 /// byte-identical to the expert-less fallback of [`local_driver_route`].
 pub(crate) fn fastest_fallback_tree(graph: &RoadGraph, from: NodeId) -> DijkstraResult {
-    shortest_path_tree(graph, from, None, |e| graph.edge(e).travel_time())
+    shortest_path_tree(graph, from, None, time_cost(graph))
 }
 
 /// Number of local trips supporting the request — the support level that

@@ -21,7 +21,7 @@
 //! attributes to MFP.
 
 use crate::transfer::TransferNetwork;
-use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, DijkstraResult};
+use cp_roadnet::routing::{dijkstra_path, DijkstraResult};
 use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
 use cp_traj::{TimeOfDay, Trip};
 use std::cmp::Ordering;
@@ -128,7 +128,9 @@ pub fn most_frequent_path_on(
 /// a cached origin-mining artifact. `DijkstraResult::path_to` on the
 /// returned tree is byte-identical to [`most_frequent_path_on`] for
 /// every reachable target (settle-order prefix argument), so one
-/// expansion per `(origin, period)` answers any destination.
+/// expansion per `(origin, period)` answers any destination. The
+/// per-edge costs are computed once per `(tn, beta)` and kept on `tn`,
+/// so every origin served in one period shares them.
 pub fn frequency_discounted_tree(
     graph: &RoadGraph,
     tn: &TransferNetwork,
@@ -136,10 +138,11 @@ pub fn frequency_discounted_tree(
     params: &MfpParams,
 ) -> DijkstraResult {
     let half = tn.mean_positive_frequency().max(1.0);
-    shortest_path_tree(graph, from, None, |e| {
+    let cost = |e| {
         let f = tn.edge_frequency(e);
         graph.edge(e).travel_time() / (1.0 + params.beta * f / (f + half))
-    })
+    };
+    tn.discounted_costs.tree(graph, from, params.beta, cost)
 }
 
 /// Full MFP query: filters `trips` to the departure period around
@@ -241,16 +244,30 @@ mod tests {
         let g = &city.graph;
         let params = MfpParams::default();
         let from = NodeId(7);
-        let period = TransferNetwork::build(
-            g,
-            &ds.trips,
-            Some((TimeOfDay::from_hours(8.0), params.period_half_width)),
-        );
-        let tree = frequency_discounted_tree(g, &period, from, &params);
-        for b in [59u32, 0, 31, 44] {
-            let want = most_frequent_path_on(g, &period, from, NodeId(b), &params).unwrap();
-            let got = tree.path_to(g, NodeId(b)).expect("reachable");
-            assert_eq!(got, want, "to {b}");
+        let build = || {
+            TransferNetwork::build(
+                g,
+                &ds.trips,
+                Some((TimeOfDay::from_hours(8.0), params.period_half_width)),
+            )
+        };
+        let period = build();
+        // The second beta no longer matches the array the first one
+        // memoised on `period`, so it must expand without it, not read it:
+        // its tree equals one over a fresh network bit for bit.
+        for beta in [params.beta, 6.0] {
+            let params = MfpParams { beta, ..params };
+            let tree = frequency_discounted_tree(g, &period, from, &params);
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&tree.dist),
+                bits(&frequency_discounted_tree(g, &build(), from, &params).dist)
+            );
+            for b in [59u32, 0, 31, 44] {
+                let want = most_frequent_path_on(g, &period, from, NodeId(b), &params).unwrap();
+                let got = tree.path_to(g, NodeId(b)).expect("reachable");
+                assert_eq!(got, want, "to {b} at beta {beta}");
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 //! `P(e) < 1` whenever a node has more than one outgoing edge).
 
 use crate::transfer::TransferNetwork;
-use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, DijkstraResult};
+use cp_roadnet::routing::{dijkstra_path, DijkstraResult};
 use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
 
 /// Parameters of the MPR search.
@@ -51,7 +51,8 @@ pub fn most_popular_route(
 /// answers *any* later destination; `DijkstraResult::path_to` on the
 /// returned tree is byte-identical to [`most_popular_route`] for every
 /// reachable target (the single-target search is a settle-order prefix
-/// of the exhaustive one).
+/// of the exhaustive one). The per-edge costs are computed once per
+/// `(tn, smoothing)` and kept on `tn`, so later origins pay no `ln`.
 pub fn popularity_tree(
     graph: &RoadGraph,
     tn: &TransferNetwork,
@@ -64,7 +65,8 @@ pub fn popularity_tree(
             .max(f64::MIN_POSITIVE);
         -p.ln()
     };
-    shortest_path_tree(graph, from, None, cost)
+    tn.popularity_costs
+        .tree(graph, from, params.smoothing, cost)
 }
 
 /// Popularity score of a path: the product of its transfer probabilities,
@@ -168,15 +170,26 @@ mod tests {
 
     #[test]
     fn popularity_tree_matches_per_request_mpr() {
-        let (city, _, tn) = setup();
+        let (city, ds, tn) = setup();
         let g = &city.graph;
-        let params = MprParams::default();
         let from = NodeId(3);
-        let tree = popularity_tree(g, &tn, from, &params);
-        for b in [59u32, 17, 44, 8, 0] {
-            let want = most_popular_route(g, &tn, from, NodeId(b), &params).unwrap();
-            let got = tree.path_to(g, NodeId(b)).expect("reachable");
-            assert_eq!(got, want, "to {b}");
+        // The second smoothing no longer matches the array the first one
+        // memoised on `tn`, so it must expand without it, not read it: its
+        // tree equals one over a fresh network bit for bit.
+        for smoothing in [0.3, 5.0] {
+            let params = MprParams { smoothing };
+            let tree = popularity_tree(g, &tn, from, &params);
+            let fresh = TransferNetwork::build(g, &ds.trips, None);
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&tree.dist),
+                bits(&popularity_tree(g, &fresh, from, &params).dist)
+            );
+            for b in [59u32, 17, 44, 8, 0] {
+                let want = most_popular_route(g, &tn, from, NodeId(b), &params).unwrap();
+                let got = tree.path_to(g, NodeId(b)).expect("reachable");
+                assert_eq!(got, want, "to {b} at smoothing {smoothing}");
+            }
         }
     }
 

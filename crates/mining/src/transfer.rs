@@ -6,8 +6,45 @@
 //! probabilities. Both MPR and MFP consume it; MFP additionally filters
 //! trips by departure-time period (Luo et al., SIGMOD 2013).
 
+use cp_roadnet::routing::{shortest_path_tree, DijkstraResult};
 use cp_roadnet::{EdgeId, NodeId, RoadGraph};
 use cp_traj::{TimeOfDay, Trip};
+use std::sync::OnceLock;
+
+/// A per-edge search-cost array derived from one network, built on first
+/// use and keyed by the bits of the miner parameter it was computed
+/// under.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CostMemo(OnceLock<(u64, Vec<f64>)>);
+
+impl CostMemo {
+    /// The exhaustive expansion from `from` under `cost`, reading the
+    /// memoised array (filled with `cost` over every edge on first use)
+    /// instead of calling `cost` per relaxation. When the memo already
+    /// holds an array for a different `param` (a miner parameter changed
+    /// after the first expansion) it calls `cost` per relaxation instead,
+    /// so it never reads a stale array.
+    pub(crate) fn tree(
+        &self,
+        graph: &RoadGraph,
+        from: NodeId,
+        param: f64,
+        cost: impl Fn(EdgeId) -> f64 + Copy,
+    ) -> DijkstraResult {
+        let (key, costs) = self.0.get_or_init(|| {
+            let edges = graph.edge_count() as u32;
+            (
+                param.to_bits(),
+                (0..edges).map(|e| cost(EdgeId(e))).collect(),
+            )
+        });
+        if *key == param.to_bits() {
+            shortest_path_tree(graph, from, None, |e: EdgeId| costs[e.index()])
+        } else {
+            shortest_path_tree(graph, from, None, cost)
+        }
+    }
+}
 
 /// Per-edge traversal statistics of a trip set.
 #[derive(Debug, Clone)]
@@ -18,6 +55,11 @@ pub struct TransferNetwork {
     node_out: Vec<f64>,
     /// Number of trips aggregated.
     trips: usize,
+    /// MPR's `-ln P(e)` per edge, keyed by `MprParams::smoothing`.
+    pub(crate) popularity_costs: CostMemo,
+    /// MFP's frequency-discounted travel time per edge, keyed by
+    /// `MfpParams::beta`.
+    pub(crate) discounted_costs: CostMemo,
 }
 
 impl TransferNetwork {
@@ -49,6 +91,8 @@ impl TransferNetwork {
             edge_count,
             node_out,
             trips: used,
+            popularity_costs: CostMemo::default(),
+            discounted_costs: CostMemo::default(),
         }
     }
 

@@ -7,7 +7,7 @@
 //! and fastest-time providers (see the root README's *Substitutions*
 //! table).
 
-use cp_roadnet::routing::astar_path;
+use cp_roadnet::routing::{astar_path, time_cost};
 use cp_roadnet::{NodeId, Path, RoadClass, RoadGraph, RoadNetError};
 
 /// A web service returning the shortest-distance route (à la a
@@ -34,7 +34,7 @@ impl FastestRouteService {
             graph,
             from,
             to,
-            |e| graph.edge(e).travel_time(),
+            time_cost(graph),
             RoadClass::Highway.speed_mps(),
         )
     }

@@ -108,6 +108,9 @@ impl Edge {
 pub struct RoadGraph {
     positions: Vec<Point>,
     edges: Vec<Edge>,
+    /// `travel_times[e]` is `edges[e].travel_time()`, computed once so
+    /// time-based searches read a flat array instead of re-deriving it.
+    travel_times: Vec<f64>,
     /// `out_index[n]..out_index[n+1]` indexes `out_edges` for node `n`.
     out_index: Vec<u32>,
     out_edges: Vec<EdgeId>,
@@ -137,6 +140,13 @@ impl RoadGraph {
     #[inline]
     pub fn edge(&self, e: EdgeId) -> &Edge {
         &self.edges[e.index()]
+    }
+
+    /// Free-flow travel time of every edge, indexed by [`EdgeId`]: entry
+    /// `e` is bit-identical to `self.edge(e).travel_time()`.
+    #[inline]
+    pub fn travel_times(&self) -> &[f64] {
+        &self.travel_times
     }
 
     /// Outgoing edges of `n`.
@@ -325,6 +335,7 @@ impl RoadGraphBuilder {
         }
         RoadGraph {
             positions: self.positions,
+            travel_times: self.edges.iter().map(Edge::travel_time).collect(),
             edges: self.edges,
             out_index: out_deg,
             out_edges,
@@ -394,6 +405,17 @@ mod tests {
         assert!(
             (unlit_e.travel_time() - unlit_e.length / RoadClass::Arterial.speed_mps()).abs() < 1e-9
         );
+    }
+
+    #[test]
+    fn travel_time_array_matches_edges_bit_for_bit() {
+        let g = diamond();
+        for e in g.edge_ids() {
+            assert_eq!(
+                g.travel_times()[e.index()].to_bits(),
+                g.edge(e).travel_time().to_bits()
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub fn distance_cost(graph: &RoadGraph) -> impl Fn(EdgeId) -> f64 + '_ {
     move |e| graph.edge(e).length
 }
 
-/// Edge cost = free-flow travel time in seconds (fastest routing).
+/// Edge cost = free-flow travel time in seconds (fastest routing), read
+/// from the graph's precomputed [`RoadGraph::travel_times`].
 pub fn time_cost(graph: &RoadGraph) -> impl Fn(EdgeId) -> f64 + '_ {
-    move |e| graph.edge(e).travel_time()
+    let times = graph.travel_times();
+    move |e| times[e.index()]
 }

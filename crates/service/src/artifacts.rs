@@ -8,9 +8,11 @@
 //! that gap: a bounded, per-city LRU of
 //! [`OriginArtifacts`] keyed by **origin
 //! grid cell** (the same coordinate the platform batcher coalesces on),
-//! plus a small LRU of period-filtered transfer networks keyed by
-//! canonical departure — so a new batch skips the expensive expansions
-//! entirely whenever a recent batch already produced them.
+//! plus an LRU of period-filtered transfer networks keyed by canonical
+//! departure, sized by the owner to hold one day of them — so a new
+//! batch skips the expensive expansions entirely whenever a recent batch
+//! already produced them. A cached period network also carries MFP's
+//! per-edge costs once its first origin has expanded over it.
 //!
 //! Entries are **generation-versioned** against the owning
 //! [`World`]'s mining state: a
@@ -45,11 +47,6 @@ use std::sync::{Arc, Mutex};
 /// (mirrors `ServiceConfig::cache_ods_per_key` for the candidate LRU).
 const NODES_PER_CELL: usize = 4;
 
-/// Distinct departure periods kept. Canonical departures are bucket
-/// midpoints, so a handful cover the active hours of a day; each entry
-/// is one O(|trips|) aggregation.
-const PERIOD_CAPACITY: usize = 32;
-
 /// One origin cell's cached artifacts: per-node entries tagged with the
 /// world generation they were built against.
 #[derive(Clone, Default)]
@@ -75,12 +72,16 @@ pub struct MiningArtifactCache {
 }
 
 impl MiningArtifactCache {
-    /// A cache holding at most `origin_capacity` origin cells (clamped
-    /// to at least one, as [`Lru::new`] does).
-    pub fn new(origin_capacity: usize) -> Self {
+    /// A cache holding at most `origin_capacity` origin cells and
+    /// `period_capacity` departure periods (each clamped to at least
+    /// one, as [`Lru::new`] does). The owning service passes its buckets
+    /// per day as `period_capacity`, so every canonical departure of a
+    /// day stays resident; each period entry is one O(|trips|)
+    /// aggregation plus one per-edge cost array.
+    pub fn new(origin_capacity: usize, period_capacity: usize) -> Self {
         MiningArtifactCache {
             origins: Mutex::new(Lru::new(origin_capacity)),
-            periods: Mutex::new(Lru::new(PERIOD_CAPACITY)),
+            periods: Mutex::new(Lru::new(period_capacity)),
             locks: LockStats::new(),
         }
     }
@@ -166,7 +167,9 @@ impl MiningArtifactCache {
     /// The period-filtered transfer network for `departure` at the
     /// world's current generation (cached or freshly aggregated). Not
     /// counted in the artifact hit/miss statistics — those track the
-    /// per-origin expansions the cache exists to skip.
+    /// per-origin expansions the cache exists to skip. Stored under the
+    /// same rule as [`Self::origin_artifacts`]: only while the build is
+    /// current, and never over a newer-generation entry.
     pub(crate) fn period_network(
         &self,
         world: &World,
@@ -180,13 +183,21 @@ impl MiningArtifactCache {
             }
         }
         let built = Arc::new(world.period_network(departure));
-        self.locks.lock(&self.periods).insert(
-            bits,
-            PeriodEntry {
-                generation,
-                network: Arc::clone(&built),
-            },
-        );
+        if world.generation() == generation {
+            let mut periods = self.locks.lock(&self.periods);
+            if periods
+                .get(&bits)
+                .is_none_or(|entry| entry.generation < generation)
+            {
+                periods.insert(
+                    bits,
+                    PeriodEntry {
+                        generation,
+                        network: Arc::clone(&built),
+                    },
+                );
+            }
+        }
         built
     }
 }
@@ -214,7 +225,7 @@ mod tests {
     fn second_lookup_hits_and_shares_the_same_artifacts() {
         let world = mini_world();
         let stats = ServiceStats::new();
-        let cache = MiningArtifactCache::new(8);
+        let cache = MiningArtifactCache::new(8, 8);
         let a = cache.origin_artifacts(&world, (0, 0), NodeId(3), &stats);
         let b = cache.origin_artifacts(&world, (0, 0), NodeId(3), &stats);
         assert!(Arc::ptr_eq(&a, &b), "hit must share the cached artifact");
@@ -228,7 +239,7 @@ mod tests {
     fn generation_bump_invalidates_and_counts_an_eviction() {
         let world = mini_world();
         let stats = ServiceStats::new();
-        let cache = MiningArtifactCache::new(8);
+        let cache = MiningArtifactCache::new(8, 8);
         let a = cache.origin_artifacts(&world, (0, 0), NodeId(3), &stats);
         world.bump_generation();
         let b = cache.origin_artifacts(&world, (0, 0), NodeId(3), &stats);
@@ -248,7 +259,7 @@ mod tests {
     fn per_cell_aliasing_is_bounded_fifo() {
         let world = mini_world();
         let stats = ServiceStats::new();
-        let cache = MiningArtifactCache::new(8);
+        let cache = MiningArtifactCache::new(8, 8);
         // NODES_PER_CELL + 1 distinct origins aliasing one cell: the
         // first one gets FIFO-evicted.
         for n in 0..=NODES_PER_CELL as u32 {
@@ -268,7 +279,7 @@ mod tests {
     fn capacity_eviction_counts_every_dropped_origin() {
         let world = mini_world();
         let stats = ServiceStats::new();
-        let cache = MiningArtifactCache::new(2);
+        let cache = MiningArtifactCache::new(2, 8);
         // Two origins in one cell, then two more cells: the LRU holds 2
         // cells, so inserting the 3rd cell evicts the oldest (with both
         // its origin entries).
@@ -285,7 +296,7 @@ mod tests {
     #[test]
     fn period_networks_are_cached_per_departure_and_generation() {
         let world = mini_world();
-        let cache = MiningArtifactCache::new(8);
+        let cache = MiningArtifactCache::new(8, 8);
         let dep = TimeOfDay::from_hours(8.0);
         let a = cache.period_network(&world, dep);
         let b = cache.period_network(&world, dep);
@@ -295,5 +306,27 @@ mod tests {
         world.bump_generation();
         let c = cache.period_network(&world, dep);
         assert!(!Arc::ptr_eq(&a, &c), "generation bump must re-aggregate");
+    }
+
+    #[test]
+    fn a_superseded_period_build_never_replaces_a_newer_one() {
+        let city = generate_city(&CityParams::small(), 7).unwrap();
+        let trips = generate_trips(&city.graph, &TripGenParams::default(), 7).unwrap();
+        let old = World::new(city.graph.clone(), trips.trips.clone());
+        let new = World::new(city.graph, trips.trips);
+        new.bump_generation();
+        let cache = MiningArtifactCache::new(8, 8);
+        let dep = TimeOfDay::from_hours(8.0);
+        let fresh = cache.period_network(&new, dep);
+        let stale = cache.period_network(&old, dep);
+        assert!(
+            !Arc::ptr_eq(&fresh, &stale),
+            "generation 0 cannot hit a generation-1 entry"
+        );
+        let again = cache.period_network(&new, dep);
+        assert!(
+            Arc::ptr_eq(&fresh, &again),
+            "the generation-0 build evicted the newer entry"
+        );
     }
 }

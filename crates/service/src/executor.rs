@@ -294,7 +294,10 @@ impl RouteService {
                 .with_per_shard_cap(cfg.truth_cap_per_shard),
             cache: Mutex::new(Lru::new(CANDIDATE_CACHE_CAPACITY)),
             cache_locks: LockStats::new(),
-            artifacts: MiningArtifactCache::new(cfg.artifact_cache_origins),
+            artifacts: MiningArtifactCache::new(
+                cfg.artifact_cache_origins,
+                cfg.buckets_per_day() as usize,
+            ),
             flights: FlightTable::new(),
             stats: ServiceStats::new(),
             tracer: SpanRecorder::new(cfg.trace),
@@ -1062,6 +1065,29 @@ mod tests {
         let canon = service.canonical_departure(&late);
         assert_eq!(service.bucket_of(canon), 12);
         assert!(canon.0 < TimeOfDay::DAY && canon.0 >= 84_000.0);
+    }
+
+    #[test]
+    fn period_cache_holds_every_canonical_departure_of_a_day() {
+        let world = mini_world();
+        let service = RouteService::new(Arc::clone(&world), ServiceConfig::default());
+        let per_day = service.config().buckets_per_day();
+        let departures: Vec<TimeOfDay> = (0..per_day)
+            .map(|b| {
+                let t = (b as f64 + 0.5) * service.config().time_bucket_s;
+                service.canonical_departure(&Request::new(NodeId(0), NodeId(1), TimeOfDay::new(t)))
+            })
+            .collect();
+        let first: Vec<_> = departures
+            .iter()
+            .map(|&d| service.artifacts.period_network(&world, d))
+            .collect();
+        let kept = departures
+            .iter()
+            .zip(&first)
+            .filter(|&(&d, a)| Arc::ptr_eq(a, &service.artifacts.period_network(&world, d)))
+            .count();
+        assert_eq!(kept, per_day as usize, "second pass must hit every bucket");
     }
 
     #[test]
