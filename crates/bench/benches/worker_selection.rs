@@ -10,8 +10,9 @@ use crowdplanner::sim::{Scale, SimWorld};
 use std::hint::black_box;
 
 fn bench_worker_selection(c: &mut Criterion) {
-    let world = SimWorld::build(Scale::Small, 7).expect("world");
-    let platform = world.platform(120, 20, 7);
+    // The crowd the `crowd_city` benchmark workload serves with.
+    let world = SimWorld::build(Scale::Medium, 42).expect("world");
+    let platform = world.platform(200, 30, 13);
     let cfg = Config::default();
     let obs = observed_matrix(&platform, &world.landmarks, &cfg);
     let n = platform.population().len();

@@ -10,12 +10,35 @@
 //! Σ_{ij observed} (M_ij − Wᵢᵀ Lⱼ)² + λ_W Σ‖Wᵢ‖² + λ_L Σ‖Lⱼ‖²
 //! ```
 //!
-//! which we do with deterministic stochastic gradient descent (fixed
-//! traversal order, seeded initialisation). The refit matrix `M' = WᵀL`
-//! predicts familiarity for worker–landmark pairs that were never
-//! observed, exploiting latent similarity between workers — exactly the
-//! paper's motivation ("workers who have similar profile information …
-//! are highly possible to share the similar knowledge").
+//! which we do with deterministic stochastic gradient descent (seeded
+//! initialisation, then `epochs` passes over the observations). The
+//! refit matrix `M' = WᵀL` predicts familiarity for worker–landmark
+//! pairs that were never observed, exploiting latent similarity between
+//! workers — exactly the paper's motivation ("workers who have similar
+//! profile information … are highly possible to share the similar
+//! knowledge").
+//!
+//! # Level schedule
+//!
+//! The model is defined by SGD over the observations *in the order
+//! given*, but each pass runs them in a level schedule instead. One SGD
+//! step reads and writes exactly one worker row and one landmark row, so
+//! two steps that share neither row commute bit for bit. Each entry gets
+//! a level: one more than the highest level of any earlier entry that
+//! shares its worker row or its landmark row. Sorting the entries stably
+//! by level keeps every pair of row-sharing entries in their original
+//! relative order, so the level order is a linear extension of the
+//! original dependency order — for any input order, duplicates included —
+//! and produces the same factors to the last bit.
+//!
+//! The gain is instruction-level parallelism: consecutive steps of one
+//! level touch disjoint rows, so the CPU overlaps them instead of waiting
+//! on the previous step's stores (observations arrive worker-major, so in
+//! the given order nearly every step depends on the one before it). That
+//! only pays off together with a tight kernel, so the epoch loop lives in
+//! its own `#[inline(never)]` function over fixed-size `[f64; D]` rows:
+//! inlined into [`PmfModel::fit`], or over slices of run-time length, the
+//! compiler keeps the rows in memory and the schedule gains nothing.
 
 use crate::worker_selection::matrix::{DenseMatrix, SparseObservations};
 use rand::rngs::SmallRng;
@@ -47,6 +70,95 @@ impl Default for PmfParams {
             lambda_w: 0.05,
             lambda_l: 0.05,
             seed: 7,
+        }
+    }
+}
+
+/// Reorders `entries` into the level schedule (see the module docs):
+/// a stable sort by level, where an entry's level is one more than the
+/// highest level of any earlier entry sharing its worker or landmark
+/// row. Indices must be below `n` / `m`.
+fn level_schedule(entries: &[(u32, u32, f64)], n: usize, m: usize) -> Vec<(u32, u32, f64)> {
+    let mut worker_level = vec![0u32; n];
+    let mut landmark_level = vec![0u32; m];
+    let mut levels = Vec::with_capacity(entries.len());
+    // `count[lv]`: entries at level `lv` (levels start at 1).
+    let mut count: Vec<usize> = vec![0];
+    for &(wi, lj, _) in entries {
+        let (wi, lj) = (wi as usize, lj as usize);
+        let lv = worker_level[wi].max(landmark_level[lj]) + 1;
+        worker_level[wi] = lv;
+        landmark_level[lj] = lv;
+        levels.push(lv);
+        if count.len() <= lv as usize {
+            count.push(0);
+        }
+        count[lv as usize] += 1;
+    }
+    // Counting sort: exclusive prefix sums give each level's first slot.
+    let mut next = 0;
+    for c in &mut count {
+        next += std::mem::replace(c, next);
+    }
+    let mut order = vec![(0, 0, 0.0); entries.len()];
+    for (&e, &lv) in entries.iter().zip(&levels) {
+        let slot = &mut count[lv as usize];
+        order[*slot] = e;
+        *slot += 1;
+    }
+    order
+}
+
+/// The SGD epoch loop's scalars.
+struct Sgd {
+    mean: f64,
+    lr: f64,
+    lambda_w: f64,
+    lambda_l: f64,
+    epochs: usize,
+}
+
+impl Sgd {
+    /// One step on a worker row and a landmark row: the update every
+    /// kernel shares, written once so the fixed-size and slice kernels
+    /// cannot drift.
+    #[inline(always)]
+    fn step(&self, w_row: &mut [f64], l_row: &mut [f64], value: f64) {
+        let mut pred = self.mean;
+        for k in 0..w_row.len() {
+            pred += w_row[k] * l_row[k];
+        }
+        let err = value - pred;
+        for k in 0..w_row.len() {
+            let wk = w_row[k];
+            let lk = l_row[k];
+            w_row[k] += self.lr * (err * lk - self.lambda_w * wk);
+            l_row[k] += self.lr * (err * wk - self.lambda_l * lk);
+        }
+    }
+
+    /// All epochs over `order` with `D`-wide rows (`D` = the latent
+    /// dimensionality). Kept out of line: see the module docs.
+    #[inline(never)]
+    fn run<const D: usize>(&self, w: &mut [f64], l: &mut [f64], order: &[(u32, u32, f64)]) {
+        let (w, _) = w.as_chunks_mut::<D>();
+        let (l, _) = l.as_chunks_mut::<D>();
+        for _ in 0..self.epochs {
+            for &(wi, lj, value) in order {
+                self.step(&mut w[wi as usize], &mut l[lj as usize], value);
+            }
+        }
+    }
+
+    /// [`Sgd::run`] for a latent dimensionality without a fixed-size
+    /// kernel.
+    #[inline(never)]
+    fn run_dyn(&self, d: usize, w: &mut [f64], l: &mut [f64], order: &[(u32, u32, f64)]) {
+        for _ in 0..self.epochs {
+            for &(wi, lj, value) in order {
+                let (wi, lj) = (wi as usize * d, lj as usize * d);
+                self.step(&mut w[wi..wi + d], &mut l[lj..lj + d], value);
+            }
         }
     }
 }
@@ -83,24 +195,17 @@ impl PmfModel {
         } else {
             obs.entries.iter().map(|&(_, _, v)| v).sum::<f64>() / obs.len() as f64
         };
-        let lr = params.learning_rate;
-        for _ in 0..params.epochs {
-            for &(wi, lj, value) in &obs.entries {
-                let (wi, lj) = (wi as usize, lj as usize);
-                let wrow = wi * d;
-                let lrow = lj * d;
-                let mut pred = mean;
-                for k in 0..d {
-                    pred += w[wrow + k] * l[lrow + k];
-                }
-                let err = value - pred;
-                for k in 0..d {
-                    let wk = w[wrow + k];
-                    let lk = l[lrow + k];
-                    w[wrow + k] += lr * (err * lk - params.lambda_w * wk);
-                    l[lrow + k] += lr * (err * wk - params.lambda_l * lk);
-                }
-            }
+        let order = level_schedule(&obs.entries, n, m);
+        let sgd = Sgd {
+            mean,
+            lr: params.learning_rate,
+            lambda_w: params.lambda_w,
+            lambda_l: params.lambda_l,
+            epochs: params.epochs,
+        };
+        match d {
+            8 => sgd.run::<8>(&mut w, &mut l, &order),
+            _ => sgd.run_dyn(d, &mut w, &mut l, &order),
         }
         PmfModel {
             dims: d,
@@ -189,6 +294,101 @@ mod tests {
             }
         }
         (truth, train, test)
+    }
+
+    /// `PmfModel::fit` as it was before the level schedule: SGD over the
+    /// observations in the order given.
+    fn reference_fit(obs: &SparseObservations, n: usize, m: usize, params: &PmfParams) -> PmfModel {
+        let d = params.dims.max(1);
+        let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x94D0_49BB_1331_11EB);
+        let mut w = vec![0.0; n * d];
+        let mut l = vec![0.0; m * d];
+        for v in w.iter_mut().chain(l.iter_mut()) {
+            *v = rng.random_range(-0.1..0.1);
+        }
+        let mean = if obs.is_empty() {
+            0.0
+        } else {
+            obs.entries.iter().map(|&(_, _, v)| v).sum::<f64>() / obs.len() as f64
+        };
+        let lr = params.learning_rate;
+        for _ in 0..params.epochs {
+            for &(wi, lj, value) in &obs.entries {
+                let (wi, lj) = (wi as usize, lj as usize);
+                let wrow = wi * d;
+                let lrow = lj * d;
+                let mut pred = mean;
+                for k in 0..d {
+                    pred += w[wrow + k] * l[lrow + k];
+                }
+                let err = value - pred;
+                for k in 0..d {
+                    let wk = w[wrow + k];
+                    let lk = l[lrow + k];
+                    w[wrow + k] += lr * (err * lk - params.lambda_w * wk);
+                    l[lrow + k] += lr * (err * wk - params.lambda_l * lk);
+                }
+            }
+        }
+        PmfModel {
+            dims: d,
+            w,
+            l,
+            mean,
+            n,
+            m,
+        }
+    }
+
+    fn factor_bits(model: &PmfModel) -> (Vec<u64>, Vec<u64>, u64) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (bits(&model.w), bits(&model.l), model.mean.to_bits())
+    }
+
+    #[test]
+    fn level_schedule_fits_the_same_factors_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(0x1E7E1);
+        for case in 0..240 {
+            let (n, m) = match case % 8 {
+                0 => (1, rng.random_range(1..12usize)),
+                1 => (rng.random_range(1..12usize), 1),
+                _ => (rng.random_range(1..16usize), rng.random_range(1..16usize)),
+            };
+            let mut obs = SparseObservations::default();
+            if case % 12 != 0 {
+                // Worker-major, like `observed_matrix`, then padded with
+                // duplicate cells that repeat a pair with a new value.
+                for i in 0..n {
+                    for j in 0..m {
+                        if rng.random_bool(0.4) {
+                            obs.push(i as u32, j as u32, rng.random_range(0.0..3.0));
+                        }
+                    }
+                }
+                for _ in 0..rng.random_range(0..8usize) {
+                    let (i, j) = (rng.random_range(0..n as u32), rng.random_range(0..m as u32));
+                    obs.push(i, j, rng.random_range(0.0..3.0));
+                }
+                if case % 2 == 1 {
+                    for k in (1..obs.entries.len()).rev() {
+                        obs.entries.swap(k, rng.random_range(0..=k));
+                    }
+                }
+            }
+            let params = PmfParams {
+                dims: [1, 2, 3, 8, 13, 16][case % 6],
+                epochs: rng.random_range(1..25),
+                learning_rate: rng.random_range(0.005..0.08),
+                seed: case as u64,
+                ..PmfParams::default()
+            };
+            assert_eq!(
+                factor_bits(&PmfModel::fit(&obs, n, m, &params)),
+                factor_bits(&reference_fit(&obs, n, m, &params)),
+                "case {case}: {n}x{m}, {} cells, {params:?}",
+                obs.len()
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::worker::WorkerId;
 use cp_roadnet::{Landmark, LandmarkId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-(worker, landmark) answer tally.
@@ -49,12 +48,14 @@ pub struct PlatformState {
 }
 
 /// Error importing [`PlatformState`]: the state was exported from a
-/// population of a different size.
+/// population of a different size, or names a worker the live
+/// population does not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateSizeMismatch {
     /// Workers in the live population.
     pub expected: usize,
-    /// Workers in the imported state.
+    /// Workers in the imported state: the length of its per-worker
+    /// vectors, or one past the highest worker id its history names.
     pub got: usize,
 }
 
@@ -77,7 +78,12 @@ pub struct Platform {
     /// platform in a mutex can still hand out lock-free references.
     population: Arc<WorkerPopulation>,
     model: AnswerModel,
-    history: HashMap<(WorkerId, LandmarkId), AnswerTally>,
+    /// Answer history: one row per worker (indexed by [`WorkerId`]),
+    /// holding `(landmark, tally)` for every landmark the worker has
+    /// answered about, sorted by landmark. A worker's history is a clone
+    /// of its row, and the export walks the rows in `(worker, landmark)`
+    /// order without sorting.
+    history: Vec<Vec<(LandmarkId, AnswerTally)>>,
     response_times: Vec<Vec<f64>>,
     outstanding: Vec<u32>,
     points: Vec<f64>,
@@ -95,7 +101,7 @@ impl Platform {
         Platform {
             population: Arc::new(population),
             model,
-            history: HashMap::new(),
+            history: vec![Vec::new(); n],
             response_times: vec![Vec::new(); n],
             outstanding: vec![0; n],
             points: vec![0.0; n],
@@ -126,22 +132,27 @@ impl Platform {
 
     /// Observed answer tally of `worker` on `landmark`.
     pub fn tally(&self, worker: WorkerId, landmark: LandmarkId) -> AnswerTally {
-        self.history
-            .get(&(worker, landmark))
-            .copied()
-            .unwrap_or_default()
+        let row = &self.history[worker.index()];
+        row.binary_search_by_key(&landmark, |&(l, _)| l)
+            .map_or_else(|_| AnswerTally::default(), |i| row[i].1)
+    }
+
+    /// The tally of `worker` on `landmark`, inserted at zero if absent.
+    fn tally_mut(&mut self, worker: WorkerId, landmark: LandmarkId) -> &mut AnswerTally {
+        let row = &mut self.history[worker.index()];
+        let i = match row.binary_search_by_key(&landmark, |&(l, _)| l) {
+            Ok(i) => i,
+            Err(i) => {
+                row.insert(i, (landmark, AnswerTally::default()));
+                i
+            }
+        };
+        &mut row[i].1
     }
 
     /// All (landmark, tally) records of one worker, in landmark order.
     pub fn worker_history(&self, worker: WorkerId) -> Vec<(LandmarkId, AnswerTally)> {
-        let mut out: Vec<(LandmarkId, AnswerTally)> = self
-            .history
-            .iter()
-            .filter(|((w, _), _)| *w == worker)
-            .map(|((_, l), t)| (*l, *t))
-            .collect();
-        out.sort_unstable_by_key(|(l, _)| *l);
-        out
+        self.history[worker.index()].clone()
     }
 
     /// Observed response times of a worker, seconds.
@@ -186,7 +197,7 @@ impl Platform {
         let rt = sample_response_time(self.population.get(worker).lambda, &mut self.rng);
         self.response_times[worker.index()].push(rt);
         self.generation += 1;
-        let tally = self.history.entry((worker, landmark.id)).or_default();
+        let tally = self.tally_mut(worker, landmark.id);
         if answer == truth {
             tally.correct += 1;
         } else {
@@ -210,7 +221,7 @@ impl Platform {
     ) {
         self.response_times[worker.index()].push(response_time);
         self.generation = generation;
-        let tally = self.history.entry((worker, landmark)).or_default();
+        let tally = self.tally_mut(worker, landmark);
         if correct {
             tally.correct += 1;
         } else {
@@ -222,12 +233,15 @@ impl Platform {
     /// rewards, generation, RNG) for persistence. The history is sorted
     /// by `(worker, landmark)` so exports compare deterministically.
     pub fn export_state(&self) -> PlatformState {
-        let mut history: Vec<(u32, u32, u64, u64)> = self
+        let history = self
             .history
             .iter()
-            .map(|((w, l), t)| (w.0, l.0, t.correct as u64, t.wrong as u64))
+            .enumerate()
+            .flat_map(|(w, row)| {
+                row.iter()
+                    .map(move |(l, t)| (w as u32, l.0, t.correct as u64, t.wrong as u64))
+            })
             .collect();
-        history.sort_unstable();
         PlatformState {
             generation: self.generation,
             rng: self.rng.state(),
@@ -239,8 +253,11 @@ impl Platform {
 
     /// Replaces the mutable state with a previously exported one.
     /// Outstanding-task counts reset to zero (no reservations survive a
-    /// restart). Fails if `state` was exported from a population of a
-    /// different size.
+    /// restart). Tallies may come in any order; of two for the same
+    /// `(worker, landmark)` the later wins. Fails, leaving the platform
+    /// untouched, if `state` was exported from a population of a
+    /// different size or its history names a worker outside the
+    /// population.
     pub fn import_state(&mut self, state: &PlatformState) -> Result<(), StateSizeMismatch> {
         let n = self.population.len();
         if state.points.len() != n || state.response_times.len() != n {
@@ -249,24 +266,30 @@ impl Platform {
                 got: state.points.len().max(state.response_times.len()),
             });
         }
+        let named = state
+            .history
+            .iter()
+            .map(|t| t.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        if named > n {
+            return Err(StateSizeMismatch {
+                expected: n,
+                got: named,
+            });
+        }
+        self.history = vec![Vec::new(); n];
+        for &(w, l, c, x) in &state.history {
+            *self.tally_mut(WorkerId(w), LandmarkId(l)) = AnswerTally {
+                correct: c.min(u32::MAX as u64) as u32,
+                wrong: x.min(u32::MAX as u64) as u32,
+            };
+        }
         self.generation = state.generation;
         self.rng = SmallRng::from_state(state.rng);
         self.points = state.points.clone();
         self.response_times = state.response_times.clone();
         self.outstanding = vec![0; n];
-        self.history = state
-            .history
-            .iter()
-            .map(|&(w, l, c, x)| {
-                (
-                    (WorkerId(w), LandmarkId(l)),
-                    AnswerTally {
-                        correct: c.min(u32::MAX as u64) as u32,
-                        wrong: x.min(u32::MAX as u64) as u32,
-                    },
-                )
-            })
-            .collect();
         Ok(())
     }
 
@@ -476,6 +499,133 @@ mod tests {
         assert_eq!(a.generation, b.generation);
         assert_eq!(a.history, b.history);
         assert_eq!(a.response_times, b.response_times);
+    }
+
+    /// The history as it was stored before per-worker rows: one map over
+    /// `(worker, landmark)`, read back by scan and sort.
+    #[derive(Default)]
+    struct MapHistory(std::collections::HashMap<(u32, u32), AnswerTally>);
+
+    impl MapHistory {
+        fn record(&mut self, w: WorkerId, l: LandmarkId, correct: bool) {
+            let t = self.0.entry((w.0, l.0)).or_default();
+            if correct {
+                t.correct += 1;
+            } else {
+                t.wrong += 1;
+            }
+        }
+
+        fn worker_history(&self, w: WorkerId) -> Vec<(LandmarkId, AnswerTally)> {
+            let mut out: Vec<_> = self
+                .0
+                .iter()
+                .filter(|((x, _), _)| *x == w.0)
+                .map(|((_, l), t)| (LandmarkId(*l), *t))
+                .collect();
+            out.sort_unstable_by_key(|(l, _)| *l);
+            out
+        }
+
+        fn export(&self) -> Vec<(u32, u32, u64, u64)> {
+            let mut out: Vec<_> = self
+                .0
+                .iter()
+                .map(|(&(w, l), t)| (w, l, t.correct as u64, t.wrong as u64))
+                .collect();
+            out.sort_unstable();
+            out
+        }
+    }
+
+    fn assert_same_history(p: &Platform, reference: &MapHistory, lms: &LandmarkSet) {
+        assert_eq!(p.export_state().history, reference.export());
+        for w in p.population().ids() {
+            assert_eq!(p.worker_history(w), reference.worker_history(w), "{w:?}");
+            for l in lms.ids() {
+                let expect = reference.0.get(&(w.0, l.0)).copied().unwrap_or_default();
+                assert_eq!(p.tally(w, l), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn per_worker_rows_match_a_map_reference() {
+        use rand::RngExt;
+        let (lms, mut p) = setup();
+        let mut reference = MapHistory::default();
+        let mut rng = SmallRng::seed_from_u64(0x4157);
+        let n = p.population().len() as u32;
+        for step in 0..3000u32 {
+            // A few hot workers and landmarks, so rows grow long and
+            // tallies repeat.
+            let w = WorkerId(if rng.random_bool(0.5) {
+                rng.random_range(0..3)
+            } else {
+                rng.random_range(0..n)
+            });
+            let l = LandmarkId(rng.random_range(0..lms.len() as u32));
+            if rng.random_bool(0.5) {
+                let truth = rng.random_bool(0.5);
+                let (answer, _) = p.ask(w, lms.get(l), truth);
+                reference.record(w, l, answer == truth);
+            } else {
+                let correct = rng.random_bool(0.5);
+                let generation = p.generation() + 1;
+                p.apply_answer(w, l, correct, 1.0, generation);
+                reference.record(w, l, correct);
+            }
+            if step % 500 == 499 {
+                assert_same_history(&p, &reference, &lms);
+            }
+        }
+    }
+
+    #[test]
+    fn import_takes_tallies_in_any_order_and_the_last_duplicate_wins() {
+        let (lms, mut p) = setup();
+        let mut state = p.export_state();
+        state.history = vec![
+            (3, 7, 1, 0),
+            (0, 9, 2, 2),
+            (3, 2, 5, 1),
+            (0, 9, 4, 0),
+            (0, 1, 0, 3),
+            (3, 7, 6, 6),
+        ];
+        p.import_state(&state).unwrap();
+        let mut reference = MapHistory::default();
+        for &(w, l, c, x) in &state.history {
+            let t = AnswerTally {
+                correct: c as u32,
+                wrong: x as u32,
+            };
+            reference.0.insert((w, l), t);
+        }
+        assert_same_history(&p, &reference, &lms);
+        assert_eq!(
+            p.export_state().history,
+            vec![(0, 1, 0, 3), (0, 9, 4, 0), (3, 2, 5, 1), (3, 7, 6, 6)]
+        );
+    }
+
+    #[test]
+    fn import_rejects_a_tally_outside_the_population() {
+        let (lms, mut p) = setup();
+        p.warm_up(&lms, 3);
+        let before = p.export_state();
+        let n = p.population().len();
+        let mut state = before.clone();
+        state.history.push((n as u32 + 4, 0, 1, 0));
+        state.history.push((n as u32, 0, 1, 0));
+        assert_eq!(
+            p.import_state(&state),
+            Err(StateSizeMismatch {
+                expected: n,
+                got: n + 5
+            })
+        );
+        assert_eq!(p.export_state(), before, "a failed import changes nothing");
     }
 
     #[test]
