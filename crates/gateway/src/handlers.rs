@@ -13,7 +13,8 @@
 //! deregistered at runtime ([`ServiceError::CityOffboarded`] — the
 //! resource is gone, retrying will not help); route-deadline expiry
 //! → **504** (the ticket is abandoned, the work still completes and
-//! warms the truth store); malformed parameters → **400**; no candidate
+//! warms the truth store); malformed parameters, and node ids the city's
+//! graph does not have ([`ServiceError::UnknownNode`]) → **400**; no candidate
 //! route → **422**; resolver panics and other upstream failures →
 //! **500**; platform shutdown or edge drain → **503**.
 //!
@@ -169,6 +170,10 @@ fn upstream_error(state: &AppState, e: &ServiceError) -> Response {
                 &format!("no city registered under {city}"),
             )
         }
+        ServiceError::UnknownNode { .. } => {
+            state.stats.inc(&state.stats.bad_params);
+            Response::error(400, "bad_params", &e.to_string())
+        }
         ServiceError::CityOffboarded(city) => {
             // The city existed but was deregistered: the resource is
             // gone for good, so (unlike 429/503) no Retry-After.
@@ -294,8 +299,10 @@ fn platform_json(snap: &PlatformSnapshot) -> String {
     json::object()
         .field("submitted", snap.submitted)
         .field("admitted", snap.admitted)
+        .field("served_inline", snap.served_inline)
         .field("rejected_busy", snap.rejected_busy)
         .field("rejected_unknown_city", snap.rejected_unknown_city)
+        .field("rejected_unknown_node", snap.rejected_unknown_node)
         .field("rejected_shutdown", snap.rejected_shutdown)
         .field("rejected_offboarded", snap.rejected_offboarded)
         .field("shed", snap.shed)
@@ -314,8 +321,8 @@ fn platform_json(snap: &PlatformSnapshot) -> String {
 }
 
 /// Each city's slice of the sharded ingress — queue depth, DRR weight,
-/// admission, dispatch and shed counts — as a JSON array indexed by
-/// city.
+/// admission (truth hits served at submit included), dispatch and shed
+/// counts — as a JSON array indexed by city.
 fn per_city_json(per_city: &[CityQueueSnapshot]) -> String {
     json::array(per_city.iter().map(|c| {
         let breaker = json::or_null(c.breaker.as_ref(), |b| {
@@ -334,6 +341,7 @@ fn per_city_json(per_city: &[CityQueueSnapshot]) -> String {
             .field("weight", c.weight)
             .field("queue_depth", c.queue_depth)
             .field("admitted", c.admitted)
+            .field("served_inline", c.served_inline)
             .field("rejected_busy", c.rejected_busy)
             .field("batched_requests", c.batched_requests)
             .field("unbatched_requests", c.unbatched_requests)

@@ -25,11 +25,15 @@
 //!
 //! | Condition | Status |
 //! |---|---|
-//! | ingress full ([`Busy`](cp_service::ServiceError::Busy)), crowd quota exhausted, rate-limited | `429` + `Retry-After` |
+//! | ingress full for a truth miss ([`Busy`](cp_service::ServiceError::Busy)), crowd quota exhausted, rate-limited | `429` + `Retry-After` |
 //! | unknown city / unknown path | `404` |
 //! | ticket deadline expired | `504` |
 //! | platform draining / connection queue full | `503` |
-//! | malformed parameters | `400`; no resolvable candidates | `422` |
+//! | malformed parameters, node not in the city ([`UnknownNode`](cp_service::ServiceError::UnknownNode)) | `400`; no resolvable candidates | `422` |
+//!
+//! A truth hit is served inside `submit` on the handler thread and is
+//! never `Busy`: only misses queue, so only misses can get the ingress
+//! `429`.
 //!
 //! # Lifecycle
 //!

@@ -2,6 +2,7 @@
 
 use crate::world::CityId;
 use cp_core::CoreError;
+use cp_roadnet::NodeId;
 
 /// Why a request could not be served (or admitted).
 #[derive(Debug, Clone, PartialEq)]
@@ -18,6 +19,14 @@ pub enum ServiceError {
     Busy,
     /// The request names a city no world was registered under.
     UnknownCity(CityId),
+    /// An endpoint of the request is not a node of its city's road
+    /// graph (its id is at least the graph's node count).
+    UnknownNode {
+        /// The city the request was addressed to.
+        city: CityId,
+        /// The first out-of-range endpoint.
+        node: NodeId,
+    },
     /// The platform is shutting down and no longer admits requests.
     ShuttingDown,
     /// The request's city was deregistered at runtime
@@ -55,6 +64,9 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::UnknownCity(city) => {
                 write!(f, "no world registered under {city}")
+            }
+            ServiceError::UnknownNode { city, node } => {
+                write!(f, "node {} is not a node of {city}", node.0)
             }
             ServiceError::ShuttingDown => {
                 write!(f, "the platform is shutting down")
@@ -114,6 +126,14 @@ mod tests {
         assert!(ServiceError::CityOffboarded(CityId(3))
             .to_string()
             .contains("city#3"));
+        assert_eq!(
+            ServiceError::UnknownNode {
+                city: CityId(0),
+                node: NodeId(100_000)
+            }
+            .to_string(),
+            "node 100000 is not a node of city#0"
+        );
     }
 
     #[test]

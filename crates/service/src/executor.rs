@@ -7,22 +7,24 @@
 //! [`RouteService::serve_coalesced`], which takes a *run* of requests
 //! (a run of one is the lone case, not a separate path):
 //!
-//! 1. **sharded truth lookup** — read-locks only the shards owning the
-//!    origin neighbourhood; a hit answers immediately;
-//! 2. **single-flight dedup** — identical `(from, to, time bucket)`
+//! 1. **single-flight dedup** — identical `(from, to, time bucket)`
 //!    requests collapse onto one leader, inside the run and (through
 //!    the flight table) against concurrent runs; followers share the
 //!    leader's result;
-//! 3. **candidate cache** — each leader fetches the mined candidate set
-//!    from the per-`(OD cell, time bucket)` LRU; the run's misses mine
-//!    together through shared per-origin artifacts;
+//! 2. **sharded truth lookup** — each leader first reads the shards
+//!    owning the origin neighbourhood; a hit answers the whole group;
+//! 3. **candidate cache** — each remaining leader fetches the mined
+//!    candidate set from the per-`(OD cell, time bucket)` LRU; the
+//!    run's misses mine together through shared per-origin artifacts;
 //! 4. **resolution** — the caller's [`Resolver`] decides; the verified
-//!    route is deposited into the sharded store so step 1 serves every
-//!    later request in the reuse neighbourhood.
+//!    route is deposited into the sharded store so truth lookups serve
+//!    every later request in the reuse neighbourhood.
 //!
 //! [`Platform`](crate::Platform) — open submission with admission
 //! control and joinable tickets, several cities on one resident worker
-//! pool — hands every run its workers dequeue to that one function;
+//! pool — serves truth hits on the submitting thread (the same lookup,
+//! [`RouteService`]'s one hit path, before anything queues) and hands
+//! every run of misses its workers dequeue to that one function;
 //! [`RouteService::handle`] is the run-of-one convenience.
 //!
 //! ## Determinism
@@ -139,6 +141,13 @@ pub struct ServedRoute {
     pub served: Served,
     /// Confidence of the answer.
     pub confidence: f64,
+}
+
+/// A truth hit found by [`RouteService::probe_truth`], not yet booked.
+pub(crate) struct ProbedHit {
+    served: ServedRoute,
+    /// The lookup's duration; `Some` only when the service traces.
+    lookup_ns: Option<u64>,
 }
 
 /// Candidate-cache capacity (cell-bucket keys).
@@ -498,23 +507,82 @@ impl RouteService {
         cache.insert(key, slot);
     }
 
+    /// The one truth-hit path: `req` looked up in the sharded store at
+    /// its canonical departure. Books nothing; both callers — a flight
+    /// leader in [`RouteService::serve_coalesced`] and the platform's
+    /// submit probe ([`RouteService::probe_truth`]) — book a hit their
+    /// own way.
+    fn truth_hit(&self, req: &Request) -> Option<ServedRoute> {
+        let departure = self.canonical_departure(req);
+        let hit = self.truths.lookup(
+            self.world.graph(),
+            req.from,
+            req.to,
+            departure,
+            &self.cfg.core,
+        )?;
+        Some(ServedRoute {
+            path: hit.path,
+            served: Served::TruthHit,
+            confidence: hit.confidence,
+        })
+    }
+
+    /// Truth reuse on the submitting thread: the platform probes here
+    /// before taking any lock. Books nothing — an admitted hit is booked
+    /// by [`RouteService::book_inline_hit`], a rejected one never. The
+    /// lookup is timed only when the service traces.
+    pub(crate) fn probe_truth(&self, req: &Request) -> Option<ProbedHit> {
+        let t0 = self.tracer.enabled().then(Instant::now);
+        let served = self.truth_hit(req)?;
+        Some(ProbedHit {
+            served,
+            lookup_ns: t0.map(|t| t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64),
+        })
+    }
+
+    /// Books an admitted submit-path hit exactly as a worker books a
+    /// truth hit: a run of one with its request, truth hit and
+    /// `elapsed` latency, plus — when tracing — the probe's
+    /// [`Stage::TruthLookup`] span and a sampled trace. Returns the
+    /// served route.
+    pub(crate) fn book_inline_hit(
+        &self,
+        req: &Request,
+        hit: ProbedHit,
+        elapsed: std::time::Duration,
+    ) -> ServedRoute {
+        self.stats.record_batch(1);
+        self.stats.inc_requests();
+        self.stats.inc_truth_hits();
+        self.stats.record_latency(elapsed);
+        let mut tr = self.tracer.call(&self.stats);
+        if let Some(ns) = hit.lookup_ns {
+            tr.record_ns(Stage::TruthLookup, ns);
+        }
+        self.tracer
+            .finish(tr, req.from, req.to, req.departure, 1, "truth_hit", elapsed);
+        hit.served
+    }
+
     /// Serves a run of requests — the one serving ladder. The platform
     /// hands over whatever its batcher dequeued together (a run sharing
-    /// `(city, origin cell)`, or a run of one), and the shared work is
-    /// paid once per run instead of once per request:
+    /// `(city, origin cell)`, or a run of one — truth hits were already
+    /// served at submit), and the shared work is paid once per run
+    /// instead of once per request:
     ///
-    /// 1. **one sharded-truth pre-pass** — every request probes the
-    ///    store up front; hits answer immediately;
-    /// 2. **one single-flight leader per distinct OD key** — intra-run
+    /// 1. **one single-flight leader per distinct OD key** — intra-run
     ///    duplicates collapse locally, and the global flight table still
-    ///    dedups against concurrent workers;
-    /// 3. **one artifact-backed mining pass** — all leader ODs missing
+    ///    dedups against concurrent workers; each leader then looks its
+    ///    key up in the sharded truth store, and a hit answers the
+    ///    leader's whole group;
+    /// 2. **one artifact-backed mining pass** — all leader ODs missing
     ///    the candidate cache mine through shared per-origin all-day
     ///    artifacts (cached across runs and buckets in the city's
     ///    [`MiningArtifactCache`]) plus one period aggregation per
     ///    distinct departure, followed by a bulk cache fill — runs may
     ///    freely span several time buckets.
-    /// 4. **resolution per leader** — the verified route is deposited
+    /// 3. **resolution per leader** — the verified route is deposited
     ///    into the sharded store, unless the answer was a quota-starved
     ///    crowd fallback.
     ///
@@ -556,36 +624,15 @@ impl RouteService {
         let mut results: Vec<Option<Result<ServedRoute, ServiceError>>> =
             requests.iter().map(|_| None).collect();
 
-        // 1. One truth pre-pass over the whole batch.
-        for (i, req) in requests.iter().enumerate() {
-            let departure = self.canonical_departure(req);
-            let hit = {
-                let _s = tr.span(Stage::TruthLookup);
-                self.truths
-                    .lookup(graph, req.from, req.to, departure, &self.cfg.core)
-            };
-            if let Some(hit) = hit {
-                self.stats.inc_truth_hits();
-                results[i] = Some(Ok(ServedRoute {
-                    path: hit.path,
-                    served: Served::TruthHit,
-                    confidence: hit.confidence,
-                }));
-            }
-        }
-
-        // 2. Group misses by dedup key (first-appearance order) and join
-        // the global flight table once per distinct key. Joins are
+        // 1. Group requests by dedup key (first-appearance order) and
+        // join the global flight table once per distinct key. Joins are
         // non-blocking: keys led by a *concurrent* batch become deferred
         // watches, waited on only after every leadership this batch
-        // holds is completed (step 4) — blocking inline here while
+        // holds is completed (step 3) — blocking inline here while
         // holding other leader tokens would deadlock two batches that
         // lead each other's keys in opposite orders.
         let mut groups: Vec<(RequestKey, Vec<usize>)> = Vec::new();
         for (i, req) in requests.iter().enumerate() {
-            if results[i].is_some() {
-                continue;
-            }
             let key = self.key_of(req);
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(i),
@@ -606,26 +653,16 @@ impl RouteService {
             match self.flights.join_deferred(key) {
                 JoinNow::Watch(watch) => watches.push((members, watch)),
                 JoinNow::Leader(token) => {
-                    // Leader double-check: this run may have missed the
-                    // pre-pass, then become leader of a *new* flight
-                    // after the previous identical flight completed. The
-                    // old leader's truth insert precedes its flight
-                    // retirement, so the truth is guaranteed visible
-                    // here — without this re-check a key could resolve
-                    // twice.
-                    let req = &requests[members[0]];
-                    let departure = self.canonical_departure(req);
+                    // Leader truth check — the in-run hit path, for keys
+                    // stored after their request passed the submit probe.
+                    // A retired identical flight inserted its truth
+                    // before retiring, so that truth is visible here —
+                    // without this check a key could resolve twice.
                     let hit = {
                         let _s = tr.span(Stage::TruthLookup);
-                        self.truths
-                            .lookup(graph, req.from, req.to, departure, &self.cfg.core)
+                        self.truth_hit(&requests[members[0]])
                     };
-                    if let Some(hit) = hit {
-                        let served = ServedRoute {
-                            path: hit.path,
-                            served: Served::TruthHit,
-                            confidence: hit.confidence,
-                        };
+                    if let Some(served) = hit {
                         token.complete(served.clone());
                         for &i in &members {
                             self.stats.inc_truth_hits();
@@ -642,7 +679,7 @@ impl RouteService {
             }
         }
 
-        // 3. Candidate-cache pre-pass, then one artifact-backed fused
+        // 2. Candidate-cache pre-pass, then one artifact-backed fused
         // mining pass for every leader OD the cache cannot serve.
         let mut to_mine: Vec<usize> = Vec::new();
         for (p, flight) in pending.iter_mut().enumerate() {
@@ -745,7 +782,7 @@ impl RouteService {
             }
         }
 
-        // 4. Resolve each led flight in batch order.
+        // 3. Resolve each led flight in batch order.
         let mut poisoned = false;
         for flight in pending {
             let first = flight.members[0];
@@ -837,7 +874,7 @@ impl RouteService {
             }
         }
 
-        // 5. Only now — with every leadership this batch held completed
+        // 4. Only now — with every leadership this batch held completed
         // (or dropped) — wait on flights led by concurrent callers.
         for (members, watch) in watches {
             let shared = {

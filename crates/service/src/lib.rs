@@ -17,14 +17,18 @@
 //! * [`RouteService`] — the per-city executor and its one serving
 //!   ladder, [`RouteService::serve_coalesced`]: a *run* of requests
 //!   (typically sharing an origin cell; a run of one is the lone case)
-//!   walks *truth hit → single-flight dedup → candidate cache →
-//!   resolution* through **one** truth pre-pass, one flight leader per
-//!   distinct OD and one artifact-backed mining pass;
-//! * [`Platform`] — the front door: a resident worker pool over all
-//!   registered cities, **per-city bounded ingress queues** behind a
-//!   weighted deficit-round-robin dispatcher with admission
-//!   control ([`Platform::submit`] is non-blocking and returns
-//!   [`ServiceError::Busy`] when full), joinable/pollable [`Ticket`]s,
+//!   walks *single-flight dedup → truth hit → candidate cache →
+//!   resolution* through one flight leader per distinct OD (each
+//!   leader's truth lookup is the in-run hit path) and one
+//!   artifact-backed mining pass;
+//! * [`Platform`] — the front door: **truth hits served on the
+//!   submitting thread** ([`Platform::submit`] probes the city's truth
+//!   store and returns a completed [`Ticket`] on a hit), a resident
+//!   worker pool over all registered cities for the misses,
+//!   **per-city bounded ingress queues** behind a weighted
+//!   deficit-round-robin dispatcher with admission control (a miss is
+//!   rejected with [`ServiceError::Busy`] when its queue is full),
+//!   joinable/pollable [`Ticket`]s,
 //!   opportunistic **origin-cell request coalescing**
 //!   ([`PlatformConfig::batch`] / [`BatchConfig`]: a worker dequeues
 //!   its job together with every already-queued `(city, origin

@@ -13,11 +13,19 @@
 //!   `std::thread` workers that live until [`Platform::shutdown`]; each
 //!   worker lazily builds one resolver per city from the city's
 //!   registered factory and keeps it across requests;
-//! * **bounded ingress + admission control** — [`Platform::submit`] is
-//!   non-blocking: it enqueues and returns a [`Ticket`], or rejects with
-//!   [`ServiceError::Busy`] when the queue is full (shed load instead of
-//!   collapsing under it). [`Platform::submit_blocking`] waits for space
-//!   instead;
+//! * **truth hits on the submitting thread** — [`Platform::submit`]
+//!   first probes the city's sharded truth store, holding no lock. A hit
+//!   is admitted and served right there: the returned [`Ticket`] is
+//!   already complete, and no queue, scheduler, condvar or worker is
+//!   touched. Only misses reach the ingress queue;
+//! * **bounded ingress + admission control** — a miss is enqueued and
+//!   gets a joinable [`Ticket`], or is rejected with
+//!   [`ServiceError::Busy`] when its city's queue is full (shed load
+//!   instead of collapsing under it; a hit is never shed).
+//!   [`Platform::submit_blocking`] waits for space instead. Each city's
+//!   ledger, `admitted == batched + unbatched + served_inline + shed +
+//!   queue_depth` ([`PlatformSnapshot::is_consistent`]), holds at every
+//!   instant;
 //! * **origin-cell coalescing** — with [`PlatformConfig::batch`] set, a
 //!   worker dispatches its job together with every job already queued
 //!   for the same city and origin cell, up to
@@ -25,8 +33,8 @@
 //! * **joinable, pollable tickets** — [`Ticket::wait`] blocks for the
 //!   result, [`Ticket::try_wait`] polls without blocking, and
 //!   [`Ticket::latency`] reports the submit→completion sojourn time
-//!   (queue wait + service time — the number an open-loop load generator
-//!   needs);
+//!   (truth probe + queue wait + service time — the number an open-loop
+//!   load generator needs);
 //! * **graceful shutdown** — [`Platform::shutdown`] stops admissions,
 //!   drains every queued job (each admitted ticket resolves exactly
 //!   once), and joins the workers. Dropping the platform does the same.
@@ -142,8 +150,9 @@ pub struct PlatformConfig {
     /// Resident worker threads shared by all cities.
     pub workers: usize,
     /// Bounded **per-city** ingress queue capacity; a full city queue
-    /// makes [`Platform::submit`] shed that city's requests with
-    /// [`ServiceError::Busy`] — other cities' queues are unaffected.
+    /// makes [`Platform::submit`] shed that city's truth misses with
+    /// [`ServiceError::Busy`] — other cities' queues are unaffected, and
+    /// truth hits never queue.
     pub queue_capacity: usize,
     /// Default deficit-round-robin weight assigned to newly registered
     /// cities (clamped to ≥ 1; override per city with
@@ -288,15 +297,18 @@ impl std::fmt::Debug for CrowdServing {
 struct Job {
     req: Request,
     slot: Arc<TicketSlot>,
+    /// When the job entered its queue: [`Stage::QueueWait`] starts here,
+    /// after the submit-path probe, not at submit entry.
+    admitted_at: Instant,
 }
 
 /// One city's bounded ingress queue plus its drain flag and its
 /// admission and dispatch accounting, all under the city's own mutex.
-/// The counters are mutated in the same critical
-/// sections that move jobs, so `admitted == batched_requests +
-/// unbatched_requests + queue_depth` holds per city at every instant a
-/// snapshot can observe (admission also bumps `admitted` under this
-/// lock).
+/// The counters are mutated in the same critical sections that move
+/// jobs, so `admitted == batched_requests + unbatched_requests +
+/// served_inline + shed + queue_depth` holds per city at every instant
+/// a snapshot can observe (admission bumps `admitted` — and, for a
+/// truth hit, `served_inline` — under this lock).
 struct CityIngress {
     jobs: VecDeque<Job>,
     draining: bool,
@@ -306,8 +318,11 @@ struct CityIngress {
     offboarded: bool,
     /// Queued jobs shed with a terminal error by the offboarding drain.
     shed: u64,
-    /// Requests admitted into this city's queue.
+    /// Requests admitted for this city: queued, or served at submit.
     admitted: u64,
+    /// Admitted truth hits served on the submitting thread (never
+    /// queued).
+    served_inline: u64,
     /// Non-blocking submissions shed because this city's queue was full.
     rejected_busy: u64,
     /// Jobs dispatched inside a coalesced run of ≥ 2.
@@ -351,6 +366,7 @@ impl CityQueue {
                 offboarded: false,
                 shed: 0,
                 admitted: 0,
+                served_inline: 0,
                 rejected_busy: 0,
                 batched_requests: 0,
                 unbatched_requests: 0,
@@ -433,6 +449,9 @@ struct Inner {
     backlogged: AtomicUsize,
     submitted: AtomicU64,
     rejected_unknown_city: AtomicU64,
+    /// Submissions rejected because an endpoint is not a node of the
+    /// city's graph.
+    rejected_unknown_node: AtomicU64,
     rejected_shutdown: AtomicU64,
     /// Submissions rejected because the target city was deregistered.
     rejected_offboarded: AtomicU64,
@@ -503,8 +522,11 @@ pub struct CityQueueSnapshot {
     pub weight: u32,
     /// Jobs currently waiting in this city's queue.
     pub queue_depth: usize,
-    /// Requests admitted into this city's queue.
+    /// Requests admitted for this city: queued, or served at submit.
     pub admitted: u64,
+    /// Admitted truth hits served on the submitting thread, never
+    /// queued.
+    pub served_inline: u64,
     /// Non-blocking submissions shed because this city's queue was
     /// full (other cities shed independently).
     pub rejected_busy: u64,
@@ -531,14 +553,18 @@ pub struct CityQueueSnapshot {
 }
 
 impl CityQueueSnapshot {
-    /// The per-city dispatch ledger: every admitted job is either still
-    /// queued, was dispatched exactly once — batched or unbatched — or
-    /// was shed with a terminal error by an offboarding drain. All
-    /// terms are captured under the city's queue lock, so this is exact
-    /// at every observable instant.
+    /// The per-city dispatch ledger: every admitted request was served
+    /// at submit, or is still queued, was dispatched exactly once —
+    /// batched or unbatched — or was shed with a terminal error by an
+    /// offboarding drain. All terms are captured under the city's queue
+    /// lock, so this is exact at every observable instant.
     pub fn is_consistent(&self) -> bool {
         self.admitted
-            == self.batched_requests + self.unbatched_requests + self.shed + self.queue_depth as u64
+            == self.batched_requests
+                + self.unbatched_requests
+                + self.served_inline
+                + self.shed
+                + self.queue_depth as u64
             && self.batch_max <= self.batched_requests
             && self.batch_runs <= self.batched_requests
             && (self.shed == 0 || self.offboarded)
@@ -551,13 +577,19 @@ impl CityQueueSnapshot {
 pub struct PlatformSnapshot {
     /// Submission attempts (admitted + all rejections).
     pub submitted: u64,
-    /// Requests admitted across all city queues (Σ per-city).
+    /// Requests admitted across all cities (Σ per-city).
     pub admitted: u64,
+    /// Admitted truth hits served on the submitting thread without
+    /// queueing (Σ per-city).
+    pub served_inline: u64,
     /// Rejections because the target city's queue was full (Σ
     /// per-city).
     pub rejected_busy: u64,
     /// Rejections because the request named an unregistered city.
     pub rejected_unknown_city: u64,
+    /// Rejections because an endpoint is not a node of the city's graph
+    /// ([`ServiceError::UnknownNode`]).
+    pub rejected_unknown_node: u64,
     /// Rejections because the platform was shutting down.
     pub rejected_shutdown: u64,
     /// Rejections because the target city was deregistered at runtime.
@@ -565,7 +597,7 @@ pub struct PlatformSnapshot {
     /// Queued tickets shed with [`ServiceError::CityOffboarded`] by
     /// offboarding drains (Σ per-city).
     pub shed: u64,
-    /// Tickets fulfilled by workers.
+    /// Tickets completed: served at submit or fulfilled by workers.
     pub completed: u64,
     /// Registered cities.
     pub cities: usize,
@@ -610,28 +642,32 @@ pub struct PlatformSnapshot {
 impl PlatformSnapshot {
     /// The admission and dispatch accounting invariants: every
     /// submission was either admitted or rejected for exactly one
-    /// reason, and every admitted job is either still queued or was
-    /// dispatched exactly once — batched or unbatched. Each city's
-    /// dispatch counters, `admitted` and queue depth are captured under
-    /// that city's queue lock (dispatch mutates them in the same
+    /// reason, and every admitted request was served at submit, is
+    /// still queued, was dispatched exactly once — batched or unbatched
+    /// — or was shed. Each city's dispatch counters, `admitted`,
+    /// `served_inline` and queue depth are captured under that city's
+    /// queue lock (admission and dispatch mutate them in the same
     /// critical sections that move jobs), so every per-city ledger —
     /// and therefore their sum, `admitted == batched + unbatched +
-    /// Σ per-city queue_depth` — is exact at every observable instant,
-    /// not just at quiescence.
+    /// served_inline + shed + Σ per-city queue_depth` — is exact at
+    /// every observable instant, not just at quiescence.
     pub fn is_consistent(&self) -> bool {
         let per_city_depth: u64 = self.per_city.iter().map(|c| c.queue_depth as u64).sum();
         self.admitted
             + self.rejected_busy
             + self.rejected_unknown_city
+            + self.rejected_unknown_node
             + self.rejected_shutdown
             + self.rejected_offboarded
             == self.submitted
             && self.admitted
                 == self.batched_requests
                     + self.unbatched_requests
+                    + self.served_inline
                     + self.shed
                     + self.queue_depth as u64
             && self.shed == self.per_city.iter().map(|c| c.shed).sum::<u64>()
+            && self.served_inline == self.per_city.iter().map(|c| c.served_inline).sum::<u64>()
             && self.queue_depth as u64 == per_city_depth
             && self.admitted == self.per_city.iter().map(|c| c.admitted).sum::<u64>()
             && self.per_city.iter().all(CityQueueSnapshot::is_consistent)
@@ -653,12 +689,30 @@ struct TicketSlot {
 }
 
 impl TicketSlot {
+    /// The slot of a job entering its city's queue; the worker that
+    /// serves the job fulfils it.
+    fn queued(submitted_at: Instant) -> Arc<TicketSlot> {
+        Arc::new(TicketSlot {
+            state: Mutex::new(None),
+            done: Condvar::new(),
+            submitted_at,
+            sojourn_ns: AtomicU64::new(0),
+        })
+    }
+
+    /// The slot of a truth hit served at submit: complete from the
+    /// start, so nobody can be waiting on it.
+    fn served(submitted_at: Instant, served: ServedRoute, sojourn_ns: u64) -> Arc<TicketSlot> {
+        Arc::new(TicketSlot {
+            state: Mutex::new(Some(Ok(served))),
+            done: Condvar::new(),
+            submitted_at,
+            sojourn_ns: AtomicU64::new(sojourn_ns),
+        })
+    }
+
     fn fulfill(&self, result: Result<ServedRoute, ServiceError>) {
-        let ns = self
-            .submitted_at
-            .elapsed()
-            .as_nanos()
-            .clamp(1, u64::MAX as u128) as u64;
+        let ns = sojourn_ns(self.submitted_at);
         let mut state = self.state.lock().expect("ticket poisoned");
         debug_assert!(state.is_none(), "a ticket resolves exactly once");
         *state = Some(result);
@@ -670,10 +724,11 @@ impl TicketSlot {
 /// A handle to one submitted request.
 ///
 /// Join it with [`Ticket::wait`] (blocking) or poll it with
-/// [`Ticket::try_wait`]; either way the result is produced exactly once
-/// by the worker that served the request. Dropping a ticket abandons the
-/// result but never the work — the request still runs and feeds the
-/// city's truth store.
+/// [`Ticket::try_wait`]; either way the result is produced exactly once:
+/// by [`Platform::submit`] itself for a truth hit (the ticket is
+/// complete when returned), else by the worker that served the request.
+/// Dropping a ticket abandons the result but never the work — the
+/// request still runs and feeds the city's truth store.
 pub struct Ticket {
     city: CityId,
     slot: Arc<TicketSlot>,
@@ -749,8 +804,9 @@ impl Ticket {
         self.slot.sojourn_ns.load(Ordering::Acquire) != 0
     }
 
-    /// Submit→completion sojourn time (queue wait + service time), once
-    /// the request completed; `None` while in flight.
+    /// Submit→completion sojourn time, measured from entry into
+    /// [`Platform::submit`] (truth probe + queue wait + service time),
+    /// once the request completed; `None` while in flight.
     pub fn latency(&self) -> Option<Duration> {
         match self.slot.sojourn_ns.load(Ordering::Acquire) {
             0 => None,
@@ -801,6 +857,7 @@ impl Platform {
             backlogged: AtomicUsize::new(0),
             submitted: AtomicU64::new(0),
             rejected_unknown_city: AtomicU64::new(0),
+            rejected_unknown_node: AtomicU64::new(0),
             rejected_shutdown: AtomicU64::new(0),
             rejected_offboarded: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -1143,22 +1200,31 @@ impl Platform {
             .map(|b| b.snapshot())
     }
 
-    /// Non-blocking submission: enqueues the request and returns a
-    /// joinable [`Ticket`], or rejects immediately with
-    /// [`ServiceError::Busy`] (queue full — back off and resubmit),
-    /// [`ServiceError::UnknownCity`] or [`ServiceError::ShuttingDown`].
+    /// Non-blocking submission. A request whose verified route is
+    /// already in its city's truth store is served on the calling
+    /// thread: the returned [`Ticket`] is already complete
+    /// ([`Served::TruthHit`](crate::Served::TruthHit)), and such a hit is
+    /// never shed. Any other request is enqueued for a worker and gets a
+    /// joinable ticket, or is rejected immediately with
+    /// [`ServiceError::Busy`] (its city's queue is full — back off and
+    /// resubmit). Either kind is rejected with
+    /// [`ServiceError::UnknownCity`], [`ServiceError::UnknownNode`],
+    /// [`ServiceError::CityOffboarded`] or [`ServiceError::ShuttingDown`].
     pub fn submit(&self, req: Request) -> Result<Ticket, ServiceError> {
         self.submit_inner(req, false)
     }
 
-    /// Like [`Platform::submit`] but waits for queue space instead of
-    /// rejecting with `Busy` (it still rejects unknown cities and a
-    /// shutting-down platform).
+    /// Like [`Platform::submit`] but a miss waits for queue space
+    /// instead of being rejected with `Busy`. A truth hit returns a
+    /// completed ticket at once and never waits; both still reject
+    /// unknown cities and nodes, an offboarded city and a shutting-down
+    /// platform.
     pub fn submit_blocking(&self, req: Request) -> Result<Ticket, ServiceError> {
         self.submit_inner(req, true)
     }
 
     fn submit_inner(&self, req: Request, block_on_full: bool) -> Result<Ticket, ServiceError> {
+        let submitted_at = Instant::now();
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         let city = {
             let cities = self.inner.cities.read().expect("city registry poisoned");
@@ -1172,6 +1238,24 @@ impl Platform {
                 }
             }
         };
+        // Reject foreign node ids before anything indexes the graph with
+        // them (the truth probe and a worker's origin-cell lookup would
+        // panic).
+        let service = &city.service;
+        let nodes = service.world().graph().node_count();
+        if let Some(node) = [req.from, req.to].into_iter().find(|n| n.index() >= nodes) {
+            self.inner
+                .rejected_unknown_node
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::UnknownNode {
+                city: req.city,
+                node,
+            });
+        }
+        // Truth reuse on this thread, holding no lock. A hit is admitted
+        // and served below without touching the queue, the scheduler or
+        // a worker; only misses enqueue.
+        let hit = service.probe_truth(&req);
         let ing = &city.ingress;
         let mut q = ing.locks.lock(&ing.queue);
         loop {
@@ -1188,7 +1272,7 @@ impl Platform {
                 self.inner.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::ShuttingDown);
             }
-            if q.jobs.len() < self.inner.cfg.queue_capacity {
+            if hit.is_some() || q.jobs.len() < self.inner.cfg.queue_capacity {
                 break;
             }
             if !block_on_full {
@@ -1199,17 +1283,27 @@ impl Platform {
             }
             q = ing.not_full.wait(q).expect("ingress queue poisoned");
         }
-        let slot = Arc::new(TicketSlot {
-            state: Mutex::new(None),
-            done: Condvar::new(),
-            submitted_at: Instant::now(),
-            sojourn_ns: AtomicU64::new(0),
-        });
+        q.admitted += 1;
+        if let Some(hit) = hit {
+            q.served_inline += 1;
+            drop(q);
+            let served = service.book_inline_hit(&req, hit, submitted_at.elapsed());
+            self.inner.completed.fetch_add(1, Ordering::Relaxed);
+            // Read after booking, so the ticket's sojourn covers all the
+            // work `submit` does for a hit, as a worker-served ticket's
+            // covers the ladder's own booking.
+            let ns = sojourn_ns(submitted_at);
+            return Ok(Ticket {
+                city: req.city,
+                slot: TicketSlot::served(submitted_at, served, ns),
+            });
+        }
+        let slot = TicketSlot::queued(submitted_at);
         q.jobs.push_back(Job {
             req,
             slot: Arc::clone(&slot),
+            admitted_at: Instant::now(),
         });
-        q.admitted += 1;
         ing.pushed(&self.inner, 1);
         drop(q);
         // Wake a parked worker — but only touch the shared scheduler
@@ -1575,6 +1669,7 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
             weight: ing.weight.load(Ordering::Relaxed),
             queue_depth: q.jobs.len(),
             admitted: q.admitted,
+            served_inline: q.served_inline,
             rejected_busy: q.rejected_busy,
             batched_requests: q.batched_requests,
             unbatched_requests: q.unbatched_requests,
@@ -1599,8 +1694,10 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
     PlatformSnapshot {
         submitted: inner.submitted.load(Ordering::Relaxed),
         admitted: per_city.iter().map(|c| c.admitted).sum(),
+        served_inline: per_city.iter().map(|c| c.served_inline).sum(),
         rejected_busy: per_city.iter().map(|c| c.rejected_busy).sum(),
         rejected_unknown_city: inner.rejected_unknown_city.load(Ordering::Relaxed),
+        rejected_unknown_node: inner.rejected_unknown_node.load(Ordering::Relaxed),
         rejected_shutdown: inner.rejected_shutdown.load(Ordering::Relaxed),
         rejected_offboarded: inner.rejected_offboarded.load(Ordering::Relaxed),
         shed: per_city.iter().map(|c| c.shed).sum(),
@@ -1818,8 +1915,8 @@ impl std::fmt::Debug for Platform {
 /// Pops `city`'s front job plus every queued job sharing its origin
 /// cell — in queue order, up to `max_batch` — and books the run, all in
 /// one critical section under the city's own queue lock, so the
-/// per-city ledger `admitted == batched + unbatched + queue_depth`
-/// never wavers. Time buckets mix freely: the fused mining path shares
+/// per-city ledger (see [`CityQueueSnapshot::is_consistent`]) never
+/// wavers. Time buckets mix freely: the fused mining path shares
 /// the all-day origin artifacts across them and splits only the MFP
 /// period aggregation. Never waits for more jobs; `None` when the
 /// queue is empty.
@@ -1856,12 +1953,18 @@ fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// Attributes a job's submit→now sojourn to [`Stage::QueueWait`] in its
+/// A completed ticket's sojourn since `submitted_at`, in nanoseconds:
+/// at least 1, because 0 marks a pending ticket.
+fn sojourn_ns(submitted_at: Instant) -> u64 {
+    elapsed_ns(submitted_at).max(1)
+}
+
+/// Attributes a job's admission→now wait to [`Stage::QueueWait`] in its
 /// city's histograms (tracing-gated by the caller).
 fn record_queue_wait(service: &RouteService, job: &Job) {
     service
         .raw_stats()
-        .record_stage(Stage::QueueWait, elapsed_ns(job.slot.submitted_at));
+        .record_stage(Stage::QueueWait, elapsed_ns(job.admitted_at));
 }
 
 /// One deficit-round-robin scheduling decision, under the scheduler
@@ -2056,8 +2159,10 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Served;
     use cp_roadnet::{generate_city, CityParams, NodeId};
     use cp_traj::{generate_trips, TimeOfDay, TripGenParams};
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
     fn mini_world(seed: u64) -> Arc<World> {
         let city = generate_city(&CityParams::small(), seed).unwrap();
@@ -2200,6 +2305,39 @@ mod tests {
         assert_eq!(snap.rejected_unknown_city, 1);
         assert_eq!(snap.admitted, 0);
         assert!(snap.is_consistent());
+        platform.shutdown();
+    }
+
+    #[test]
+    fn out_of_range_nodes_are_rejected_and_the_only_worker_survives() {
+        let platform = Platform::start(PlatformConfig {
+            workers: 1,
+            ..PlatformConfig::default()
+        });
+        let id = platform.register_city(mini_world(7), ServiceConfig::strict_deterministic());
+        let at = |from: u32, to: u32| {
+            Request::to_city(id, NodeId(from), NodeId(to), TimeOfDay::from_hours(8.0))
+        };
+        // The mini city has 60 nodes: 60 is the first id past its graph.
+        for (req, node) in [(at(100_000, 59), 100_000), (at(0, 60), 60)] {
+            let want = ServiceError::UnknownNode {
+                city: id,
+                node: NodeId(node),
+            };
+            assert_eq!(platform.submit(req).unwrap_err(), want);
+            assert_eq!(platform.submit_blocking(req).unwrap_err(), want);
+        }
+        let served = platform
+            .submit(at(0, 59))
+            .unwrap()
+            .wait_timeout(Duration::from_secs(30))
+            .expect("the only worker still serves")
+            .unwrap();
+        assert_eq!(served.path.destination(), NodeId(59));
+        let snap = platform.stats();
+        assert_eq!(snap.rejected_unknown_node, 4);
+        assert_eq!(snap.admitted, 1);
+        assert!(snap.is_consistent(), "{snap:?}");
         platform.shutdown();
     }
 
@@ -2511,18 +2649,19 @@ mod tests {
         assert!(desk.desk_stats().is_drained());
     }
 
-    /// A one-worker platform over `world` coalescing up to `max_batch`
-    /// queued jobs, whose resolver holds its first resolution until the
-    /// returned sender fires: a burst submitted meanwhile is fully
-    /// queued behind the first dispatch, so runs of ≥ 2 must form.
+    /// A one-worker platform (`cfg` with `workers: 1`) over `world` with
+    /// one strict city, whose resolver holds its first resolution: it
+    /// signals the returned receiver, then waits until the returned
+    /// sender fires. Whatever is submitted meanwhile stays queued behind
+    /// that dispatch.
     fn gated_platform(
         world: &Arc<World>,
-        max_batch: usize,
-    ) -> (Platform, CityId, std::sync::mpsc::Sender<()>) {
+        cfg: PlatformConfig,
+    ) -> (Platform, CityId, Receiver<()>, Sender<()>) {
         use crate::resolver::Resolved;
         use cp_mining::CandidateRoute;
 
-        struct Gated(MachineResolver, Option<std::sync::mpsc::Receiver<()>>);
+        struct Gated(MachineResolver, Option<(Sender<()>, Receiver<()>)>);
         impl Resolver for Gated {
             fn resolve(
                 &mut self,
@@ -2531,28 +2670,156 @@ mod tests {
                 departure: TimeOfDay,
                 candidates: &[CandidateRoute],
             ) -> Result<Resolved, ServiceError> {
-                if let Some(gate) = self.1.take() {
+                if let Some((entered, gate)) = self.1.take() {
+                    // The test may not be listening; only the gate binds.
+                    let _ = entered.send(());
                     gate.recv().expect("the test opens the gate");
                 }
                 self.0.resolve(from, to, departure, candidates)
             }
         }
 
-        let platform = Platform::start(PlatformConfig {
-            workers: 1,
-            batch: Some(BatchConfig { max_batch }),
-            ..PlatformConfig::default()
-        });
-        let cfg = ServiceConfig::strict_deterministic();
-        let core = cfg.core.clone();
+        let platform = Platform::start(PlatformConfig { workers: 1, ..cfg });
+        let svc_cfg = ServiceConfig::strict_deterministic();
+        let core = svc_cfg.core.clone();
         let graph = world.graph_arc();
-        let (open, gate) = std::sync::mpsc::channel();
-        let gate = Mutex::new(Some(gate));
-        let id = platform.register_city_with(Arc::clone(world), cfg, move |_| {
+        let (entered_tx, entered) = channel();
+        let (open, gate) = channel();
+        let gate = Mutex::new(Some((entered_tx, gate)));
+        let id = platform.register_city_with(Arc::clone(world), svc_cfg, move |_| {
             let gate = gate.lock().expect("gate poisoned").take();
             Gated(MachineResolver::new(Arc::clone(&graph), core.clone()), gate)
         });
-        (platform, id, open)
+        (platform, id, entered, open)
+    }
+
+    /// A one-worker, two-slot platform over the mini city with the
+    /// verified route of `key` already stored, its only worker held
+    /// inside a miss's resolution and its queue at capacity. Returns the
+    /// platform, `key`'s stored route and the sender that releases the
+    /// worker.
+    fn held_and_full(key: Request) -> (Platform, ServedRoute, Sender<()>) {
+        let world = mini_world(7);
+        let cfg = ServiceConfig::strict_deterministic();
+        let reference = RouteService::new(Arc::clone(&world), cfg.clone());
+        let mut resolver = MachineResolver::new(world.graph_arc(), cfg.core);
+        let stored = reference.handle(key, &mut resolver).unwrap();
+        let (platform, id, entered, open) = gated_platform(
+            &world,
+            PlatformConfig {
+                queue_capacity: 2,
+                ..PlatformConfig::default()
+            },
+        );
+        assert_eq!(id, key.city);
+        let service = platform.city_service(id).unwrap();
+        for (_, entry) in reference.truths().export() {
+            service.truths().insert(world.graph(), entry);
+        }
+        let miss =
+            |to: u32| Request::to_city(id, NodeId(1), NodeId(to), TimeOfDay::from_hours(8.0));
+        let held = platform.submit(miss(50)).unwrap();
+        entered.recv().expect("the worker takes the first miss");
+        assert!(!held.is_done());
+        for to in [51, 52] {
+            platform.submit(miss(to)).unwrap();
+        }
+        assert_eq!(platform.submit(miss(53)).unwrap_err(), ServiceError::Busy);
+        (platform, stored, open)
+    }
+
+    #[test]
+    fn a_stored_key_is_served_at_submit_while_the_worker_is_held_and_the_queue_full() {
+        let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        let (platform, stored, open) = held_and_full(key);
+        for ticket in [platform.submit(key), platform.submit_blocking(key)] {
+            let ticket = ticket.expect("a truth hit is never shed");
+            assert!(ticket.is_done(), "complete when returned");
+            assert!(ticket.latency().is_some());
+            let served = ticket.wait().unwrap();
+            assert_eq!(served.served, Served::TruthHit);
+            assert_eq!(served.path, stored.path);
+            assert_eq!(served.confidence.to_bits(), stored.confidence.to_bits());
+        }
+        open.send(()).unwrap();
+        platform.shutdown();
+    }
+
+    #[test]
+    fn a_snapshot_while_the_worker_is_held_balances_with_served_inline() {
+        let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        let (platform, _, open) = held_and_full(key);
+        for _ in 0..3 {
+            platform.submit(key).unwrap();
+        }
+        let snap = platform.stats();
+        assert!(snap.is_consistent(), "{snap:?}");
+        let row = &snap.per_city[0];
+        assert!(row.is_consistent(), "{row:?}");
+        // Three misses (one on the held worker, two queued) and three
+        // hits; one more miss was shed.
+        assert_eq!(
+            (row.admitted, row.served_inline, row.unbatched_requests),
+            (6, 3, 1)
+        );
+        assert_eq!((row.queue_depth, row.rejected_busy), (2, 1));
+        assert_eq!(snap.served_inline, 3);
+        // Each hit is booked like a worker-served run of one; of the
+        // misses only the held one has entered the ladder (booked on
+        // entry, no outcome or latency yet).
+        let city = platform.city_stats(CityId(0)).unwrap();
+        assert_eq!((city.requests, city.truth_hits, city.batches), (4, 3, 4));
+        assert_eq!(city.latency.count, 3);
+        open.send(()).unwrap();
+        platform.shutdown();
+    }
+
+    #[test]
+    fn a_would_be_hit_after_shutdown_starts_or_offboarding_books_nothing() {
+        let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        let (platform, _, open) = held_and_full(key);
+        let before = platform.city_stats(CityId(0)).unwrap();
+        std::thread::scope(|s| {
+            // Shutdown raises every drain flag, then blocks joining the
+            // held worker.
+            let stopping = s.spawn(|| platform.shutdown_impl());
+            let city = Arc::clone(&platform.inner.cities.read().unwrap()[0]);
+            while !city.ingress.queue.lock().unwrap().draining {
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                platform.submit(key).unwrap_err(),
+                ServiceError::ShuttingDown
+            );
+            assert_eq!(
+                platform.submit_blocking(key).unwrap_err(),
+                ServiceError::ShuttingDown
+            );
+            assert_eq!(platform.city_stats(CityId(0)).unwrap(), before);
+            open.send(()).unwrap();
+            stopping.join().unwrap();
+        });
+
+        let platform = Platform::start(PlatformConfig::default());
+        let id = platform.register_city(mini_world(7), ServiceConfig::strict_deterministic());
+        platform.submit(key).unwrap().wait().unwrap();
+        let service = platform.city_service(id).unwrap();
+        let stored = service.truths().export();
+        platform.deregister_city(id).unwrap();
+        // Offboarding evicted the truth; put it back so the probe hits.
+        for (_, entry) in stored {
+            service.truths().insert(service.world().graph(), entry);
+        }
+        let before = platform.city_stats(id).unwrap();
+        assert_eq!(
+            platform.submit(key).unwrap_err(),
+            ServiceError::CityOffboarded(id)
+        );
+        assert_eq!(platform.city_stats(id).unwrap(), before);
+        let snap = platform.stats();
+        assert_eq!((snap.admitted, snap.served_inline), (1, 0));
+        assert!(snap.is_consistent(), "{snap:?}");
+        platform.shutdown();
     }
 
     #[test]
@@ -2582,7 +2849,15 @@ mod tests {
             })
             .collect();
 
-        let (platform, id, open) = gated_platform(&world, 8);
+        // A burst submitted while the first resolution is held is fully
+        // queued, so runs of ≥ 2 must form.
+        let (platform, id, _entered, open) = gated_platform(
+            &world,
+            PlatformConfig {
+                batch: Some(BatchConfig { max_batch: 8 }),
+                ..PlatformConfig::default()
+            },
+        );
         let tickets: Vec<Ticket> = requests
             .iter()
             .map(|&r| {
@@ -2647,7 +2922,13 @@ mod tests {
             })
             .collect();
 
-        let (platform, id, open) = gated_platform(&world, 12);
+        let (platform, id, _entered, open) = gated_platform(
+            &world,
+            PlatformConfig {
+                batch: Some(BatchConfig { max_batch: 12 }),
+                ..PlatformConfig::default()
+            },
+        );
         let tickets: Vec<Ticket> = requests
             .iter()
             .map(|&r| {
@@ -2764,6 +3045,7 @@ mod tests {
             backlogged: AtomicUsize::new(0),
             submitted: AtomicU64::new(0),
             rejected_unknown_city: AtomicU64::new(0),
+            rejected_unknown_node: AtomicU64::new(0),
             rejected_shutdown: AtomicU64::new(0),
             rejected_offboarded: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -2811,12 +3093,8 @@ mod tests {
                     NodeId(59),
                     TimeOfDay::from_hours(8.0),
                 ),
-                slot: Arc::new(TicketSlot {
-                    state: Mutex::new(None),
-                    done: Condvar::new(),
-                    submitted_at: Instant::now(),
-                    sojourn_ns: AtomicU64::new(0),
-                }),
+                slot: TicketSlot::queued(Instant::now()),
+                admitted_at: Instant::now(),
             });
         }
         q.admitted += n as u64;

@@ -46,9 +46,12 @@ use std::time::{Duration, Instant};
 #[repr(usize)]
 pub enum Stage {
     /// Waiting in the platform ingress queue for a worker (measured at
-    /// dispatch from the ticket's submission instant).
+    /// dispatch from the job's admission instant, after the submit-path
+    /// truth probe; truth hits served at submit never queue and book
+    /// none).
     QueueWait,
-    /// Sharded truth-store lookups (pre-pass and leader double-checks).
+    /// Sharded truth-store lookups (the platform's submit probe of an
+    /// admitted hit, and flight leaders' lookups).
     TruthLookup,
     /// Candidate-LRU probes.
     CacheLookup,
@@ -510,10 +513,21 @@ impl<'a> CallTrace<'a> {
     /// Attributes the time since `t0` (from [`CallTrace::clock`]) to
     /// `stage`. A `None` start is a no-op.
     pub fn record(&mut self, stage: Stage, t0: Option<Instant>) {
-        let (Some(stats), Some(t0)) = (self.stats, t0) else {
+        if let Some(t0) = t0 {
+            self.record_ns(
+                stage,
+                t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+            );
+        }
+    }
+
+    /// Attributes a span timed before this context existed (the
+    /// platform's submit-path truth probe, booked only once the request
+    /// is admitted). A no-op when tracing is off.
+    pub(crate) fn record_ns(&mut self, stage: Stage, ns: u64) {
+        let Some(stats) = self.stats else {
             return;
         };
-        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         stats.record_stage(stage, ns);
         if let Some(events) = &mut self.events {
             events.push((stage, ns));

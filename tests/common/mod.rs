@@ -3,7 +3,8 @@
 #![allow(dead_code)]
 
 use cp_core::Config;
-use cp_service::{MachineResolver, Request, RouteService, ServiceConfig};
+use cp_roadnet::NodeId;
+use cp_service::{CityId, MachineResolver, Request, RouteService, ServiceConfig};
 use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
 use proptest::prelude::*;
@@ -72,6 +73,28 @@ pub fn requests_from(picks: &[(usize, usize, usize)]) -> Vec<Request> {
         })
         .filter(|r| r.from != r.to)
         .collect()
+}
+
+/// An endless stream of distinct keys on `city`, each a truth miss the
+/// first time a strict-deterministic city serves it: every ordered pair
+/// of distinct nodes departing in bucket `first_bucket`, then
+/// `first_bucket + 2`, and so on. Streams started on buckets of
+/// different parity share no key.
+pub fn fresh_misses(city: CityId, first_bucket: u32) -> impl Iterator<Item = Request> {
+    let n = sim().graph_arc().node_count() as u32;
+    let cfg = ServiceConfig::strict_deterministic();
+    let (width, buckets) = (
+        cfg.time_bucket_s,
+        (TimeOfDay::DAY / cfg.time_bucket_s) as u32,
+    );
+    (first_bucket..buckets).step_by(2).flat_map(move |bucket| {
+        let departure = TimeOfDay::new((bucket as f64 + 0.5) * width);
+        (0..n).flat_map(move |from| {
+            (0..n)
+                .filter(move |&to| to != from)
+                .map(move |to| Request::to_city(city, NodeId(from), NodeId(to), departure))
+        })
+    })
 }
 
 /// Serves `requests` one at a time on a fresh strict service and

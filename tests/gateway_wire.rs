@@ -7,13 +7,13 @@
 //! served through `Platform::submit` in-process.
 
 mod common;
-use common::sim;
+use common::{fresh_misses, sim};
 
 use cp_gateway::http::read_request;
 use cp_gateway::{
     route_json, Gateway, GatewayConfig, HttpError, HttpLimits, HttpRequest, RateLimitConfig,
 };
-use cp_service::{Platform, PlatformConfig, Request, ServiceConfig};
+use cp_service::{CityId, Platform, PlatformConfig, Request, ServiceConfig};
 use cp_traj::TimeOfDay;
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -299,6 +299,14 @@ fn unknown_city_and_bad_params_map_to_404_and_400() {
     assert_eq!(get(addr, "/route?city=99&o=0&d=5&t=8").status, 404);
     assert_eq!(get(addr, "/route?city=0&o=0&t=8").status, 400);
     assert_eq!(get(addr, "/route?city=0&o=0&d=5&t=nope").status, 400);
+    // Node ids the city's graph does not have: rejected at submit, so
+    // the platform's only worker never sees them and keeps serving.
+    let unknown_node = get(addr, "/route?city=0&o=100000&d=5&t=8");
+    assert_eq!(unknown_node.status, 400);
+    assert!(String::from_utf8_lossy(&unknown_node.body).contains("bad_params"));
+    assert_eq!(get(addr, "/route?city=0&o=0&d=100000&t=8").status, 400);
+    let req = distinct_requests(1, 71)[0];
+    assert_eq!(get(addr, &route_path(&req)).status, 200);
     assert_eq!(get(addr, "/nowhere").status, 404);
     let stats = get(addr, "/stats");
     assert_eq!(stats.status, 200);
@@ -315,37 +323,39 @@ fn stats_expose_per_city_queue_rows() {
     let addr = gw.local_addr();
     let req = distinct_requests(1, 67)[0];
     assert_eq!(get(addr, &route_path(&req)).status, 200);
+    // Again on a fresh connection (no session cache): a truth hit,
+    // served at submit.
+    assert_eq!(get(addr, &route_path(&req)).status, 200);
 
     let resp = get(addr, "/stats");
     assert_eq!(resp.status, 200);
     let body = String::from_utf8(resp.body).unwrap();
-    let per_city = body
-        .split("\"per_city\": [")
-        .nth(1)
-        .unwrap_or_else(|| panic!("stats carry a per_city array: {body}"))
-        .split(']')
-        .next()
-        .unwrap();
-    let field = |name: &str| -> u64 {
-        per_city
-            .split(&format!("\"{name}\": "))
+    let (platform_head, rest) = body
+        .split_once("\"per_city\": [")
+        .unwrap_or_else(|| panic!("stats carry a per_city array: {body}"));
+    let per_city = rest.split(']').next().unwrap();
+    let field = |json: &str, name: &str| -> u64 {
+        json.split(&format!("\"{name}\": "))
             .nth(1)
-            .unwrap_or_else(|| panic!("per_city row carries {name}: {per_city}"))
+            .unwrap_or_else(|| panic!("stats carry {name}: {json}"))
             .split(|c: char| !c.is_ascii_digit())
             .next()
             .unwrap()
             .parse()
             .unwrap()
     };
-    // One registered city, weight 1, its lone /route request admitted,
-    // served (depth back to zero) and never shed; batching is off, so
-    // the dispatch was unbatched.
-    assert_eq!(field("city"), 0);
-    assert_eq!(field("weight"), 1);
-    assert_eq!(field("queue_depth"), 0);
-    assert_eq!(field("admitted"), 1);
-    assert_eq!(field("rejected_busy"), 0);
-    assert_eq!(field("unbatched_requests"), 1);
+    // One registered city, weight 1: both /route requests admitted, the
+    // miss dispatched (depth back to zero) — unbatched, since batching
+    // is off — and the hit served at submit; nothing shed.
+    let row = |name| field(per_city, name);
+    assert_eq!(row("city"), 0);
+    assert_eq!(row("weight"), 1);
+    assert_eq!(row("queue_depth"), 0);
+    assert_eq!(row("admitted"), 2);
+    assert_eq!(row("served_inline"), 1);
+    assert_eq!(row("rejected_busy"), 0);
+    assert_eq!(row("unbatched_requests"), 1);
+    assert_eq!(field(platform_head, "served_inline"), 1);
     gw.shutdown();
 }
 
@@ -388,27 +398,32 @@ fn rate_limit_answers_429_with_retry_after_on_the_wire() {
 #[test]
 fn firehose_maps_platform_busy_to_429_with_retry_after() {
     // A deliberately tiny platform: one worker, four-slot ingress. An
-    // in-process firehose keeps the queue pinned at capacity while wire
-    // clients contend for slots.
+    // in-process firehose of truth misses keeps the queue pinned at
+    // capacity while wire clients contend for slots.
     let platform = strict_platform(1, 4);
     let gw = start_gateway(&platform, GatewayConfig::default());
     let addr = gw.local_addr();
-    let reqs = distinct_requests(64, 53);
+    let mut wire_keys = fresh_misses(CityId::LOCAL, 1);
+    // Stored before the firehose starts: from then on a truth hit.
+    let stored = wire_keys.next().expect("a key");
+    assert_eq!(get(addr, &route_path(&stored)).status, 200);
 
     let stop = Arc::new(AtomicBool::new(false));
     let firehose = {
         let platform = Arc::clone(&platform);
         let stop = Arc::clone(&stop);
-        let reqs = reqs.clone();
         std::thread::spawn(move || {
+            let mut keys = fresh_misses(CityId::LOCAL, 0);
+            let mut next = keys.next().expect("a key");
             let mut tickets = Vec::new();
             while !stop.load(Ordering::Relaxed) {
-                for req in &reqs {
-                    // Keep the ingress full; hold tickets so nothing is
-                    // abandoned mid-flight.
-                    if let Ok(t) = platform.submit(*req) {
-                        tickets.push(t);
-                    }
+                // Keep the ingress full; hold tickets so nothing is
+                // abandoned mid-flight. A key advances only once
+                // admitted, so none repeats: a repeat would be a truth
+                // hit, served at submit without ever queueing.
+                if let Ok(t) = platform.submit(next) {
+                    tickets.push(t);
+                    next = keys.next().expect("more keys than the test admits");
                 }
             }
             for t in tickets {
@@ -418,8 +433,8 @@ fn firehose_maps_platform_busy_to_429_with_retry_after() {
     };
 
     let mut busy_429 = 0;
-    for req in reqs.iter().cycle().take(200) {
-        let resp = get(addr, &route_path(req));
+    for req in wire_keys.take(200) {
+        let resp = get(addr, &route_path(&req));
         match resp.status {
             429 => {
                 busy_429 += 1;
@@ -427,6 +442,11 @@ fn firehose_maps_platform_busy_to_429_with_retry_after() {
                     resp.header("retry-after").is_some(),
                     "429 carries Retry-After"
                 );
+                // The ingress was just full: a truth hit is served at
+                // submit and never shed.
+                let hit = get(addr, &route_path(&stored));
+                assert_eq!(hit.status, 200, "a stored key is never shed");
+                assert!(String::from_utf8_lossy(&hit.body).contains("\"served\": \"truth_hit\""));
             }
             200 | 504 => {}
             other => panic!("unexpected status under firehose: {other}"),

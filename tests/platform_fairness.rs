@@ -8,7 +8,7 @@
 //! own queue only.
 
 mod common;
-use common::sim;
+use common::{fresh_misses, sim};
 
 use cp_service::{BatchConfig, CityId, Platform, PlatformConfig, Request, ServiceConfig};
 use cp_traj::TimeOfDay;
@@ -81,29 +81,24 @@ fn cold_city_p99_is_bounded_while_hot_city_saturates() {
         platform.shutdown();
 
         // Loaded: two firehose threads keep the hot queue pinned at
-        // capacity for the whole measurement.
+        // capacity for the whole measurement. Each submits its own
+        // stream of never-repeating keys, advanced only once a key is
+        // admitted: a repeat would be a truth hit, served at submit
+        // without ever queueing.
         let (platform, hot, cold) = build(workers);
         let stop = AtomicBool::new(false);
-        let loaded = std::thread::scope(|scope| {
-            for seed in [13u64, 29] {
+        let (loaded, hot_busy_during_trickle) = std::thread::scope(|scope| {
+            for first_bucket in [0u32, 1] {
                 let platform = &platform;
                 let stop = &stop;
                 scope.spawn(move || {
-                    let ods = sim().request_stream(64, 2, seed);
+                    let mut keys = fresh_misses(hot, first_bucket);
+                    let mut next = keys.next().expect("a key");
                     let mut tickets = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        for &(from, to) in &ods {
-                            if from == to {
-                                continue;
-                            }
-                            if let Ok(t) = platform.submit(Request::to_city(
-                                hot,
-                                from,
-                                to,
-                                TimeOfDay::from_hours(8.0),
-                            )) {
-                                tickets.push(t);
-                            }
+                        if let Ok(t) = platform.submit(next) {
+                            tickets.push(t);
+                            next = keys.next().expect("more keys than the test admits");
                         }
                     }
                     for t in tickets {
@@ -113,9 +108,11 @@ fn cold_city_p99_is_bounded_while_hot_city_saturates() {
             }
             // Let the firehose establish its backlog before probing.
             std::thread::sleep(Duration::from_millis(50));
+            let busy_before = platform.stats().per_city[hot.index()].rejected_busy;
             let sojourns = cold_trickle(&platform, cold);
+            let busy_after = platform.stats().per_city[hot.index()].rejected_busy;
             stop.store(true, Ordering::Relaxed);
-            sojourns
+            (sojourns, busy_after - busy_before)
         });
 
         let snap = platform.stats();
@@ -125,6 +122,11 @@ fn cold_city_p99_is_bounded_while_hot_city_saturates() {
         assert!(
             hot_row.admitted > loaded.len() as u64,
             "the firehose must outpace the trickle: {snap:?}"
+        );
+        assert!(
+            hot_busy_during_trickle > 0,
+            "workers {workers}: the hot queue never filled while the cold \
+             trickle ran, so fairness was not measured under saturation: {snap:?}"
         );
         assert_eq!(
             cold_row.rejected_busy, 0,

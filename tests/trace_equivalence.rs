@@ -132,10 +132,11 @@ proptest! {
                 prop_assert!(snap.is_consistent(), "{:?}", snap);
                 prop_assert!(snap.aggregate.is_consistent(), "{:?}", snap.aggregate);
                 if level.enabled() {
-                    // Every dispatched job's queue wait was attributed.
+                    // Every dispatched job's queue wait was attributed;
+                    // a truth hit served at submit never queued.
                     prop_assert_eq!(
                         snap.aggregate.stages[Stage::QueueWait.index()].count,
-                        requests.len() as u64
+                        snap.admitted - snap.served_inline
                     );
                 }
                 let report = platform.trace_report();
@@ -151,9 +152,9 @@ proptest! {
 
 /// Per-stage histogram counts reconcile exactly with the request
 /// counters on a sequential, machine-resolved, counter-traced workload:
-/// one truth lookup per request plus one per leader double-check, one
-/// cache probe per miss path, one mining span per cache miss, one
-/// machine-resolve span and one commit per resolution.
+/// one truth lookup per flight leader, one cache probe per miss path,
+/// one mining span per cache miss, one machine-resolve span and one
+/// commit per resolution.
 #[test]
 fn counter_histograms_reconcile_with_request_counters() {
     let sw = sim().service_world();
@@ -169,10 +170,10 @@ fn counter_histograms_reconcile_with_request_counters() {
     let snap = service.stats();
     assert!(snap.is_consistent(), "{snap:?}");
     let stage = |s: Stage| snap.stages[s.index()].count;
-    // Sequential handles: every request probes the truth store once and
-    // every leader (here: every non-truth-hit) double-checks once.
-    let leaders = snap.requests - snap.truth_hits;
-    assert_eq!(stage(Stage::TruthLookup), snap.requests + leaders);
+    // Sequential handles: every request leads its own flight, and every
+    // leader looks the truth store up once.
+    let leaders = snap.requests;
+    assert_eq!(stage(Stage::TruthLookup), leaders);
     assert_eq!(
         stage(Stage::CacheLookup),
         snap.cache_hits + snap.cache_misses
