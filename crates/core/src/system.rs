@@ -327,9 +327,9 @@ impl CrowdPlanner {
         })
     }
 
-    /// Handles one route request. `oracle(l)` must answer "does the best
-    /// route pass landmark l?" — the latent crowd knowledge the workers
-    /// noisily report.
+    /// Handles one route request through the paper's full ladder.
+    /// `oracle(l)` must answer "does the best route pass landmark l?" —
+    /// the latent crowd knowledge the workers noisily report.
     pub fn handle_request(
         &mut self,
         from: NodeId,
@@ -337,50 +337,26 @@ impl CrowdPlanner {
         departure: TimeOfDay,
         oracle: &dyn Fn(LandmarkId) -> bool,
     ) -> Result<Recommendation, CoreError> {
-        self.stats.requests += 1;
-
         // Step 1: reuse truth.
         if let Some(hit) = self.reuse_hit(from, to, departure) {
+            self.stats.requests += 1;
             return Ok(hit);
         }
 
         // Step 2: generate candidates.
         let candidates = self.candidates(from, to, departure);
-        self.machine_then_crowd(from, to, departure, &candidates, oracle)
+        self.resolve_with_candidates(from, to, departure, &candidates, oracle)
     }
 
-    /// Like [`CrowdPlanner::handle_request`] but with the candidate set
-    /// pre-mined by the caller — the serving layer's per-`(OD,bucket)`
-    /// candidate cache feeds this so a crowd-backed city never mines the
-    /// same request twice. `Some(candidates)` must be what
-    /// [`CrowdPlanner::candidates`] would produce for the same request
-    /// (the serving world shares this planner's mining state, so its
-    /// cached sets qualify — including legitimately *empty* sets, which
-    /// resolve to [`CoreError::NoCandidates`] without re-mining); `None`
-    /// makes the planner mine for itself.
-    pub fn handle_request_with_candidates(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        departure: TimeOfDay,
-        candidates: Option<&[cp_mining::CandidateRoute]>,
-        oracle: &dyn Fn(LandmarkId) -> bool,
-    ) -> Result<Recommendation, CoreError> {
-        self.stats.requests += 1;
-        if let Some(hit) = self.reuse_hit(from, to, departure) {
-            return Ok(hit);
-        }
-        match candidates {
-            Some(provided) => self.machine_then_crowd(from, to, departure, provided, oracle),
-            None => {
-                let mined = self.candidates(from, to, departure);
-                self.machine_then_crowd(from, to, departure, &mined, oracle)
-            }
-        }
-    }
-
-    /// Steps 3–4 of the ladder: machine evaluation, then the crowd.
-    fn machine_then_crowd(
+    /// Steps 3–4 of the ladder only — machine evaluation, then the crowd
+    /// — over a candidate set the caller already mined. Counts the
+    /// request but never probes the private truth store for reuse: the
+    /// serving layer calls this after its own shared truth store missed.
+    /// `candidates` must be what [`CrowdPlanner::candidates`] would
+    /// produce for the same request (the serving world shares this
+    /// planner's mining state); an empty set resolves to
+    /// [`CoreError::NoCandidates`].
+    pub fn resolve_with_candidates(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -388,6 +364,7 @@ impl CrowdPlanner {
         candidates: &[cp_mining::CandidateRoute],
         oracle: &dyn Fn(LandmarkId) -> bool,
     ) -> Result<Recommendation, CoreError> {
+        self.stats.requests += 1;
         if candidates.is_empty() {
             return Err(CoreError::NoCandidates);
         }

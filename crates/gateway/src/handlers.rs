@@ -401,10 +401,6 @@ fn aggregate_json(agg: &StatsSnapshot) -> String {
             format_args!("{:.4}", agg.truth_hit_rate()),
         )
         .field(
-            "cache_hit_rate",
-            format_args!("{:.4}", agg.cache_hit_rate()),
-        )
-        .field(
             "artifact_hit_rate",
             format_args!("{:.4}", agg.artifact_hit_rate()),
         )

@@ -41,10 +41,13 @@ use cp_roadnet::NodeId;
 use cp_traj::TimeOfDay;
 use std::sync::{Arc, Mutex};
 
+/// Origin cells a city's [`RouteService`](crate::RouteService) keeps
+/// in its artifact cache.
+pub(crate) const ORIGIN_CELLS: usize = 256;
+
 /// Most distinct origin *nodes* kept per origin-cell key. Several
 /// intersections can share a grid cell; each holds its own expansion,
-/// bounded FIFO so aliasing origins cannot thrash-evict each other
-/// (mirrors `ServiceConfig::cache_ods_per_key` for the candidate LRU).
+/// bounded FIFO so aliasing origins cannot thrash-evict each other.
 const NODES_PER_CELL: usize = 4;
 
 /// One origin cell's cached artifacts: per-node entries tagged with the

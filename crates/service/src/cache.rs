@@ -1,12 +1,6 @@
-//! A small, dependency-free LRU cache used for mined candidate-route
-//! sets.
-//!
-//! Mining candidates (MPR/LDR/MFP plus the two web services) is by far
-//! the most expensive step of resolving a request, and urban request
-//! streams are heavily repetitive: the same OD pairs at the same times of
-//! day recur constantly. The serving layer therefore memoises candidate
-//! sets per *(origin cell, destination cell, time bucket)* key; this
-//! module provides the bounded cache behind that memo.
+//! A small, dependency-free LRU cache: the bounded store behind the
+//! [`MiningArtifactCache`](crate::MiningArtifactCache)'s per-origin-cell
+//! expansions and per-departure period networks.
 //!
 //! Classic design: a hash map from key to slot index plus an intrusive
 //! doubly-linked recency list over a slab of slots, so `get`, `insert`

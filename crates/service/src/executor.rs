@@ -13,9 +13,9 @@
 //!    leader's result;
 //! 2. **sharded truth lookup** — each leader first reads the shards
 //!    owning the origin neighbourhood; a hit answers the whole group;
-//! 3. **candidate cache** — each remaining leader fetches the mined
-//!    candidate set from the per-`(OD cell, time bucket)` LRU; the
-//!    run's misses mine together through shared per-origin artifacts;
+//! 3. **mining** — the run's remaining leaders mine together through
+//!    shared per-origin artifacts (cached across runs, generation-checked
+//!    against the world);
 //! 4. **resolution** — the caller's [`Resolver`] decides; the verified
 //!    route is deposited into the sharded store so truth lookups serve
 //!    every later request in the reuse neighbourhood.
@@ -38,20 +38,19 @@
 //! verified truth, so results can depend on arrival order, exactly as in
 //! the sequential paper pipeline).
 
-use crate::artifacts::MiningArtifactCache;
-use crate::cache::Lru;
+use crate::artifacts::{MiningArtifactCache, ORIGIN_CELLS};
 use crate::error::ServiceError;
 use crate::resolver::Resolver;
 use crate::singleflight::{FlightTable, JoinNow};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::store::ShardedTruthStore;
-use crate::trace::{LockSite, LockStats, LockSummary, SpanRecorder, Stage, TraceConfig};
+use crate::trace::{LockSite, LockSummary, SpanRecorder, Stage, TraceConfig};
 use crate::world::{CityId, World};
 use cp_core::{Config, Resolution, TruthEntry, DEFAULT_CELL_M};
 use cp_mining::CandidateRoute;
 use cp_roadnet::{NodeId, Path};
 use cp_traj::TimeOfDay;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One route request, addressed to a registered city.
@@ -150,40 +149,23 @@ pub(crate) struct ProbedHit {
     lookup_ns: Option<u64>,
 }
 
-/// Candidate-cache capacity (cell-bucket keys).
-const CANDIDATE_CACHE_CAPACITY: usize = 1024;
-
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Truth-store shards (rounded up to a power of two).
     pub shards: usize,
-    /// Most distinct OD pairs kept per candidate-cache cell-bucket key.
-    /// Distinct ODs can alias one key when several nodes share a cell
-    /// pair; each key holds up to this many per-OD entries (FIFO beyond
-    /// it) so aliasing ODs don't thrash-evict each other. Evictions are
-    /// observable as `cache_od_evictions` in [`StatsSnapshot`].
-    pub cache_ods_per_key: usize,
-    /// Origin cells kept in the cross-batch
-    /// [`MiningArtifactCache`] — a coalesced
-    /// batch reuses the all-day origin expansions (MPR tree, LDR
-    /// locality scan/memos) a recent batch already produced, skipping
-    /// them entirely on a hit (`artifact_hits` in [`StatsSnapshot`]).
-    /// Clamped to at least 1.
-    pub artifact_cache_origins: usize,
     /// Per-shard truth-store entry cap (0 = unbounded). A full shard
     /// batch-evicts oldest-first; evictions are counted in
     /// `truth_evictions`.
     pub truth_cap_per_shard: usize,
-    /// Spatial cell edge (metres) for the truth grid, the candidate
-    /// cache and request canonicalisation.
+    /// Spatial cell edge (metres) for the truth grid and the origin
+    /// cells that runs coalesce on and the artifact cache is keyed by.
     pub cell_m: f64,
-    /// Time-bucket width (seconds) for dedup keys and the candidate
-    /// cache.
+    /// Time-bucket width (seconds) for dedup keys and departure
+    /// canonicalisation: every request resolves at its bucket's
+    /// mid-bucket departure, so all requests in one bucket are
+    /// identical work.
     pub time_bucket_s: f64,
-    /// Resolve at the bucket's canonical (mid-bucket) departure time, so
-    /// all requests in one bucket are identical work.
-    pub canonicalize_departure: bool,
     /// Span-level tracing: off (default, near-zero cost), per-stage
     /// counters, or counters plus sampled complete request traces. See
     /// [`TraceConfig`].
@@ -196,12 +178,9 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards: 16,
-            cache_ods_per_key: 4,
-            artifact_cache_origins: 256,
             truth_cap_per_shard: 0,
             cell_m: DEFAULT_CELL_M,
             time_bucket_s: 900.0,
-            canonicalize_departure: true,
             trace: TraceConfig::Off,
             core: Config::default(),
         }
@@ -211,14 +190,14 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     /// A configuration whose served routes are a pure function of each
     /// request, independent of thread count and interleaving: truth
-    /// reuse only at exact endpoints within the same time bucket, and
-    /// canonicalised departures. Use with a deterministic resolver
-    /// (e.g. `MachineResolver`).
+    /// reuse only at exact endpoints within the same time bucket (the
+    /// default geometry with a zero reuse radius and window; departures
+    /// are canonicalised under every configuration). Use with a
+    /// deterministic resolver (e.g. `MachineResolver`).
     pub fn strict_deterministic() -> Self {
         let mut cfg = ServiceConfig::default();
         cfg.core.reuse_radius = 0.0;
         cfg.core.reuse_time_window = 0.0;
-        cfg.canonicalize_departure = true;
         cfg
     }
 
@@ -227,19 +206,6 @@ impl ServiceConfig {
         (TimeOfDay::DAY / self.time_bucket_s).ceil().max(1.0) as u32
     }
 }
-
-/// Cached mined candidates for one cell-bucket key. Distinct OD pairs
-/// can share a key (their endpoints fall in the same cells), but only
-/// the exact pair may reuse a mined set — so a key holds a small list
-/// of per-OD entries instead of one slot, preventing aliasing ODs from
-/// thrash-evicting each other.
-#[derive(Debug, Clone, Default)]
-struct CachedCandidates {
-    entries: Vec<(NodeId, NodeId, Arc<Vec<CandidateRoute>>)>,
-}
-
-/// Cache key: origin cell, destination cell, time bucket.
-type CacheKey = (i32, i32, i32, i32, u32);
 
 /// Classifies a resolve success for stage attribution: crowd-involved
 /// resolutions (including quota-starved fallbacks) are crowd time.
@@ -277,8 +243,6 @@ fn outcome_label(out: &Result<ServedRoute, ServiceError>) -> &'static str {
 pub struct RouteService {
     world: Arc<World>,
     truths: ShardedTruthStore,
-    cache: Mutex<Lru<CacheKey, CachedCandidates>>,
-    cache_locks: LockStats,
     artifacts: MiningArtifactCache,
     flights: FlightTable<RequestKey, ServedRoute>,
     stats: ServiceStats,
@@ -301,12 +265,7 @@ impl RouteService {
             world,
             truths: ShardedTruthStore::new(cfg.shards, cfg.cell_m, truth_bucket_s)
                 .with_per_shard_cap(cfg.truth_cap_per_shard),
-            cache: Mutex::new(Lru::new(CANDIDATE_CACHE_CAPACITY)),
-            cache_locks: LockStats::new(),
-            artifacts: MiningArtifactCache::new(
-                cfg.artifact_cache_origins,
-                cfg.buckets_per_day() as usize,
-            ),
+            artifacts: MiningArtifactCache::new(ORIGIN_CELLS, cfg.buckets_per_day() as usize),
             flights: FlightTable::new(),
             stats: ServiceStats::new(),
             tracer: SpanRecorder::new(cfg.trace),
@@ -314,7 +273,6 @@ impl RouteService {
             durable: std::sync::OnceLock::new(),
         };
         if service.cfg.trace.enabled() {
-            service.cache_locks.set_enabled(true);
             service.truths.lock_stats().set_enabled(true);
             service.artifacts.lock_stats().set_enabled(true);
             service.flights.lock_stats().set_enabled(true);
@@ -359,7 +317,6 @@ impl RouteService {
     pub(crate) fn lock_summaries(&self) -> [LockSummary; LockSite::COUNT] {
         let mut locks = [LockSummary::default(); LockSite::COUNT];
         locks[LockSite::TruthShards.index()] = self.truths.lock_stats().summary();
-        locks[LockSite::CandidateCache.index()] = self.cache_locks.summary();
         locks[LockSite::ArtifactCache.index()] = self.artifacts.lock_stats().summary();
         locks[LockSite::FlightTable.index()] = self.flights.lock_stats().summary();
         locks
@@ -416,13 +373,12 @@ impl RouteService {
     }
 
     /// Releases the memory an offboarded city no longer needs: the
-    /// candidate LRU, the cross-batch mining-artifact cache and every
-    /// stored truth (an age-0 sweep, so the drop is visible in
-    /// `truth_evictions` like any other eviction). The service stays
+    /// cross-batch mining-artifact cache and every stored truth (an
+    /// age-0 sweep, so the drop is visible in `truth_evictions` like any
+    /// other eviction). The service stays
     /// functional — a straggler holding the `Arc` can still serve — but
     /// it restarts cold.
     pub(crate) fn reclaim(&self) {
-        self.cache_locks.lock(&self.cache).clear();
         self.artifacts.clear();
         self.truths.evict_older_than(std::time::Duration::ZERO);
     }
@@ -442,20 +398,16 @@ impl RouteService {
         }
     }
 
-    /// The bucket's canonical (mid-bucket) departure when
-    /// canonicalisation is on, else the raw departure. The final bucket
-    /// of the day may be truncated when the bucket width does not divide
-    /// the day; its canonical time is the midpoint of the *truncated*
-    /// span, so canonicalisation never wraps a request past midnight
-    /// into bucket 0.
+    /// The bucket's canonical (mid-bucket) departure, at which every
+    /// request in the bucket resolves. The final bucket of the day may
+    /// be truncated when the bucket width does not divide the day; its
+    /// canonical time is the midpoint of the *truncated* span, so
+    /// canonicalisation never wraps a request past midnight into
+    /// bucket 0.
     pub fn canonical_departure(&self, req: &Request) -> TimeOfDay {
-        if self.cfg.canonicalize_departure {
-            let start = self.bucket_of(req.departure) as f64 * self.cfg.time_bucket_s;
-            let end = (start + self.cfg.time_bucket_s).min(TimeOfDay::DAY);
-            TimeOfDay::new((start + end) / 2.0)
-        } else {
-            req.departure
-        }
+        let start = self.bucket_of(req.departure) as f64 * self.cfg.time_bucket_s;
+        let end = (start + self.cfg.time_bucket_s).min(TimeOfDay::DAY);
+        TimeOfDay::new((start + end) / 2.0)
     }
 
     /// The origin's spatial grid cell under the configured cell size —
@@ -467,44 +419,6 @@ impl RouteService {
 
     fn cell_of(&self, n: NodeId) -> (i32, i32) {
         cp_core::truth::grid_cell(self.world.graph().position(n), self.cfg.cell_m)
-    }
-
-    /// Probes the candidate LRU for an exact-OD entry (counts neither a
-    /// hit nor a miss — callers book the outcome).
-    fn cache_lookup(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        bucket: u32,
-    ) -> Option<Arc<Vec<CandidateRoute>>> {
-        let (ox, oy) = self.cell_of(from);
-        let (dx, dy) = self.cell_of(to);
-        let key: CacheKey = (ox, oy, dx, dy, bucket);
-        let mut cache = self.cache_locks.lock(&self.cache);
-        let slot = cache.get(&key)?;
-        slot.entries
-            .iter()
-            .find(|(f, t, _)| *f == from && *t == to)
-            .map(|(_, _, candidates)| Arc::clone(candidates))
-    }
-
-    /// Deposits a mined candidate set into the LRU, bounding per-key OD
-    /// growth FIFO. The slot is re-fetched under the lock (it may have
-    /// changed while mining ran unlocked).
-    fn cache_fill(&self, from: NodeId, to: NodeId, bucket: u32, mined: &Arc<Vec<CandidateRoute>>) {
-        let (ox, oy) = self.cell_of(from);
-        let (dx, dy) = self.cell_of(to);
-        let key: CacheKey = (ox, oy, dx, dy, bucket);
-        let mut cache = self.cache_locks.lock(&self.cache);
-        let mut slot = cache.get(&key).cloned().unwrap_or_default();
-        if !slot.entries.iter().any(|(f, t, _)| *f == from && *t == to) {
-            if slot.entries.len() >= self.cfg.cache_ods_per_key.max(1) {
-                slot.entries.remove(0);
-                self.stats.inc_cache_od_evictions();
-            }
-            slot.entries.push((from, to, Arc::clone(mined)));
-        }
-        cache.insert(key, slot);
     }
 
     /// The one truth-hit path: `req` looked up in the sharded store at
@@ -552,7 +466,6 @@ impl RouteService {
         hit: ProbedHit,
         elapsed: std::time::Duration,
     ) -> ServedRoute {
-        self.stats.record_batch(1);
         self.stats.inc_requests();
         self.stats.inc_truth_hits();
         self.stats.record_latency(elapsed);
@@ -576,12 +489,12 @@ impl RouteService {
     ///    dedups against concurrent workers; each leader then looks its
     ///    key up in the sharded truth store, and a hit answers the
     ///    leader's whole group;
-    /// 2. **one artifact-backed mining pass** — all leader ODs missing
-    ///    the candidate cache mine through shared per-origin all-day
+    /// 2. **one artifact-backed mining pass** — every leader OD that
+    ///    missed the truth store mines through shared per-origin all-day
     ///    artifacts (cached across runs and buckets in the city's
     ///    [`MiningArtifactCache`]) plus one period aggregation per
-    ///    distinct departure, followed by a bulk cache fill — runs may
-    ///    freely span several time buckets.
+    ///    distinct departure — runs may freely span several time
+    ///    buckets.
     /// 3. **resolution per leader** — the verified route is deposited
     ///    into the sharded store, unless the answer was a quota-starved
     ///    crowd fallback.
@@ -615,7 +528,6 @@ impl RouteService {
             return Vec::new();
         }
         let t0 = Instant::now();
-        self.stats.record_batch(requests.len());
         for _ in requests {
             self.stats.inc_requests();
         }
@@ -640,11 +552,11 @@ impl RouteService {
             }
         }
         /// A key this batch leads: its member requests, the flight
-        /// obligation, and (once fetched or mined) its candidate set.
+        /// obligation, and (once mined) its candidate set.
         struct PendingFlight<'t> {
             members: Vec<usize>,
             token: crate::singleflight::LeaderToken<'t, RequestKey, ServedRoute>,
-            candidates: Option<Arc<Vec<CandidateRoute>>>,
+            candidates: Option<Vec<CandidateRoute>>,
         }
         let mut pending: Vec<PendingFlight<'_>> = Vec::new();
         let mut watches: Vec<(Vec<usize>, crate::singleflight::FlightWatch<ServedRoute>)> =
@@ -679,106 +591,84 @@ impl RouteService {
             }
         }
 
-        // 2. Candidate-cache pre-pass, then one artifact-backed fused
-        // mining pass for every leader OD the cache cannot serve.
-        let mut to_mine: Vec<usize> = Vec::new();
-        for (p, flight) in pending.iter_mut().enumerate() {
-            let req = &requests[flight.members[0]];
-            let bucket = self.bucket_of(req.departure);
-            let hit = {
-                let _s = tr.span(Stage::CacheLookup);
-                self.cache_lookup(req.from, req.to, bucket)
-            };
-            if let Some(candidates) = hit {
-                self.stats.inc_cache_hits();
-                flight.candidates = Some(candidates);
-            } else {
-                self.stats.inc_cache_misses();
-                to_mine.push(p);
+        // 2. One artifact-backed fused mining pass: every pending
+        // leader missed the truth store, so every one mines.
+        let leads: Vec<&Request> = pending.iter().map(|f| &requests[f.members[0]]).collect();
+        for _ in &leads {
+            self.stats.inc_cache_misses();
+        }
+        // Fusion bookkeeping: an OD counts as fused only if it
+        // actually shared work with another miss — its origin (the
+        // all-day artifacts) or its canonical departure (the MFP
+        // period aggregation) appears more than once. A batch of
+        // fully unrelated misses books no fusion, matching the
+        // old per-departure-group accounting.
+        let shares_work = |req: &Request| -> bool {
+            let dep = self.canonical_departure(req).0.to_bits();
+            leads
+                .iter()
+                .filter(|other| {
+                    other.from == req.from || self.canonical_departure(other).0.to_bits() == dep
+                })
+                .count()
+                > 1 // the filter matches `req` itself
+        };
+        let fused_ods = leads.iter().filter(|req| shares_work(req)).count();
+        if fused_ods >= 2 {
+            self.stats.record_fused_mining(fused_ods);
+        }
+        // Per-origin all-day artifacts: cached across batches and
+        // buckets, generation-checked against the world, expanded
+        // at most once per distinct origin here.
+        let mut artifacts: Vec<(NodeId, Arc<cp_mining::OriginArtifacts>)> = Vec::new();
+        for req in &leads {
+            if !artifacts.iter().any(|(n, _)| *n == req.from) {
+                let _s = tr.span(Stage::ArtifactFetch);
+                let art = self.artifacts.origin_artifacts(
+                    &self.world,
+                    self.cell_of(req.from),
+                    req.from,
+                    &self.stats,
+                );
+                artifacts.push((req.from, art));
             }
         }
-        if !to_mine.is_empty() {
-            // Fusion bookkeeping: an OD counts as fused only if it
-            // actually shared work with another miss — its origin (the
-            // all-day artifacts) or its canonical departure (the MFP
-            // period aggregation) appears more than once. A batch of
-            // fully unrelated misses books no fusion, matching the
-            // old per-departure-group accounting.
-            let shares_work = |p: usize| -> bool {
-                let req = &requests[pending[p].members[0]];
-                let dep = self.canonical_departure(req).0.to_bits();
-                to_mine
-                    .iter()
-                    .filter(|&&q| {
-                        let other = &requests[pending[q].members[0]];
-                        other.from == req.from || self.canonical_departure(other).0.to_bits() == dep
-                    })
-                    .count()
-                    > 1 // the filter matches `p` itself
+        // Period-dependent MFP aggregation: one shared (and
+        // cached) network per distinct canonical departure. Cell-
+        // keyed platform runs span buckets, so several departures
+        // per batch are the norm now.
+        let mut by_departure: Vec<(u64, Vec<usize>)> = Vec::new();
+        for (p, req) in leads.iter().enumerate() {
+            let bits = self.canonical_departure(req).0.to_bits();
+            match by_departure.iter_mut().find(|(b, _)| *b == bits) {
+                Some((_, ps)) => ps.push(p),
+                None => by_departure.push((bits, vec![p])),
+            }
+        }
+        for (bits, ps) in by_departure {
+            let departure = TimeOfDay(f64::from_bits(bits));
+            let period = {
+                let _s = tr.span(Stage::ArtifactFetch);
+                self.artifacts.period_network(&self.world, departure)
             };
-            let fused_ods = to_mine.iter().filter(|&&p| shares_work(p)).count();
-            if fused_ods >= 2 {
-                self.stats.record_fused_mining(fused_ods);
-            }
-            // Per-origin all-day artifacts: cached across batches and
-            // buckets, generation-checked against the world, expanded
-            // at most once per distinct origin here.
-            let mut artifacts: Vec<(NodeId, Arc<cp_mining::OriginArtifacts>)> = Vec::new();
-            for &p in &to_mine {
-                let from = requests[pending[p].members[0]].from;
-                if !artifacts.iter().any(|(n, _)| *n == from) {
-                    let _s = tr.span(Stage::ArtifactFetch);
-                    let art = self.artifacts.origin_artifacts(
-                        &self.world,
-                        self.cell_of(from),
-                        from,
-                        &self.stats,
-                    );
-                    artifacts.push((from, art));
-                }
-            }
-            // Period-dependent MFP aggregation: one shared (and
-            // cached) network per distinct canonical departure. Cell-
-            // keyed platform runs span buckets, so several departures
-            // per batch are the norm now.
-            let mut by_departure: Vec<(u64, Vec<usize>)> = Vec::new();
-            for &p in &to_mine {
-                let req = &requests[pending[p].members[0]];
-                let bits = self.canonical_departure(req).0.to_bits();
-                match by_departure.iter_mut().find(|(b, _)| *b == bits) {
-                    Some((_, ps)) => ps.push(p),
-                    None => by_departure.push((bits, vec![p])),
-                }
-            }
-            for (bits, ps) in by_departure {
-                let departure = TimeOfDay(f64::from_bits(bits));
-                let period = {
-                    let _s = tr.span(Stage::ArtifactFetch);
-                    self.artifacts.period_network(&self.world, departure)
-                };
-                for &p in &ps {
-                    let req = &requests[pending[p].members[0]];
-                    let art = &artifacts
-                        .iter()
-                        .find(|(n, _)| *n == req.from)
-                        .expect("artifact prefetched for every miss origin")
-                        .1;
-                    let set = {
-                        let _s = tr.span(Stage::Mining);
-                        Arc::new(cp_mining::candidates_from_artifacts(
-                            graph,
-                            self.world.trips(),
-                            &self.world.mfp,
-                            &self.world.ldr,
-                            art,
-                            &period,
-                            req.to,
-                            departure,
-                        ))
-                    };
-                    self.cache_fill(req.from, req.to, self.bucket_of(req.departure), &set);
-                    pending[p].candidates = Some(set);
-                }
+            for p in ps {
+                let req = leads[p];
+                let art = &artifacts
+                    .iter()
+                    .find(|(n, _)| *n == req.from)
+                    .expect("artifact prefetched for every miss origin")
+                    .1;
+                let _s = tr.span(Stage::Mining);
+                pending[p].candidates = Some(cp_mining::candidates_from_artifacts(
+                    graph,
+                    self.world.trips(),
+                    &self.world.mfp,
+                    &self.world.ldr,
+                    art,
+                    &period,
+                    req.to,
+                    departure,
+                ));
             }
         }
 
@@ -801,7 +691,7 @@ impl RouteService {
             let candidates = flight
                 .candidates
                 .as_ref()
-                .expect("every pending flight was cached or mined");
+                .expect("every pending flight was mined");
             let r0 = tr.clock();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 resolver.resolve(req.from, req.to, departure, candidates)
@@ -970,55 +860,6 @@ mod tests {
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.truth_hits, 1);
         assert_eq!(snap.resolved, 1);
-        assert!(snap.is_consistent());
-    }
-
-    #[test]
-    fn candidate_cache_hits_on_same_bucket_and_od() {
-        let world = mini_world();
-        // Exact-time truth keys + raw departures: requests in the same
-        // bucket at different exact times miss the truth store but share
-        // the mined candidate set.
-        let mut cfg = ServiceConfig::strict_deterministic();
-        cfg.canonicalize_departure = false;
-        let service = RouteService::new(Arc::clone(&world), cfg);
-        let mut resolver = MachineResolver::new(world.graph_arc(), service.config().core.clone());
-        // Same OD and bucket, different exact departures.
-        for minutes in [0.0, 3.0, 7.0] {
-            let req = Request::new(
-                NodeId(5),
-                NodeId(54),
-                TimeOfDay::new(8.0 * 3600.0 + minutes * 60.0),
-            );
-            service.handle(req, &mut resolver).unwrap();
-        }
-        let snap = service.stats();
-        assert_eq!(snap.requests, 3);
-        assert_eq!(snap.truth_hits, 0, "exact-time keys must not alias");
-        assert_eq!(snap.cache_misses, 1, "only the first request mines");
-        assert_eq!(snap.cache_hits, 2);
-        assert!((snap.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert!(snap.is_consistent());
-    }
-
-    #[test]
-    fn cache_ods_per_key_bounds_aliasing_and_counts_evictions() {
-        let world = mini_world();
-        // A giant cell: every node aliases onto one cache key, and a
-        // 1-entry OD list evicts on every new OD.
-        let mut cfg = ServiceConfig::strict_deterministic();
-        cfg.cell_m = 1e9;
-        cfg.cache_ods_per_key = 1;
-        let service = RouteService::new(Arc::clone(&world), cfg);
-        let mut resolver = MachineResolver::new(world.graph_arc(), service.config().core.clone());
-        for (a, b) in [(0u32, 59u32), (5, 54), (12, 47)] {
-            let req = Request::new(NodeId(a), NodeId(b), TimeOfDay::from_hours(8.0));
-            service.handle(req, &mut resolver).unwrap();
-        }
-        let snap = service.stats();
-        assert_eq!(snap.cache_misses, 3, "every distinct OD must mine");
-        // Each new OD evicted its predecessor from the single slot.
-        assert_eq!(snap.cache_od_evictions, 2);
         assert!(snap.is_consistent());
     }
 
@@ -1198,9 +1039,6 @@ mod tests {
         let snap = service.stats();
         assert!(snap.is_consistent(), "{snap:?}");
         assert_eq!(snap.requests, 8);
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.batched_requests, 8);
-        assert_eq!(snap.batch_max, 8);
         // 6 distinct ODs resolved once each; the 2 duplicates dedup.
         assert_eq!(snap.resolved, 6);
         assert_eq!(snap.dedup_hits, 2);
@@ -1232,22 +1070,20 @@ mod tests {
         let out = service.serve_coalesced(&[req], &mut resolver);
         assert!(out[0].is_ok());
         let snap = service.stats();
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.batched_requests, 1);
         assert_eq!(snap.cache_misses, 1);
         assert_eq!(snap.fused_minings, 0, "a lone miss must not claim fusion");
         assert_eq!(snap.fused_mined_ods, 0);
         assert!(snap.is_consistent());
-        // Empty input is a no-op, not a recorded batch.
+        // Empty input is a no-op that books nothing.
         assert!(service.serve_coalesced(&[], &mut resolver).is_empty());
-        assert_eq!(service.stats().batches, 1);
+        assert_eq!(service.stats(), snap);
     }
 
     #[test]
     fn unrelated_misses_in_one_batch_book_no_fusion() {
         let world = mini_world();
         // Distinct origins AND distinct buckets: no work is shared, so
-        // despite two cache misses in one coalesced call the fusion
+        // despite two mined ODs in one coalesced call the fusion
         // counters must stay untouched.
         let service = RouteService::new(Arc::clone(&world), ServiceConfig::strict_deterministic());
         let mut resolver = MachineResolver::new(world.graph_arc(), service.config().core.clone());
@@ -1356,6 +1192,30 @@ mod tests {
         assert_eq!(snap.artifact_misses, 2, "bumped generation re-expands");
         assert_eq!(snap.artifact_hits, 0);
         assert_eq!(snap.artifact_evictions, 1, "the stale entry is dropped");
+        assert!(snap.is_consistent(), "{snap:?}");
+    }
+
+    #[test]
+    fn generation_bump_re_derives_candidates_after_a_truth_eviction() {
+        // With the truth gone and the world's mining state bumped, a
+        // repeat request must mine again against the new generation —
+        // no memo may answer it with a set mined before the bump.
+        let world = mini_world();
+        let service = RouteService::new(Arc::clone(&world), ServiceConfig::strict_deterministic());
+        let mut resolver = MachineResolver::new(world.graph_arc(), service.config().core.clone());
+        let req = Request::new(NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        service.handle(req, &mut resolver).unwrap();
+        assert_eq!(
+            service.evict_truths_older_than(std::time::Duration::ZERO),
+            1
+        );
+        world.bump_generation();
+        let again = service.handle(req, &mut resolver).unwrap();
+        assert!(matches!(again.served, Served::Resolved(_)));
+        let snap = service.stats();
+        assert_eq!(snap.cache_misses, 2, "the repeat mines again");
+        assert_eq!(snap.artifact_misses, 2, "against the bumped generation");
+        assert_eq!(snap.artifact_evictions, 1, "the stale expansion is dropped");
         assert!(snap.is_consistent(), "{snap:?}");
     }
 

@@ -17,9 +17,10 @@
 //! * [`RouteService`] — the per-city executor and its one serving
 //!   ladder, [`RouteService::serve_coalesced`]: a *run* of requests
 //!   (typically sharing an origin cell; a run of one is the lone case)
-//!   walks *single-flight dedup → truth hit → candidate cache →
-//!   resolution* through one flight leader per distinct OD (each
-//!   leader's truth lookup is the in-run hit path) and one
+//!   walks *single-flight dedup → truth hit → mining → resolution*
+//!   through one flight leader per distinct OD (each leader's truth
+//!   lookup is the in-run hit path; the truth store is the one per-OD
+//!   memo, so every leader that misses it mines) and one
 //!   artifact-backed mining pass;
 //! * [`Platform`] — the front door: **truth hits served on the
 //!   submitting thread** ([`Platform::submit`] probes the city's truth
@@ -43,22 +44,20 @@
 //! * [`FlightTable`] — single-flight deduplication of identical
 //!   in-flight `(OD, time-bucket)` requests (one resolution, shared
 //!   result — crucial when resolution spends crowd budget);
-//! * [`Lru`] — the bounded cache behind per-`(OD-cell, time-bucket)`
-//!   candidate-set memoisation (per-key OD aliasing bounded by
-//!   [`ServiceConfig::cache_ods_per_key`]);
+//! * [`Lru`] — the bounded cache behind the artifact cache's origin
+//!   cells and period networks;
 //! * [`Resolver`] — pluggable miss handling: deterministic machine-only
 //!   ([`MachineResolver`], owned and `'static` — the platform default)
 //!   or the full crowd pipeline ([`CrowdResolver`] — also owned and
 //!   `'static`: one planner per platform worker, all sharing the city's
 //!   quota-capped crowd desk; register with
 //!   [`Platform::register_city_crowd`] and [`CrowdServing`]);
-//! * [`ServiceStats`] — lock-free counters with truth/cache hit rates,
-//!   dedup and eviction counts and a latency histogram that merges
+//! * [`ServiceStats`] — lock-free counters with truth and artifact hit
+//!   rates, dedup and eviction counts and a latency histogram that merges
 //!   exactly across cities;
 //! * [`SpanRecorder`] / [`TraceConfig`] — span-level request tracing:
 //!   every request's sojourn attributed to pipeline [`Stage`]s (queue
-//!   wait, truth lookup, cache lookup, flight wait,
-//!   artifact fetch, mining, machine/crowd resolve, commit) with
+//!   wait, truth lookup, flight wait, artifact fetch, mining, machine/crowd resolve, commit) with
 //!   per-stage histograms in [`StatsSnapshot`], lock-wait counters
 //!   ([`LockStats`]) on the contended primitives, and a bounded ring of
 //!   complete sampled traces exportable via [`Platform::trace_report`]

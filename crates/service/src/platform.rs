@@ -7,7 +7,7 @@
 //!
 //! * **owned worlds** — each city is an `Arc<World>` registered under a
 //!   [`CityId`]; the platform owns a full per-city service instance
-//!   (truth shards, candidate LRU, flight table, stats), so cities never
+//!   (truth shards, mining artifacts, flight table, stats), so cities never
 //!   contend with each other on anything but CPU;
 //! * **resident worker pool** — [`Platform::start`] spawns N
 //!   `std::thread` workers that live until [`Platform::shutdown`]; each
@@ -987,8 +987,10 @@ impl Platform {
     /// significance/landmark length mismatch, so per-worker planner
     /// construction cannot fail later.
     ///
-    /// Per-worker planners keep a small private truth store (the shared
-    /// sharded store already served reuse before the resolver runs); it
+    /// Per-worker planners keep a small private truth store. It never
+    /// serves reuse — the shared sharded store answers every hit before
+    /// the resolver runs — and is kept only because it feeds the
+    /// truth-derived confidence of the planner's machine evaluation. It
     /// is bounded so resident planners cannot grow without bound —
     /// `truth_cap_per_shard × shards` when the city's store is bounded,
     /// else a fixed 4096-entry cap.
@@ -1121,10 +1123,13 @@ impl Platform {
     /// in-flight on a worker — resolve normally, exactly once), and the
     /// emptied-forever queue drops out of the DRR rotation on its own
     /// (the scheduler only visits non-empty queues). Cache state —
-    /// candidate LRU, mining artifacts, truths — is reclaimed, and
+    /// mining artifacts and truths — is reclaimed, and
     /// [`Platform::city_service`] answers `None` so a gateway maps the
     /// city to 404. Other cities' queues, weights and fairness are
-    /// untouched.
+    /// untouched. A crowd city's per-worker planners stay with their
+    /// workers until shutdown, each holding its capped private truth
+    /// store (see [`Platform::register_city_crowd`]: it only feeds
+    /// truth-derived confidence, so nothing is ever served from it).
     ///
     /// Returns the number of queued tickets shed (`Some(0)` when the
     /// city was already offboarded — idempotent), or `None` for an id
@@ -1424,8 +1429,8 @@ impl Platform {
     /// in the same order and over the same geometry as when the state
     /// was produced. Truth sequence counters and crowd generations are
     /// re-seeded, so serving resumes with monotone sequences — a warm
-    /// restart: truths and answer history intact, caches (candidate LRU,
-    /// flight table) deliberately cold.
+    /// restart: truths and answer history intact, caches (mining
+    /// artifacts, flight table) deliberately cold.
     pub fn recover_from(&self, dir: &std::path::Path) -> Result<RecoveryReport, DurableError> {
         self.apply_durable(dir, None)
     }
@@ -2764,11 +2769,11 @@ mod tests {
         );
         assert_eq!((row.queue_depth, row.rejected_busy), (2, 1));
         assert_eq!(snap.served_inline, 3);
-        // Each hit is booked like a worker-served run of one; of the
+        // Each hit is booked like a worker-served truth hit; of the
         // misses only the held one has entered the ladder (booked on
         // entry, no outcome or latency yet).
         let city = platform.city_stats(CityId(0)).unwrap();
-        assert_eq!((city.requests, city.truth_hits, city.batches), (4, 3, 4));
+        assert_eq!((city.requests, city.truth_hits), (4, 3));
         assert_eq!(city.latency.count, 3);
         open.send(()).unwrap();
         platform.shutdown();
@@ -2889,8 +2894,6 @@ mod tests {
         assert!(city.is_consistent(), "{city:?}");
         assert_eq!(city.requests, requests.len() as u64);
         assert_eq!(city.requests, snap.admitted);
-        assert_eq!(city.batched_requests, city.requests);
-        assert_eq!(city.batch_max, snap.batch_max);
         platform.shutdown();
     }
 

@@ -1,6 +1,6 @@
 //! Pluggable request resolution.
 //!
-//! The executor owns everything shared (truth shards, candidate cache,
+//! The executor owns everything shared (truth shards, mining artifacts,
 //! single-flight table); what *resolving a miss* means is a per-worker
 //! strategy behind the [`Resolver`] trait:
 //!
@@ -253,13 +253,15 @@ impl Resolver for CrowdResolver {
     ) -> Result<Resolved, ServiceError> {
         let before = self.planner.stats().clone();
         let oracle = self.oracle_for.oracle_for(from, to);
-        // The executor already mined (and cached) the candidate set from
-        // the same shared mining state; hand it to the planner by
-        // reference so a crowd-backed request neither mines nor copies
-        // the candidates twice.
+        // The executor already probed the shared truth store and mined
+        // the candidate set from the same shared mining state; the
+        // planner runs only machine evaluation and the crowd. Its
+        // private store holds a subset of the shared one (every truth it
+        // records is committed there before the next job), so probing
+        // it again could only find what the executor just missed.
         let rec = self
             .planner
-            .handle_request_with_candidates(from, to, departure, Some(candidates), &|l| oracle(l))
+            .resolve_with_candidates(from, to, departure, candidates, &|l| oracle(l))
             .map_err(ServiceError::Core)?;
         let after = self.planner.stats();
         let starved = after.starved_tasks > before.starved_tasks;

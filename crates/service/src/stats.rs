@@ -47,19 +47,8 @@ pub struct ServiceStats {
     resolved: AtomicU64,
     /// Failed (no candidates / resolver error / failed leader).
     errors: AtomicU64,
-    /// Candidate-cache hits (only counted on the resolution path).
-    cache_hits: AtomicU64,
-    /// Candidate-cache misses (mining performed).
+    /// OD pairs mined (flight leaders that missed the truth store).
     cache_misses: AtomicU64,
-    /// Per-key OD entries evicted from the candidate cache (aliasing
-    /// OD pairs competing for one cell-bucket key).
-    cache_od_evictions: AtomicU64,
-    /// Coalesced batches served (`RouteService::serve_coalesced` calls).
-    batches: AtomicU64,
-    /// Requests that arrived inside a coalesced batch.
-    batched_requests: AtomicU64,
-    /// Largest coalesced batch observed (high-water mark).
-    batch_max: AtomicU64,
     /// Fused candidate-generation calls (one multi-OD mining pass).
     fused_minings: AtomicU64,
     /// OD pairs mined through fused calls (each also counts as a
@@ -126,24 +115,8 @@ impl ServiceStats {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn inc_cache_hits(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn inc_cache_misses(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_cache_od_evictions(&self) {
-        self.cache_od_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Books one served run of `size` requests (runs of one included).
-    pub(crate) fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-        self.batch_max.fetch_max(size as u64, Ordering::Relaxed);
     }
 
     /// Books one fused mining call covering `ods` OD pairs.
@@ -193,13 +166,7 @@ impl ServiceStats {
         add(&self.dedup_hits, &other.dedup_hits);
         add(&self.resolved, &other.resolved);
         add(&self.errors, &other.errors);
-        add(&self.cache_hits, &other.cache_hits);
         add(&self.cache_misses, &other.cache_misses);
-        add(&self.cache_od_evictions, &other.cache_od_evictions);
-        add(&self.batches, &other.batches);
-        add(&self.batched_requests, &other.batched_requests);
-        self.batch_max
-            .fetch_max(other.batch_max.load(Ordering::Relaxed), Ordering::Relaxed);
         add(&self.fused_minings, &other.fused_minings);
         add(&self.fused_mined_ods, &other.fused_mined_ods);
         add(&self.artifact_hits, &other.artifact_hits);
@@ -291,17 +258,13 @@ impl ServiceStats {
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             resolved: self.resolved.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_hits: 0,
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             // The truth store is the single source of eviction counts;
             // the owning service overwrites this from it (see
             // `RouteService::stats`). Raw counters stay zero so two
             // layers can never drift apart.
             truth_evictions: 0,
-            cache_od_evictions: self.cache_od_evictions.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            batch_max: self.batch_max.load(Ordering::Relaxed),
             fused_minings: self.fused_minings.load(Ordering::Relaxed),
             fused_mined_ods: self.fused_mined_ods.load(Ordering::Relaxed),
             artifact_hits: self.artifact_hits.load(Ordering::Relaxed),
@@ -313,8 +276,8 @@ impl ServiceStats {
             crowd_starved: self.crowd_starved.load(Ordering::Relaxed),
             stages,
             // Lock contention lives on the owning primitives (truth
-            // shards, caches, flight table, ingress queue); the owner
-            // fills these in (see `RouteService::stats` and
+            // shards, artifact cache, flight table, ingress queue); the
+            // owner fills these in (see `RouteService::stats` and
             // `Platform::snapshot_of`). Raw counters stay zero here so
             // two layers can never drift apart.
             locks: [LockSummary::default(); LockSite::COUNT],
@@ -369,30 +332,18 @@ pub struct StatsSnapshot {
     pub resolved: u64,
     /// Failed requests.
     pub errors: u64,
-    /// Candidate-cache hits.
+    /// Always zero: no cache sits between the truth store and mining,
+    /// so every truth miss mines. Kept because `benchmark/` reads it
+    /// (`service.cache.candidate_hit_share`).
     pub cache_hits: u64,
-    /// Candidate-cache misses.
+    /// OD pairs mined: one per flight leader that missed the truth
+    /// store.
     pub cache_misses: u64,
     /// Truths evicted from the sharded store (capacity or age). Sourced
     /// from [`ShardedTruthStore::evicted`](crate::ShardedTruthStore::evicted)
     /// by the owning service, so direct store-level evictions are never
     /// under-reported.
     pub truth_evictions: u64,
-    /// Per-key OD entries evicted from the candidate cache.
-    pub cache_od_evictions: u64,
-    /// Runs served
-    /// ([`RouteService::serve_coalesced`](crate::RouteService::serve_coalesced)
-    /// calls). Every request is served as part of a run — a lone
-    /// request is a run of one — so this counts runs of every size.
-    pub batches: u64,
-    /// Requests that arrived inside a run: always equal to `requests`,
-    /// since runs of one are booked like any other (the platform's
-    /// queue-side `batched_requests` / `unbatched_requests` are what
-    /// tell coalesced dispatches from lone ones).
-    pub batched_requests: u64,
-    /// Largest run observed (high-water mark, 1 when nothing ever
-    /// coalesced; `absorb` merges by maximum).
-    pub batch_max: u64,
     /// Fused candidate-generation calls (one call mines several ODs).
     pub fused_minings: u64,
     /// OD pairs mined through fused calls. Every fused OD also counts
@@ -444,16 +395,6 @@ impl StatsSnapshot {
         }
     }
 
-    /// Candidate-cache hit rate over resolution-path requests.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Mining-artifact cache hit rate over all origin-artifact lookups
     /// (how often a batch skipped the all-day origin expansion because a
     /// recent batch already produced it).
@@ -491,27 +432,22 @@ impl StatsSnapshot {
     }
 
     /// The accounting invariant: every request was served from exactly
-    /// one of {truth store, dedup, fresh resolution, error}; batch and
-    /// fused-mining counters must stay within their envelopes (batched
-    /// requests are a subset of all requests, fused-mined ODs a subset
-    /// of all minings, and the high-water mark cannot exceed the batched
-    /// total unless nothing was batched); and every artifact eviction
-    /// removed an entry some earlier miss inserted, so evictions can
-    /// never outrun misses.
+    /// one of {truth store, dedup, fresh resolution, error}; fused-mining
+    /// counters stay within their envelope (fused-mined ODs are a subset
+    /// of all minings, and a fused call covers at least one OD); and
+    /// every artifact eviction removed an entry some earlier miss
+    /// inserted, so evictions can never outrun misses.
     ///
     /// Trace envelopes (vacuous when nothing traces, and safe under
     /// aggregates mixing traced and untraced cities because both sides
     /// of each bound are trace-gated or only the smaller side is): a
     /// commit span follows a resolve span, every resolve span belongs
-    /// to a fresh resolution or a failed one, and every mining span is
-    /// a candidate-cache miss.
+    /// to a fresh resolution or a failed one, and every mining span
+    /// mined a counted OD.
     pub fn is_consistent(&self) -> bool {
         let resolve_spans = self.stages[Stage::ResolveMachine.index()].count
             + self.stages[Stage::ResolveCrowd.index()].count;
         self.truth_hits + self.dedup_hits + self.resolved + self.errors == self.requests
-            && self.batched_requests <= self.requests
-            && self.batch_max <= self.batched_requests
-            && self.batches <= self.batched_requests
             && self.fused_mined_ods <= self.cache_misses
             && self.fused_minings <= self.fused_mined_ods
             && self.artifact_evictions <= self.artifact_misses
@@ -536,13 +472,12 @@ mod tests {
         s.inc_dedup_hits();
         s.inc_resolved();
         s.inc_errors();
-        s.inc_cache_hits();
         s.inc_cache_misses();
         let snap = s.snapshot();
         assert_eq!(snap.requests, 5);
+        assert_eq!((snap.cache_hits, snap.cache_misses), (0, 1));
         assert!(snap.is_consistent());
         assert!((snap.truth_hit_rate() - 0.4).abs() < 1e-12);
-        assert!((snap.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -593,7 +528,7 @@ mod tests {
             b.inc_resolved();
             b.record_latency(Duration::from_micros(5000));
         }
-        b.inc_cache_od_evictions();
+        b.inc_cache_misses();
         let total = ServiceStats::new();
         total.absorb(&a);
         total.absorb(&b);
@@ -601,7 +536,7 @@ mod tests {
         assert_eq!(snap.requests, 5);
         assert_eq!(snap.truth_hits, 3);
         assert_eq!(snap.resolved, 2);
-        assert_eq!(snap.cache_od_evictions, 1);
+        assert_eq!(snap.cache_misses, 1);
         assert!(snap.is_consistent());
         assert_eq!(snap.latency.count, 5);
         assert_eq!(snap.latency.min, Duration::from_micros(10));
@@ -612,13 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_counters_accumulate_and_absorb_with_max_merge() {
+    fn fused_mining_counters_accumulate_and_absorb() {
         let a = ServiceStats::new();
         let b = ServiceStats::new();
-        a.record_batch(4);
-        a.record_batch(2);
         a.record_fused_mining(3);
-        b.record_batch(7);
         b.record_fused_mining(2);
         // Back the envelopes: requests and cache misses covering them.
         for _ in 0..13 {
@@ -637,9 +569,6 @@ mod tests {
         total.absorb(&a);
         total.absorb(&b);
         let snap = total.snapshot();
-        assert_eq!(snap.batches, 3);
-        assert_eq!(snap.batched_requests, 13);
-        assert_eq!(snap.batch_max, 7, "high-water merges by max, not sum");
         assert_eq!(snap.fused_minings, 2);
         assert_eq!(snap.fused_mined_ods, 5);
         assert!((snap.fused_mining_ratio() - 0.5).abs() < 1e-12);
@@ -708,7 +637,7 @@ mod tests {
         }
         a.record_stage(Stage::Commit, 2_000);
         b.record_stage(Stage::Mining, 5_000_000);
-        // Back the envelopes: minings need cache misses, commits need
+        // Back the envelopes: minings need mined ODs, commits need
         // resolve spans, resolve spans need resolutions.
         for _ in 0..4 {
             a.inc_cache_misses();

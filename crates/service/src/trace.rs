@@ -3,11 +3,11 @@
 //! PRs 1–5 made the serving stack fast on one worker; this module makes
 //! it *explainable* at many. Every request's lifetime is attributed to
 //! pipeline [`Stage`]s — ingress queue wait, truth lookup,
-//! candidate-cache lookup, flight-table wait, artifact
-//! fetch/build, fused mining, machine/crowd resolution, truth commit —
-//! and every contended primitive (the ingress mutex, truth-shard
-//! `RwLock`s, artifact-cache and candidate-cache mutexes, the flight
-//! table) counts how long acquisitions actually blocked ([`LockStats`]).
+//! flight-table wait, artifact fetch/build, fused mining,
+//! machine/crowd resolution, truth commit — and every contended
+//! primitive (the ingress mutex, truth-shard `RwLock`s, the
+//! artifact-cache mutexes, the flight table) counts how long
+//! acquisitions actually blocked ([`LockStats`]).
 //!
 //! Three cost tiers, selected per city by [`TraceConfig`] in
 //! [`ServiceConfig`](crate::ServiceConfig):
@@ -53,8 +53,6 @@ pub enum Stage {
     /// Sharded truth-store lookups (the platform's submit probe of an
     /// admitted hit, and flight leaders' lookups).
     TruthLookup,
-    /// Candidate-LRU probes.
-    CacheLookup,
     /// Blocking on another caller's in-flight resolution (single-flight
     /// follower waits).
     FlightWait,
@@ -75,13 +73,12 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (array dimension for per-stage histograms).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::QueueWait,
         Stage::TruthLookup,
-        Stage::CacheLookup,
         Stage::FlightWait,
         Stage::ArtifactFetch,
         Stage::Mining,
@@ -96,7 +93,6 @@ impl Stage {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::TruthLookup => "truth_lookup",
-            Stage::CacheLookup => "cache_lookup",
             Stage::FlightWait => "flight_wait",
             Stage::ArtifactFetch => "artifact_fetch",
             Stage::Mining => "mining",
@@ -123,8 +119,6 @@ pub enum LockSite {
     Ingress,
     /// The truth store's per-shard `RwLock`s (reads and writes pooled).
     TruthShards,
-    /// The candidate-LRU mutex.
-    CandidateCache,
     /// The mining-artifact cache's origin/period mutexes.
     ArtifactCache,
     /// The single-flight table's map mutex.
@@ -133,13 +127,12 @@ pub enum LockSite {
 
 impl LockSite {
     /// Number of lock sites (array dimension for lock summaries).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
 
     /// Every site, in order.
     pub const ALL: [LockSite; LockSite::COUNT] = [
         LockSite::Ingress,
         LockSite::TruthShards,
-        LockSite::CandidateCache,
         LockSite::ArtifactCache,
         LockSite::FlightTable,
     ];
@@ -149,7 +142,6 @@ impl LockSite {
         match self {
             LockSite::Ingress => "ingress",
             LockSite::TruthShards => "truth_shards",
-            LockSite::CandidateCache => "candidate_cache",
             LockSite::ArtifactCache => "artifact_cache",
             LockSite::FlightTable => "flight_table",
         }

@@ -27,7 +27,7 @@
 //! | [`mining`] | MPR / MFP / LDR miners + simulated web services |
 //! | [`crowd`] | simulated worker population, answers, response times |
 //! | [`core`] | task generation, worker selection, truth reuse, orchestration |
-//! | [`service`] | multi-city serving platform: owned worlds, submit/poll tickets with admission control, bounded sharded truth store, single-flight dedup, candidate cache |
+//! | [`service`] | multi-city serving platform: owned worlds, submit/poll tickets with admission control, bounded sharded truth store, single-flight dedup, cross-run mining-artifact cache |
 //!
 //! ## Quickstart
 //!

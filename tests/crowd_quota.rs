@@ -17,17 +17,22 @@
 //!    `assign`/`finish` calls verbatim) on a single
 //!    thread — the reserve → ask → commit protocol and the `Arc`-owned
 //!    world handles change nothing about the paper pipeline's output.
+//! 3. A proptest that the **served** crowd ladder (the platform's shared
+//!    truth store, then `CrowdPlanner::resolve_with_candidates` on a
+//!    worker) serves what the **standalone** paper ladder
+//!    (`CrowdPlanner::handle_request`) serves over an identically seeded
+//!    crowd, repeats included.
 
 mod common;
-use common::crowd_forcing_config;
+use common::{crowd_forcing_config, sim};
 
-use cp_core::Config;
+use cp_core::{Config, Resolution};
 use cp_crowd::{
     AnswerTally, CrowdDesk, CrowdObserve, DeskStats, QuotaExhausted, SharedCrowd, WorkerId,
     WorkerPopulation,
 };
 use cp_roadnet::{Landmark, LandmarkId};
-use cp_service::{CrowdServing, Platform, PlatformConfig, Request, ServiceConfig, Ticket};
+use cp_service::{CrowdServing, Platform, PlatformConfig, Request, Served, ServiceConfig, Ticket};
 use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
 use proptest::prelude::*;
@@ -278,6 +283,80 @@ proptest! {
         prop_assert_eq!(a.stats().quota_rejections, 0);
         prop_assert!(a.desk().desk_stats().is_drained());
         prop_assert!(b.desk().desk_stats().is_drained());
+    }
+
+    /// The served crowd ladder equals the standalone paper ladder. One
+    /// platform worker over a crowd city (so one planner, fed in
+    /// submission order) and a standalone planner over an identically
+    /// seeded desk see the same requests at the same canonical
+    /// departures: every path matches, every resolution matches with a
+    /// served `TruthHit` standing for the standalone `ReusedTruth`, and
+    /// every crowd resolution costs the same questions and workers.
+    #[test]
+    fn served_crowd_ladder_matches_the_standalone_paper_ladder(
+        seed in 0u64..500,
+        picks in proptest::collection::vec((0usize..5, 0usize..2), 1..10),
+    ) {
+        let world = sim();
+        let mut cfg = ServiceConfig::strict_deterministic();
+        cfg.core = crowd_forcing_config();
+        let platform = Platform::start(PlatformConfig {
+            workers: 1,
+            batch: None,
+            ..PlatformConfig::default()
+        });
+        let id = platform
+            .register_city_crowd(
+                world.service_world(),
+                cfg.clone(),
+                world.crowd_serving(64, 10, seed, cfg.core.eta_quota),
+            )
+            .expect("crowd city registers");
+        let service = platform.city_service(id).expect("registered");
+        let desk: Arc<dyn CrowdDesk> = world.shared_crowd(64, 10, seed, cfg.core.eta_quota);
+        let mut planner = world.owned_planner(desk, cfg.core.clone()).expect("planner");
+
+        let ods = world.request_stream(5, 2, 41);
+        let mut resolved: Vec<Request> = Vec::new();
+        for &(i, h) in &picks {
+            let (from, to) = ods[i];
+            let req = Request::to_city(id, from, to, TimeOfDay::from_hours(7.0 + h as f64));
+            let before = platform.city_stats(id).expect("registered");
+            let served = platform.submit_blocking(req).expect("admitted").wait();
+            let after = platform.city_stats(id).expect("registered");
+            let oracle = world.oracle(from, to).expect("oracle");
+            let departure = service.canonical_departure(&req);
+            let alone = planner.handle_request(from, to, departure, &oracle);
+            let (served, alone) = match (served, alone) {
+                (Ok(s), Ok(a)) => (s, a),
+                (s, a) => {
+                    prop_assert_eq!(s.is_ok(), a.is_ok(), "{:?} vs {:?}", s, a);
+                    continue;
+                }
+            };
+            prop_assert_eq!(served.path.nodes(), alone.path.nodes());
+            let kind = match served.served {
+                Served::TruthHit => Resolution::ReusedTruth,
+                Served::Resolved(r) => r,
+                Served::Deduplicated => unreachable!("one worker, one request at a time"),
+            };
+            prop_assert_eq!(kind, alone.resolution);
+            if resolved.contains(&req) {
+                prop_assert_eq!(kind, Resolution::ReusedTruth);
+            } else {
+                prop_assert!(kind != Resolution::ReusedTruth, "first time: {:?}", kind);
+                resolved.push(req);
+            }
+            prop_assert_eq!(
+                after.crowd_questions - before.crowd_questions,
+                alone.questions_asked as u64
+            );
+            prop_assert_eq!(
+                after.crowd_workers - before.crowd_workers,
+                alone.workers_asked as u64
+            );
+        }
+        platform.shutdown();
     }
 }
 

@@ -152,8 +152,8 @@ proptest! {
 
 /// Per-stage histogram counts reconcile exactly with the request
 /// counters on a sequential, machine-resolved, counter-traced workload:
-/// one truth lookup per flight leader, one cache probe per miss path,
-/// one mining span per cache miss, one machine-resolve span and one
+/// one truth lookup per flight leader, one mined OD per truth miss,
+/// one mining span per mined OD, one machine-resolve span and one
 /// commit per resolution.
 #[test]
 fn counter_histograms_reconcile_with_request_counters() {
@@ -174,10 +174,7 @@ fn counter_histograms_reconcile_with_request_counters() {
     // leader looks the truth store up once.
     let leaders = snap.requests;
     assert_eq!(stage(Stage::TruthLookup), leaders);
-    assert_eq!(
-        stage(Stage::CacheLookup),
-        snap.cache_hits + snap.cache_misses
-    );
+    assert_eq!(snap.cache_misses, leaders - snap.truth_hits);
     assert_eq!(stage(Stage::Mining), snap.cache_misses);
     assert_eq!(stage(Stage::ResolveMachine), snap.resolved);
     assert_eq!(stage(Stage::ResolveCrowd), 0);
