@@ -43,9 +43,10 @@ pub struct AppState {
     pub stats: GatewayStats,
     /// Per-client token buckets (`None` = unlimited).
     pub limiter: Option<RateLimiter>,
-    /// How long `/route` may wait on its ticket before answering 504.
-    pub route_deadline: Duration,
 }
+
+/// How long `/route` waits on its ticket before answering 504.
+const ROUTE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Dispatches one parsed request to its endpoint. `session` is the
 /// connection's private response cache; `peer` keys the rate limiter.
@@ -132,7 +133,7 @@ fn route(
         Ok(ticket) => ticket,
         Err(e) => return upstream_error(state, &e),
     };
-    match ticket.wait_timeout(state.route_deadline) {
+    match ticket.wait_timeout(ROUTE_DEADLINE) {
         Ok(Ok(served)) => {
             let body = route_json(&request, &served, service.world().graph());
             session.put(key, generation, body.clone());
@@ -320,7 +321,7 @@ fn platform_json(snap: &PlatformSnapshot) -> String {
         .finish()
 }
 
-/// Each city's slice of the sharded ingress — queue depth, DRR weight,
+/// Each city's slice of the ingress — queue depth, DRR weight,
 /// admission (truth hits served at submit included), dispatch and shed
 /// counts — as a JSON array indexed by city.
 fn per_city_json(per_city: &[CityQueueSnapshot]) -> String {
@@ -433,7 +434,6 @@ mod tests {
                 platform,
                 stats: GatewayStats::new(),
                 limiter: None,
-                route_deadline: Duration::from_secs(10),
             },
             id,
         )

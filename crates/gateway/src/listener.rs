@@ -55,12 +55,8 @@ pub struct GatewayConfig {
     /// Most requests served over one keep-alive connection before the
     /// edge closes it (bounds per-connection state lifetime).
     pub keep_alive_requests: usize,
-    /// How long `/route` waits on its platform ticket before `504`.
-    pub route_deadline: Duration,
     /// Per-client token-bucket rate limiting (`None` = unlimited).
     pub rate_limit: Option<RateLimitConfig>,
-    /// HTTP parser hardening limits.
-    pub http: HttpLimits,
 }
 
 impl Default for GatewayConfig {
@@ -69,9 +65,7 @@ impl Default for GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
             handler_threads: 4,
             keep_alive_requests: 1024,
-            route_deadline: Duration::from_secs(2),
             rate_limit: None,
-            http: HttpLimits::default(),
         }
     }
 }
@@ -117,7 +111,6 @@ impl Gateway {
                 platform,
                 stats: GatewayStats::new(),
                 limiter: cfg.rate_limit.map(RateLimiter::new),
-                route_deadline: cfg.route_deadline,
             },
             cfg: GatewayConfig {
                 handler_threads: cfg.handler_threads.max(1),
@@ -290,8 +283,9 @@ fn serve_connection(inner: &GwInner, mut stream: TcpStream) {
     }
     let mut session = SessionCache::new(SESSION_CACHE);
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    let limits = HttpLimits::default();
     for _ in 0..inner.cfg.keep_alive_requests {
-        let req = match read_request(&mut stream, &mut buf, &inner.cfg.http) {
+        let req = match read_request(&mut stream, &mut buf, &limits) {
             Ok(req) => req,
             Err(HttpError::Closed) => return,
             Err(HttpError::Io(_)) => {

@@ -26,10 +26,10 @@
 //!   submitting thread** ([`Platform::submit`] probes the city's truth
 //!   store and returns a completed [`Ticket`] on a hit), a resident
 //!   worker pool over all registered cities for the misses,
-//!   **per-city bounded ingress queues** behind a weighted
-//!   deficit-round-robin dispatcher with admission control (a miss is
-//!   rejected with [`ServiceError::Busy`] when its queue is full),
-//!   joinable/pollable [`Ticket`]s,
+//!   **per-city bounded ingress queues** with weighted
+//!   deficit-round-robin dispatch and admission control (a miss is
+//!   rejected with [`ServiceError::Busy`] when its queue is full), all
+//!   behind one ingress lock, joinable/pollable [`Ticket`]s,
 //!   opportunistic **origin-cell request coalescing**
 //!   ([`PlatformConfig::batch`] / [`BatchConfig`]: a worker dequeues
 //!   its job together with every already-queued `(city, origin
@@ -130,6 +130,7 @@ pub mod chaos;
 pub mod durable;
 pub mod error;
 pub mod executor;
+mod ingress;
 pub mod json;
 pub mod platform;
 pub mod resolver;

@@ -16,16 +16,19 @@
 //! * **truth hits on the submitting thread** — [`Platform::submit`]
 //!   first probes the city's sharded truth store, holding no lock. A hit
 //!   is admitted and served right there: the returned [`Ticket`] is
-//!   already complete, and no queue, scheduler, condvar or worker is
-//!   touched. Only misses reach the ingress queue;
-//! * **bounded ingress + admission control** — a miss is enqueued and
-//!   gets a joinable [`Ticket`], or is rejected with
-//!   [`ServiceError::Busy`] when its city's queue is full (shed load
-//!   instead of collapsing under it; a hit is never shed).
-//!   [`Platform::submit_blocking`] waits for space instead. Each city's
-//!   ledger, `admitted == batched + unbatched + served_inline + shed +
-//!   queue_depth` ([`PlatformSnapshot::is_consistent`]), holds at every
-//!   instant;
+//!   already complete, and no queue, condvar or worker is touched (the
+//!   ingress lock is taken once, to book the admission). Only misses
+//!   reach a queue;
+//! * **bounded ingress + admission control** — a miss is enqueued on
+//!   its city's bounded queue and gets a joinable [`Ticket`], or is
+//!   rejected with [`ServiceError::Busy`] when that queue is full (shed
+//!   load instead of collapsing under it; a hit is never shed).
+//!   [`Platform::submit_blocking`] waits for space instead. Workers pick
+//!   the next city by weighted deficit round robin. Every city's queue,
+//!   the schedule and the admission ledger sit behind one mutex, so
+//!   `admitted == batched + unbatched + served_inline + shed +
+//!   queue_depth` ([`PlatformSnapshot::is_consistent`]) holds per city
+//!   and platform-wide at every instant a snapshot can observe;
 //! * **origin-cell coalescing** — with [`PlatformConfig::batch`] set, a
 //!   worker dispatches its job together with every job already queued
 //!   for the same city and origin cell, up to
@@ -67,9 +70,10 @@ use crate::chaos::{
 use crate::durable::{DurabilityConfig, DurabilitySnapshot, DurableRuntime};
 use crate::error::ServiceError;
 use crate::executor::{Request, RouteService, ServedRoute, ServiceConfig};
+use crate::ingress::{IngressLock, Job};
 use crate::resolver::{CrowdResolver, MachineResolver, OracleFactory, Resolver};
 use crate::stats::{ServiceStats, StatsSnapshot};
-use crate::trace::{CityTrace, LockSite, LockStats, LockSummary, Stage, TraceReport};
+use crate::trace::{CityTrace, LockSite, LockSummary, Stage, TraceReport};
 use crate::world::{CityId, World};
 use cp_core::{CoreError, CrowdPlanner, TruthEntry};
 use cp_crowd::{AnswerRecord, CrowdDesk, CrowdState, PlatformState, WorkerId};
@@ -79,8 +83,8 @@ use cp_durable::{
 };
 use cp_roadnet::{EdgeId, LandmarkId, LandmarkSet, NodeId, Path as RoutePath};
 use cp_traj::TimeOfDay;
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -210,11 +214,9 @@ struct CityState {
     /// This city's crowd circuit breaker (`None` unless the city was
     /// registered crowd-backed with [`CrowdServing::with_breaker`]).
     breaker: Option<Arc<CrowdBreaker>>,
-    /// Lock-free mirror of the queue's `offboarded` flag, so routing
-    /// checks ([`Platform::city_service`]) need no queue lock.
+    /// Lock-free mirror of the ingress `offboarded` flag, so routing
+    /// checks ([`Platform::city_service`]) need no ingress lock.
     offboarded: AtomicBool,
-    /// This city's sharded ingress (bounded queue + DRR weight).
-    ingress: CityQueue,
 }
 
 /// Everything a crowd-backed city shares across its per-worker planners:
@@ -292,169 +294,13 @@ impl std::fmt::Debug for CrowdServing {
     }
 }
 
-/// One admitted request waiting for a worker. The owning city is
-/// implicit: jobs live in their city's own queue.
-struct Job {
-    req: Request,
-    slot: Arc<TicketSlot>,
-    /// When the job entered its queue: [`Stage::QueueWait`] starts here,
-    /// after the submit-path probe, not at submit entry.
-    admitted_at: Instant,
-}
-
-/// One city's bounded ingress queue plus its drain flag and its
-/// admission and dispatch accounting, all under the city's own mutex.
-/// The counters are mutated in the same critical sections that move
-/// jobs, so `admitted == batched_requests + unbatched_requests +
-/// served_inline + shed + queue_depth` holds per city at every instant
-/// a snapshot can observe (admission bumps `admitted` — and, for a
-/// truth hit, `served_inline` — under this lock).
-struct CityIngress {
-    jobs: VecDeque<Job>,
-    draining: bool,
-    /// `true` once [`Platform::deregister_city`] ran: submissions are
-    /// rejected with [`ServiceError::CityOffboarded`] and the queue
-    /// stays empty forever (so DRR naturally skips the city).
-    offboarded: bool,
-    /// Queued jobs shed with a terminal error by the offboarding drain.
-    shed: u64,
-    /// Requests admitted for this city: queued, or served at submit.
-    admitted: u64,
-    /// Admitted truth hits served on the submitting thread (never
-    /// queued).
-    served_inline: u64,
-    /// Non-blocking submissions shed because this city's queue was full.
-    rejected_busy: u64,
-    /// Jobs dispatched inside a coalesced run of ≥ 2.
-    batched_requests: u64,
-    /// Jobs dispatched alone (runs of 1, and every job when batching is
-    /// off).
-    unbatched_requests: u64,
-    /// Coalesced runs (of ≥ 2) dispatched.
-    batch_runs: u64,
-    /// Largest run dispatched (high-water mark).
-    batch_max: u64,
-}
-
-/// One city's sharded ingress: its bounded queue (own mutex/condvar
-/// pair), its own [`LockStats`] site so the trace layer attributes
-/// contention per city, a lock-free depth mirror for the scheduler's
-/// peek, and its DRR weight.
-struct CityQueue {
-    queue: Mutex<CityIngress>,
-    /// Signalled when a job leaves this city's queue or drain starts
-    /// (blocking submitters listen here).
-    not_full: Condvar,
-    /// Contention counters for this city's ingress mutex (enabled once
-    /// the city traces; see [`Platform::trace_report`]).
-    locks: LockStats,
-    /// Lock-free mirror of `queue.jobs.len()`, kept in sync under the
-    /// queue lock, so the DRR scheduler peeks without taking any city
-    /// lock.
-    depth: AtomicUsize,
-    /// DRR weight (≥ 1): quantum of seed dispatches granted per
-    /// rotation while backlogged.
-    weight: AtomicU32,
-}
-
-impl CityQueue {
-    fn new(cfg: &PlatformConfig) -> CityQueue {
-        CityQueue {
-            queue: Mutex::new(CityIngress {
-                jobs: VecDeque::new(),
-                draining: false,
-                offboarded: false,
-                shed: 0,
-                admitted: 0,
-                served_inline: 0,
-                rejected_busy: 0,
-                batched_requests: 0,
-                unbatched_requests: 0,
-                batch_runs: 0,
-                batch_max: 0,
-            }),
-            not_full: Condvar::new(),
-            locks: LockStats::new(),
-            depth: AtomicUsize::new(0),
-            weight: AtomicU32::new(cfg.city_weight.max(1)),
-        }
-    }
-
-    /// Books `n ≥ 1` jobs just pushed onto this queue. Call under the
-    /// queue lock: every 0↔non-zero depth transition must serialise
-    /// there for `backlogged` to stay exact.
-    fn pushed(&self, inner: &Inner, n: usize) {
-        if self.depth.fetch_add(n, Ordering::SeqCst) == 0 {
-            inner.backlogged.fetch_add(1, Ordering::SeqCst);
-        }
-        inner.queued.fetch_add(n as u64, Ordering::SeqCst);
-    }
-
-    /// Books `n ≥ 1` jobs just taken off this queue (call under the
-    /// queue lock, like [`CityQueue::pushed`]) and wakes blocking
-    /// submitters for the freed slots.
-    fn popped(&self, inner: &Inner, n: usize) {
-        if self.depth.fetch_sub(n, Ordering::SeqCst) == n {
-            inner.backlogged.fetch_sub(1, Ordering::SeqCst);
-        }
-        inner.queued.fetch_sub(n as u64, Ordering::SeqCst);
-        if n == 1 {
-            self.not_full.notify_one();
-        } else {
-            self.not_full.notify_all();
-        }
-    }
-}
-
-/// The weighted deficit-round-robin schedule the workers drive: a
-/// rotating cursor over the registered cities plus per-city deficit
-/// counters, under one mutex whose critical section is a handful of
-/// atomic peeks — the per-job queue work (push, pop, run collection)
-/// all happens under the per-city locks.
-struct Scheduler {
-    draining: bool,
-    /// The city whose quantum the rotation is currently spending.
-    cursor: usize,
-    /// Remaining seed dispatches in each city's current quantum.
-    deficits: Vec<u64>,
-}
-
 /// State shared between the platform handle and its workers.
 struct Inner {
     cfg: PlatformConfig,
     cities: RwLock<Vec<Arc<CityState>>>,
-    /// The DRR dispatch schedule (see [`Scheduler`]).
-    sched: Mutex<Scheduler>,
-    /// Idle workers park here; signalled when any city gains work (only
-    /// when someone is parked — see `sleepers`) or draining starts.
-    work: Condvar,
-    /// Contention counters for the dispatch (scheduler) mutex.
-    sched_locks: LockStats,
-    /// Workers parked (or committing to park) on `work`. Submissions
-    /// skip the scheduler lock entirely while this is zero — the common
-    /// case under load, which is exactly when the old global ingress
-    /// mutex collapsed.
-    sleepers: AtomicUsize,
-    /// Jobs queued across all cities (mirrors the per-city depths).
-    /// Paired with `sleepers` SeqCst-style so a submission and a
-    /// parking worker can never miss each other.
-    queued: AtomicU64,
-    /// Cities whose queue is currently non-empty (every 0↔non-zero
-    /// depth transition happens under that city's queue lock, so the
-    /// count is exact). While this is ≤ 1 there is no fairness decision
-    /// to arbitrate, and dispatch skips the scheduler lock entirely —
-    /// a single-city firehose never serialises workers on anything
-    /// global. The race where a second city gains backlog between the
-    /// check and the pop costs at most one unarbitrated pick.
-    backlogged: AtomicUsize,
-    submitted: AtomicU64,
-    rejected_unknown_city: AtomicU64,
-    /// Submissions rejected because an endpoint is not a node of the
-    /// city's graph.
-    rejected_unknown_node: AtomicU64,
-    rejected_shutdown: AtomicU64,
-    /// Submissions rejected because the target city was deregistered.
-    rejected_offboarded: AtomicU64,
+    /// Every city's queue, the DRR schedule and the admission/dispatch
+    /// ledger behind one mutex (see the `ingress` module).
+    ingress: IngressLock,
     completed: AtomicU64,
     /// `true` once shutdown started; the janitor exits on the next wake.
     maintenance_stop: Mutex<bool>,
@@ -511,9 +357,8 @@ pub struct RecoveryReport {
     pub last_wal_seq: Option<u64>,
 }
 
-/// One city's slice of the sharded ingress, captured atomically under
-/// that city's queue lock: depth, weight and admission/dispatch
-/// counters.
+/// One city's slice of the ingress, captured under the ingress lock:
+/// depth, weight and admission/dispatch counters.
 #[derive(Debug, Clone)]
 pub struct CityQueueSnapshot {
     /// The city.
@@ -538,9 +383,6 @@ pub struct CityQueueSnapshot {
     pub batch_runs: u64,
     /// Largest coalesced run dispatched (high-water mark).
     pub batch_max: u64,
-    /// Contention on this city's ingress mutex (zeros unless the city
-    /// traces).
-    pub ingress: LockSummary,
     /// Whether the city was deregistered at runtime
     /// ([`Platform::deregister_city`]).
     pub offboarded: bool,
@@ -556,8 +398,8 @@ impl CityQueueSnapshot {
     /// The per-city dispatch ledger: every admitted request was served
     /// at submit, or is still queued, was dispatched exactly once —
     /// batched or unbatched — or was shed with a terminal error by an
-    /// offboarding drain. All terms are captured under the city's queue
-    /// lock, so this is exact at every observable instant.
+    /// offboarding drain. All terms are captured under the ingress lock,
+    /// so this is exact at every observable instant.
     pub fn is_consistent(&self) -> bool {
         self.admitted
             == self.batched_requests
@@ -624,8 +466,8 @@ pub struct PlatformSnapshot {
     /// Always zero: there is no delay controller. Kept because
     /// `benchmark/` reads it (`service.platform.delay_drops`).
     pub batch_delay_drops: u64,
-    /// Every city's queue slice, each captured atomically under its own
-    /// queue lock (indexed by city).
+    /// Every city's queue slice, all captured in one hold of the
+    /// ingress lock (indexed by city).
     pub per_city: Vec<CityQueueSnapshot>,
     /// Background maintenance sweeps completed (0 when no janitor is
     /// configured).
@@ -644,13 +486,13 @@ impl PlatformSnapshot {
     /// submission was either admitted or rejected for exactly one
     /// reason, and every admitted request was served at submit, is
     /// still queued, was dispatched exactly once — batched or unbatched
-    /// — or was shed. Each city's dispatch counters, `admitted`,
-    /// `served_inline` and queue depth are captured under that city's
-    /// queue lock (admission and dispatch mutate them in the same
-    /// critical sections that move jobs), so every per-city ledger —
-    /// and therefore their sum, `admitted == batched + unbatched +
-    /// served_inline + shed + Σ per-city queue_depth` — is exact at
-    /// every observable instant, not just at quiescence.
+    /// — or was shed. Every city's dispatch counters, `admitted`,
+    /// `served_inline` and queue depth are captured in one hold of the
+    /// ingress lock (admission and dispatch mutate them in the same
+    /// critical sections that move jobs), so every per-city ledger and
+    /// their sum, `admitted == batched + unbatched + served_inline +
+    /// shed + Σ per-city queue_depth`, is exact at one instant, not
+    /// just at quiescence.
     pub fn is_consistent(&self) -> bool {
         let per_city_depth: u64 = self.per_city.iter().map(|c| c.queue_depth as u64).sum();
         self.admitted
@@ -679,7 +521,7 @@ impl PlatformSnapshot {
 
 /// State of one submitted request, shared between its [`Ticket`] and the
 /// worker that fulfils it.
-struct TicketSlot {
+pub(crate) struct TicketSlot {
     state: Mutex<Option<Result<ServedRoute, ServiceError>>>,
     done: Condvar,
     submitted_at: Instant,
@@ -771,12 +613,17 @@ impl Ticket {
         self,
         timeout: Duration,
     ) -> Result<Result<ServedRoute, ServiceError>, Ticket> {
-        let deadline = Instant::now() + timeout;
+        // A deadline past the clock's range is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = self.slot.state.lock().expect("ticket poisoned");
         loop {
             if let Some(result) = state.take() {
                 return Ok(result);
             }
+            let Some(deadline) = deadline else {
+                state = self.slot.done.wait(state).expect("ticket poisoned");
+                continue;
+            };
             let Some(remaining) = deadline
                 .checked_duration_since(Instant::now())
                 .filter(|d| !d.is_zero())
@@ -845,21 +692,7 @@ impl Platform {
                 chaos: cfg.chaos,
             },
             cities: RwLock::new(Vec::new()),
-            sched: Mutex::new(Scheduler {
-                draining: false,
-                cursor: 0,
-                deficits: Vec::new(),
-            }),
-            work: Condvar::new(),
-            sched_locks: LockStats::new(),
-            sleepers: AtomicUsize::new(0),
-            queued: AtomicU64::new(0),
-            backlogged: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            rejected_unknown_city: AtomicU64::new(0),
-            rejected_unknown_node: AtomicU64::new(0),
-            rejected_shutdown: AtomicU64::new(0),
-            rejected_offboarded: AtomicU64::new(0),
+            ingress: IngressLock::default(),
             completed: AtomicU64::new(0),
             maintenance_stop: Mutex::new(false),
             maintenance_cv: Condvar::new(),
@@ -953,17 +786,20 @@ impl Platform {
             crowd_state,
             breaker,
             offboarded: AtomicBool::new(false),
-            ingress: CityQueue::new(&self.inner.cfg),
         });
         if state.service.tracer().enabled() {
-            // The city's own ingress mutex is attributed to the city;
-            // one traced city is enough to make the shared dispatch
-            // (scheduler) lock worth timing too.
-            state.ingress.locks.set_enabled(true);
-            self.inner.sched_locks.set_enabled(true);
+            // One traced city is enough to make the shared ingress lock
+            // worth timing.
+            self.inner.ingress.locks.set_enabled(true);
         }
         let mut cities = self.inner.cities.write().expect("city registry poisoned");
         let id = cities.len() as u32;
+        // Under the registry write lock, so ingress slots and city ids
+        // stay in step.
+        self.inner
+            .ingress
+            .lock()
+            .register(self.inner.cfg.city_weight);
         if let Some(durable) = &self.inner.durable {
             state.service.set_durable_sink(durable.sink(id));
             if let Some(crowd) = &state.crowd_state {
@@ -1081,26 +917,20 @@ impl Platform {
     }
 
     /// A city's statistics snapshot, or `None` for an unregistered id.
-    /// The snapshot's ingress lock-wait entry is this city's own queue
-    /// mutex — contention is attributed per city under the sharded
-    /// ingress.
+    /// Its ingress lock-wait entry reads zero: the one ingress lock is
+    /// shared by every city and reported platform-wide.
     pub fn city_stats(&self, city: CityId) -> Option<StatsSnapshot> {
         let cities = self.inner.cities.read().expect("city registry poisoned");
-        cities.get(city.index()).map(|c| {
-            let mut snap = c.service.stats();
-            snap.locks[LockSite::Ingress.index()] = c.ingress.locks.summary();
-            snap
-        })
+        cities.get(city.index()).map(|c| c.service.stats())
     }
 
     /// Sets a city's deficit-round-robin weight (clamped to ≥ 1; takes
     /// effect on the city's next quantum). Returns `false` for an
     /// unregistered id.
     pub fn set_city_weight(&self, city: CityId, weight: u32) -> bool {
-        let cities = self.inner.cities.read().expect("city registry poisoned");
-        match cities.get(city.index()) {
+        match self.inner.ingress.lock().cities.get_mut(city.index()) {
             Some(c) => {
-                c.ingress.weight.store(weight.max(1), Ordering::Relaxed);
+                c.weight = weight.max(1);
                 true
             }
             None => false,
@@ -1110,19 +940,17 @@ impl Platform {
     /// A city's current deficit-round-robin weight, or `None` for an
     /// unregistered id.
     pub fn city_weight(&self, city: CityId) -> Option<u32> {
-        let cities = self.inner.cities.read().expect("city registry poisoned");
-        cities
-            .get(city.index())
-            .map(|c| c.ingress.weight.load(Ordering::Relaxed))
+        let ingress = self.inner.ingress.lock();
+        ingress.cities.get(city.index()).map(|c| c.weight)
     }
 
-    /// Deregisters a city at runtime. Under the city's own queue lock:
-    /// later submissions are rejected with
+    /// Deregisters a city at runtime. Under the ingress lock: later
+    /// submissions are rejected with
     /// [`ServiceError::CityOffboarded`], every *queued* job is drained
     /// and shed with that terminal error (jobs already dispatched —
     /// in-flight on a worker — resolve normally, exactly once), and the
     /// emptied-forever queue drops out of the DRR rotation on its own
-    /// (the scheduler only visits non-empty queues). Cache state —
+    /// (the rotation only picks non-empty queues). Cache state —
     /// mining artifacts and truths — is reclaimed, and
     /// [`Platform::city_service`] answers `None` so a gateway maps the
     /// city to 404. Other cities' queues, weights and fairness are
@@ -1141,24 +969,17 @@ impl Platform {
             let cities = self.inner.cities.read().expect("city registry poisoned");
             cities.get(city.index()).map(Arc::clone)
         }?;
-        let ing = &state.ingress;
-        let mut q = ing.locks.lock(&ing.queue);
-        if q.offboarded {
+        let mut ingress = self.inner.ingress.lock();
+        let Some(dropped) = ingress.offboard(city.index()) else {
             return Some(0);
-        }
-        q.offboarded = true;
-        state.offboarded.store(true, Ordering::SeqCst);
-        let dropped: Vec<Job> = q.jobs.drain(..).collect();
+        };
+        state.offboarded.store(true, Ordering::Relaxed);
         let n = dropped.len();
-        q.shed += n as u64;
-        if n > 0 {
-            ing.popped(&self.inner, n);
-        }
         // Wake every blocking submitter, even with nothing queued: they
         // re-check and get `CityOffboarded`.
-        ing.not_full.notify_all();
-        drop(q);
-        // Fulfil outside the queue lock: ticket waiters take their own
+        self.inner.ingress.wake_submitters(&ingress);
+        drop(ingress);
+        // Fulfil outside the ingress lock: ticket waiters take their own
         // slot locks.
         for job in dropped {
             job.slot.fulfill(Err(ServiceError::CityOffboarded(city)));
@@ -1230,70 +1051,51 @@ impl Platform {
 
     fn submit_inner(&self, req: Request, block_on_full: bool) -> Result<Ticket, ServiceError> {
         let submitted_at = Instant::now();
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        let city = {
-            let cities = self.inner.cities.read().expect("city registry poisoned");
-            match cities.get(req.city.index()) {
-                Some(c) => Arc::clone(c),
-                None => {
-                    self.inner
-                        .rejected_unknown_city
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(ServiceError::UnknownCity(req.city));
-                }
-            }
+        let inner = &*self.inner;
+        let i = req.city.index();
+        let refuse = |e: ServiceError| {
+            inner.ingress.lock().refuse(i, &e);
+            Err(e)
+        };
+        let registered = inner
+            .cities
+            .read()
+            .expect("city registry poisoned")
+            .get(i)
+            .map(Arc::clone);
+        let Some(city) = registered else {
+            return refuse(ServiceError::UnknownCity(req.city));
         };
         // Reject foreign node ids before anything indexes the graph with
-        // them (the truth probe and a worker's origin-cell lookup would
-        // panic).
+        // them (the truth probe and the origin-cell lookup would panic).
         let service = &city.service;
         let nodes = service.world().graph().node_count();
         if let Some(node) = [req.from, req.to].into_iter().find(|n| n.index() >= nodes) {
-            self.inner
-                .rejected_unknown_node
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::UnknownNode {
+            return refuse(ServiceError::UnknownNode {
                 city: req.city,
                 node,
             });
         }
         // Truth reuse on this thread, holding no lock. A hit is admitted
-        // and served below without touching the queue, the scheduler or
-        // a worker; only misses enqueue.
+        // and served below without touching a queue or a worker; only
+        // misses enqueue.
         let hit = service.probe_truth(&req);
-        let ing = &city.ingress;
-        let mut q = ing.locks.lock(&ing.queue);
-        loop {
-            // Offboarded wins over draining: a deregistered city's
-            // callers get the terminal "gone" answer, not a transient
-            // shutdown, whatever order the flags were raised in.
-            if q.offboarded {
-                self.inner
-                    .rejected_offboarded
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::CityOffboarded(req.city));
+        let mut ingress = inner.ingress.lock();
+        while let Err(e) = ingress.check(i, hit.is_some(), inner.cfg.queue_capacity) {
+            if e == ServiceError::Busy && block_on_full {
+                ingress = inner.ingress.wait_for_space(ingress);
+                continue;
             }
-            if q.draining {
-                self.inner.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::ShuttingDown);
-            }
-            if hit.is_some() || q.jobs.len() < self.inner.cfg.queue_capacity {
-                break;
-            }
-            if !block_on_full {
-                // Shed per city: one city's firehose fills only its own
-                // queue.
-                q.rejected_busy += 1;
-                return Err(ServiceError::Busy);
-            }
-            q = ing.not_full.wait(q).expect("ingress queue poisoned");
+            // A miss is shed per city: one city's firehose fills only
+            // its own queue.
+            ingress.refuse(i, &e);
+            return Err(e);
         }
-        q.admitted += 1;
+        ingress.admit(i, hit.is_some());
         if let Some(hit) = hit {
-            q.served_inline += 1;
-            drop(q);
+            drop(ingress);
             let served = service.book_inline_hit(&req, hit, submitted_at.elapsed());
-            self.inner.completed.fetch_add(1, Ordering::Relaxed);
+            inner.completed.fetch_add(1, Ordering::Relaxed);
             // Read after booking, so the ticket's sojourn covers all the
             // work `submit` does for a hit, as a worker-served ticket's
             // covers the ladder's own booking.
@@ -1304,24 +1106,13 @@ impl Platform {
             });
         }
         let slot = TicketSlot::queued(submitted_at);
-        q.jobs.push_back(Job {
+        ingress.cities[i].jobs.push_back(Job {
             req,
+            cell: service.origin_cell_of(req.from),
             slot: Arc::clone(&slot),
             admitted_at: Instant::now(),
         });
-        ing.pushed(&self.inner, 1);
-        drop(q);
-        // Wake a parked worker — but only touch the shared scheduler
-        // lock when someone is actually parked. Under load `sleepers` is
-        // zero and submission never serialises on anything global: this
-        // is the contention the sharded ingress exists to remove. The
-        // SeqCst `queued` store above pairs with the parking worker's
-        // SeqCst `sleepers` increment + `queued` re-check, so one of the
-        // two sides always observes the other.
-        if self.inner.sleepers.load(Ordering::SeqCst) > 0 {
-            let _s = self.inner.sched_locks.lock(&self.inner.sched);
-            self.inner.work.notify_one();
-        }
+        inner.ingress.wake_worker(&ingress);
         Ok(Ticket {
             city: req.city,
             slot,
@@ -1334,17 +1125,17 @@ impl Platform {
         snapshot_of(&self.inner)
     }
 
-    /// A point-in-time trace export: dispatch-lock contention plus every
-    /// city's per-stage attribution, lock-wait summaries — each city's
-    /// own ingress-mutex contention included, now that the ingress is
-    /// sharded per city — and sampled complete request traces (non-empty
-    /// only for cities configured with
+    /// A point-in-time trace export: ingress-lock contention plus every
+    /// city's per-stage attribution, lock-wait summaries (whose ingress
+    /// row reads zero: the one ingress lock is reported at the top) and
+    /// sampled complete request traces (non-empty only for cities
+    /// configured with
     /// [`TraceConfig::Sampled`](crate::TraceConfig::Sampled)).
     /// Serialise with [`TraceReport::to_json`].
     pub fn trace_report(&self) -> TraceReport {
         let cities = self.inner.cities.read().expect("city registry poisoned");
         TraceReport {
-            ingress: self.inner.sched_locks.summary(),
+            ingress: self.inner.ingress.locks.summary(),
             durability: self.durability_stats(),
             chaos: self.chaos_stats(),
             cities: cities
@@ -1352,12 +1143,10 @@ impl Platform {
                 .enumerate()
                 .map(|(i, city)| {
                     let snap = city.service.stats();
-                    let mut locks = snap.locks;
-                    locks[LockSite::Ingress.index()] = city.ingress.locks.summary();
                     CityTrace {
                         city: i as u32,
                         stages: snap.stages,
-                        locks,
+                        locks: snap.locks,
                         traces: city.service.tracer().samples(),
                     }
                 })
@@ -1598,27 +1387,7 @@ impl Platform {
     }
 
     fn shutdown_impl(&self) {
-        // Order matters: set every city's drain flag *before* the
-        // scheduler's. A submission that passed its city's draining
-        // check has pushed its job (and bumped the depth counters)
-        // before this loop could take that city's lock — and that
-        // happens-before the scheduler flag below, so any worker that
-        // observes `draining` also observes every admitted job and
-        // drains it.
-        {
-            let cities = self.inner.cities.read().expect("city registry poisoned");
-            for city in cities.iter() {
-                let mut q = city.ingress.locks.lock(&city.ingress.queue);
-                q.draining = true;
-                city.ingress.not_full.notify_all();
-                drop(q);
-            }
-        }
-        {
-            let mut s = self.inner.sched_locks.lock(&self.inner.sched);
-            s.draining = true;
-            self.inner.work.notify_all();
-        }
+        self.inner.ingress.drain();
         {
             let mut stop = self
                 .inner
@@ -1658,53 +1427,51 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
     }
     let mut aggregate = agg.snapshot();
     aggregate.truth_evictions = truth_evictions;
-    // Capture each city's slice — depth, admission, dispatch counters —
-    // under that city's queue lock: dispatch mutates them in the same
-    // critical sections that move jobs, so every
-    // per-city ledger in [`PlatformSnapshot::is_consistent`] is exact
-    // even mid-flight (and so are their sums: cities are captured at
-    // different instants, but each city's terms balance internally).
-    let mut per_city = Vec::with_capacity(cities.len());
-    for (i, city) in cities.iter().enumerate() {
-        let ing = &city.ingress;
-        let ingress_summary = ing.locks.summary();
-        let q = ing.locks.lock(&ing.queue);
-        per_city.push(CityQueueSnapshot {
+    // Every city's slice — depth, admission, dispatch counters — in one
+    // hold of the ingress lock, under which admission and dispatch move
+    // them: every per-city ledger in [`PlatformSnapshot::is_consistent`]
+    // and their platform-wide sums are exact at this one instant.
+    let ingress = inner.ingress.lock();
+    let per_city: Vec<CityQueueSnapshot> = ingress
+        .cities
+        .iter()
+        .zip(cities.iter())
+        .enumerate()
+        .map(|(i, (c, city))| CityQueueSnapshot {
             city: CityId(i as u32),
-            weight: ing.weight.load(Ordering::Relaxed),
-            queue_depth: q.jobs.len(),
-            admitted: q.admitted,
-            served_inline: q.served_inline,
-            rejected_busy: q.rejected_busy,
-            batched_requests: q.batched_requests,
-            unbatched_requests: q.unbatched_requests,
-            batch_runs: q.batch_runs,
-            batch_max: q.batch_max,
-            ingress: ingress_summary,
-            offboarded: q.offboarded,
-            shed: q.shed,
+            weight: c.weight,
+            queue_depth: c.jobs.len(),
+            admitted: c.admitted,
+            served_inline: c.served_inline,
+            rejected_busy: c.rejected_busy,
+            batched_requests: c.batched_requests,
+            unbatched_requests: c.unbatched_requests,
+            batch_runs: c.batch_runs,
+            batch_max: c.batch_max,
+            offboarded: c.offboarded,
+            shed: c.shed,
             breaker: city.breaker.as_ref().map(|b| b.snapshot()),
-        });
-    }
-    // The aggregate ingress entry folds every city's own queue mutex
-    // plus the shared dispatch (scheduler) lock.
-    let mut ingress_total = inner.sched_locks.summary();
-    for c in &per_city {
-        ingress_total.waits += c.ingress.waits;
-        ingress_total.wait += c.ingress.wait;
-        ingress_total.poisoned += c.ingress.poisoned;
-    }
-    locks[LockSite::Ingress.index()] = ingress_total;
+        })
+        .collect();
+    let (submitted, unknown_city, unknown_node, shutdown, offboarded) = (
+        ingress.submitted,
+        ingress.rejected_unknown_city,
+        ingress.rejected_unknown_node,
+        ingress.rejected_shutdown,
+        ingress.rejected_offboarded,
+    );
+    drop(ingress);
+    locks[LockSite::Ingress.index()] = inner.ingress.locks.summary();
     aggregate.locks = locks;
     PlatformSnapshot {
-        submitted: inner.submitted.load(Ordering::Relaxed),
+        submitted,
         admitted: per_city.iter().map(|c| c.admitted).sum(),
         served_inline: per_city.iter().map(|c| c.served_inline).sum(),
         rejected_busy: per_city.iter().map(|c| c.rejected_busy).sum(),
-        rejected_unknown_city: inner.rejected_unknown_city.load(Ordering::Relaxed),
-        rejected_unknown_node: inner.rejected_unknown_node.load(Ordering::Relaxed),
-        rejected_shutdown: inner.rejected_shutdown.load(Ordering::Relaxed),
-        rejected_offboarded: inner.rejected_offboarded.load(Ordering::Relaxed),
+        rejected_unknown_city: unknown_city,
+        rejected_unknown_node: unknown_node,
+        rejected_shutdown: shutdown,
+        rejected_offboarded: offboarded,
         shed: per_city.iter().map(|c| c.shed).sum(),
         completed: inner.completed.load(Ordering::Relaxed),
         cities: cities.len(),
@@ -1871,9 +1638,10 @@ fn maintenance_sweep(inner: &Inner, max_age: Duration) -> usize {
 /// repeat, until shutdown wakes it. Sweeping is caller-invisible
 /// (workers keep serving); only truths past `max_age` are touched.
 fn janitor_loop(inner: &Inner, cfg: MaintenanceConfig) {
-    let mut next_sweep = Instant::now() + cfg.interval;
+    // `None`: the interval overflows the clock, so no sweep is ever due
+    // and the janitor parks until shutdown.
+    let mut next_sweep = Instant::now().checked_add(cfg.interval);
     loop {
-        let wait = next_sweep.saturating_duration_since(Instant::now());
         let stop = inner
             .maintenance_stop
             .lock()
@@ -1885,18 +1653,24 @@ fn janitor_loop(inner: &Inner, cfg: MaintenanceConfig) {
         if *stop {
             break;
         }
-        let (stop, _timeout) = inner
-            .maintenance_cv
-            .wait_timeout(stop, wait)
-            .expect("maintenance stop poisoned");
+        let cv = &inner.maintenance_cv;
+        let stop = match next_sweep {
+            Some(due) => {
+                let wait = due.saturating_duration_since(Instant::now());
+                cv.wait_timeout(stop, wait)
+                    .expect("maintenance stop poisoned")
+                    .0
+            }
+            None => cv.wait(stop).expect("maintenance stop poisoned"),
+        };
         if *stop {
             break;
         }
         drop(stop);
         let now = Instant::now();
-        if now >= next_sweep {
+        if next_sweep.is_some_and(|due| now >= due) {
             maintenance_sweep(inner, cfg.max_age);
-            next_sweep = now + cfg.interval;
+            next_sweep = now.checked_add(cfg.interval);
         }
     }
 }
@@ -1915,42 +1689,6 @@ impl std::fmt::Debug for Platform {
             .field("queue_capacity", &self.inner.cfg.queue_capacity)
             .finish()
     }
-}
-
-/// Pops `city`'s front job plus every queued job sharing its origin
-/// cell — in queue order, up to `max_batch` — and books the run, all in
-/// one critical section under the city's own queue lock, so the
-/// per-city ledger (see [`CityQueueSnapshot::is_consistent`]) never
-/// wavers. Time buckets mix freely: the fused mining path shares
-/// the all-day origin artifacts across them and splits only the MFP
-/// period aggregation. Never waits for more jobs; `None` when the
-/// queue is empty.
-fn pop_run(inner: &Inner, city: &CityState) -> Option<Vec<Job>> {
-    let max_batch = inner.cfg.batch.map_or(1, |b| b.max_batch);
-    let service = &city.service;
-    let ing = &city.ingress;
-    let mut q = ing.locks.lock(&ing.queue);
-    let seed = q.jobs.pop_front()?;
-    let cell = service.origin_cell_of(seed.req.from);
-    let mut run = vec![seed];
-    let mut i = 0;
-    while i < q.jobs.len() && run.len() < max_batch {
-        if service.origin_cell_of(q.jobs[i].req.from) == cell {
-            run.push(q.jobs.remove(i).expect("index in bounds"));
-        } else {
-            i += 1;
-        }
-    }
-    let n = run.len();
-    if n == 1 {
-        q.unbatched_requests += 1;
-    } else {
-        q.batched_requests += n as u64;
-        q.batch_runs += 1;
-        q.batch_max = q.batch_max.max(n as u64);
-    }
-    ing.popped(inner, n);
-    Some(run)
 }
 
 /// Nanoseconds since `t0`, saturating at `u64::MAX`.
@@ -1972,123 +1710,28 @@ fn record_queue_wait(service: &RouteService, job: &Job) {
         .record_stage(Stage::QueueWait, elapsed_ns(job.admitted_at));
 }
 
-/// One deficit-round-robin scheduling decision, under the scheduler
-/// lock. Classic DRR adapted to unit-cost seed dispatches: when the
-/// rotation's cursor rests on a backlogged city with an exhausted
-/// deficit, the city is granted its quantum (= its weight); each pick
-/// spends one unit; a spent quantum advances the cursor; an **empty**
-/// queue forfeits its unused deficit, so idle cities cannot bank
-/// capacity and burst-starve others — which is also why a hot city may
-/// freely absorb capacity the cold cities are not using. Returns the
-/// picked city's index, or `None` after a full rotation found every
-/// queue empty.
-fn drr_pick(s: &mut Scheduler, cities: &[Arc<CityState>]) -> Option<usize> {
-    let n = cities.len();
-    if n == 0 {
-        return None;
-    }
-    if s.cursor >= n {
-        s.cursor = 0;
-    }
-    let mut hops = 0;
-    loop {
-        let i = s.cursor;
-        if cities[i].ingress.depth.load(Ordering::SeqCst) > 0 {
-            if s.deficits[i] == 0 {
-                // The rotation arrived at a backlogged city: grant its
-                // quantum.
-                s.deficits[i] = u64::from(cities[i].ingress.weight.load(Ordering::Relaxed).max(1));
-            }
-            s.deficits[i] -= 1;
-            if s.deficits[i] == 0 {
-                // Quantum spent: the next city's turn.
-                s.cursor = (i + 1) % n;
-            }
-            return Some(i);
-        }
-        s.deficits[i] = 0;
-        s.cursor = (i + 1) % n;
-        hops += 1;
-        if hops >= n {
-            return None;
-        }
-    }
-}
-
-/// The worker-side dispatch: pick a city — straight off the single
-/// backlogged queue when at most one city has work (no scheduler lock
-/// touched), via weighted DRR when two or more compete — and pop its
-/// next run ([`pop_run`]), or park on the shared `work` condvar until a
+/// The worker-side dispatch: under the ingress lock, pick a city by
+/// weighted DRR and pop its next run, or park on `work` until a
 /// submission or drain wakes us. Returns `None` — the worker's exit
 /// signal — only when draining is set and every queue is empty.
 fn next_job(inner: &Inner) -> Option<(usize, Arc<CityState>, Vec<Job>)> {
+    let max_batch = inner.cfg.batch.map_or(1, |b| b.max_batch);
+    let mut ingress = inner.ingress.lock();
     loop {
-        {
-            // Registry read lock, then scheduler lock — the same order
-            // everywhere, and neither is held across a condvar wait on
-            // the other's path.
-            let cities = inner.cities.read().expect("city registry poisoned");
-            let picked = if inner.backlogged.load(Ordering::SeqCst) <= 1 {
-                // At most one city has backlog: there is no fairness
-                // decision to make, so skip the scheduler lock and
-                // serve that city directly. This keeps the dispatch
-                // hot path free of global locks under the common
-                // single-hot-city regime; DRR state is consulted only
-                // when two queues actually compete. Deficits left over
-                // from the last contested phase are bounded by a
-                // weight, so fairness resumes within one quantum when
-                // a second city fills up.
-                cities
-                    .iter()
-                    .position(|c| c.ingress.depth.load(Ordering::SeqCst) > 0)
-            } else {
-                let mut s = inner.sched_locks.lock(&inner.sched);
-                if s.deficits.len() < cities.len() {
-                    s.deficits.resize(cities.len(), 0);
-                }
-                drr_pick(&mut s, &cities)
-            };
-            if let Some(i) = picked {
-                let city = Arc::clone(&cities[i]);
-                drop(cities);
-                if let Some(run) = pop_run(inner, &city) {
-                    return Some((i, city, run));
-                }
-                // Another worker emptied the queue between the peek
-                // and the pop; rescan.
-                continue;
-            }
+        if let Some(i) = ingress.drr_pick() {
+            let run = ingress.pop_run(i, max_batch);
+            inner.ingress.wake_submitters(&ingress);
+            // Locks nest registry first, then ingress (registration and
+            // `stats` do), so release the ingress lock before reading
+            // the registry.
+            drop(ingress);
+            let city = Arc::clone(&inner.cities.read().expect("city registry poisoned")[i]);
+            return Some((i, city, run));
         }
-        // Every queue looked empty. Decide between the drain exit and
-        // parking, both under the scheduler lock. The SeqCst `sleepers`
-        // increment *before* the `queued` re-check pairs with the
-        // submitter's SeqCst `queued` increment *before* its `sleepers`
-        // check: whichever side runs second observes the other, so
-        // either we see the job and rescan, or the submitter sees us
-        // and takes the scheduler lock to notify — and that notify
-        // serialises with our wait below.
-        let mut s = inner.sched_locks.lock(&inner.sched);
-        if s.draining {
-            if inner.queued.load(Ordering::SeqCst) == 0 {
-                return None;
-            }
-            // A job landed after the scan passed its city; rescan
-            // rather than park (no more wakeups are coming).
-            continue;
+        if ingress.draining {
+            return None;
         }
-        inner.sleepers.fetch_add(1, Ordering::SeqCst);
-        if inner.queued.load(Ordering::SeqCst) == 0 && !s.draining {
-            // The timeout is a belt-and-braces safety net, not a
-            // polling loop: every enqueue-vs-park race is closed by the
-            // sleepers/queued handshake above.
-            let (guard, _) = inner
-                .work
-                .wait_timeout(s, Duration::from_millis(50))
-                .expect("scheduler poisoned");
-            s = guard;
-        }
-        drop(s);
-        inner.sleepers.fetch_sub(1, Ordering::SeqCst);
+        ingress = inner.ingress.wait_for_work(ingress);
     }
 }
 
@@ -2165,6 +1808,7 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
 mod tests {
     use super::*;
     use crate::executor::Served;
+    use crate::ingress::Ingress;
     use cp_roadnet::{generate_city, CityParams, NodeId};
     use cp_traj::{generate_trips, TimeOfDay, TripGenParams};
     use std::sync::mpsc::{channel, Receiver, Sender};
@@ -2498,6 +2142,43 @@ mod tests {
     }
 
     #[test]
+    fn wait_timeout_without_a_representable_deadline_waits_for_the_result() {
+        let platform = Platform::start(PlatformConfig::default());
+        let id = platform.register_city(mini_world(7), ServiceConfig::strict_deterministic());
+        let ticket = platform
+            .submit(Request::to_city(
+                id,
+                NodeId(0),
+                NodeId(59),
+                TimeOfDay::from_hours(8.0),
+            ))
+            .unwrap();
+        let served = ticket
+            .wait_timeout(Duration::MAX)
+            .expect("no deadline: the wait ends with the result")
+            .unwrap();
+        assert_eq!(served.path.destination(), NodeId(59));
+        platform.shutdown();
+    }
+
+    #[test]
+    fn a_janitor_whose_interval_overflows_the_clock_parks_until_shutdown() {
+        let platform = Platform::start(PlatformConfig {
+            maintenance: Some(MaintenanceConfig {
+                interval: Duration::MAX,
+                max_age: Duration::ZERO,
+            }),
+            ..PlatformConfig::default()
+        });
+        // The janitor is spawned last.
+        let janitor = platform.workers.lock().unwrap().pop().expect("a janitor");
+        platform.shutdown();
+        janitor
+            .join()
+            .expect("the janitor parks until shutdown instead of dying");
+    }
+
+    #[test]
     fn janitor_sweeps_and_exports_reports() {
         let platform = Platform::start(PlatformConfig {
             city_weight: 1,
@@ -2780,6 +2461,60 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_wakes_submitters_blocked_on_every_city() {
+        // One held worker, two cities with full one-slot queues and two
+        // blocking submitters parked on each: starting the drain must
+        // wake all four with `ShuttingDown`, and the drain must still
+        // serve every queued job once the worker is released.
+        let world = mini_world(7);
+        let (platform, a, entered, open) = gated_platform(
+            &world,
+            PlatformConfig {
+                queue_capacity: 1,
+                ..PlatformConfig::default()
+            },
+        );
+        let b = platform.register_city(mini_world(11), ServiceConfig::strict_deterministic());
+        let miss = |city: CityId, to: u32| {
+            Request::to_city(city, NodeId(1), NodeId(to), TimeOfDay::from_hours(8.0))
+        };
+        let held = platform.submit(miss(a, 50)).unwrap();
+        entered.recv().expect("the worker takes the first miss");
+        let queued = [
+            platform.submit(miss(a, 51)).unwrap(),
+            platform.submit(miss(b, 51)).unwrap(),
+        ];
+        let platform = &platform;
+        std::thread::scope(|s| {
+            let blocked: Vec<_> = [(a, 52), (a, 53), (b, 52), (b, 53)]
+                .into_iter()
+                .map(|(city, to)| s.spawn(move || platform.submit_blocking(miss(city, to))))
+                .collect();
+            while platform.inner.ingress.lock().blocked_submitters < 4 {
+                std::thread::yield_now();
+            }
+            let stopping = s.spawn(|| platform.shutdown_impl());
+            for submitter in blocked {
+                assert_eq!(
+                    submitter.join().unwrap().unwrap_err(),
+                    ServiceError::ShuttingDown
+                );
+            }
+            open.send(()).unwrap();
+            stopping.join().unwrap();
+        });
+        for ticket in queued.into_iter().chain([held]) {
+            assert!(ticket.wait().is_ok());
+        }
+        let snap = platform.stats();
+        assert!(snap.is_consistent(), "{snap:?}");
+        assert_eq!(
+            (snap.admitted, snap.completed, snap.rejected_shutdown),
+            (3, 3, 4)
+        );
+    }
+
+    #[test]
     fn a_would_be_hit_after_shutdown_starts_or_offboarding_books_nothing() {
         let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
         let (platform, _, open) = held_and_full(key);
@@ -2788,8 +2523,7 @@ mod tests {
             // Shutdown raises every drain flag, then blocks joining the
             // held worker.
             let stopping = s.spawn(|| platform.shutdown_impl());
-            let city = Arc::clone(&platform.inner.cities.read().unwrap()[0]);
-            while !city.ingress.queue.lock().unwrap().draining {
+            while !platform.inner.ingress.lock().draining {
                 std::thread::yield_now();
             }
             assert_eq!(
@@ -3021,115 +2755,53 @@ mod tests {
         platform.shutdown();
     }
 
-    /// A bare `Inner` with no worker threads: lets tests drive
-    /// `pop_run`/`drr_pick` deterministically (the public
-    /// `Platform::start` clamps `workers` to ≥ 1).
-    fn bare_inner(cfg: PlatformConfig) -> Inner {
-        Inner {
-            cfg: PlatformConfig {
-                workers: cfg.workers.max(1),
-                queue_capacity: cfg.queue_capacity.max(1),
-                city_weight: cfg.city_weight.max(1),
-                maintenance: cfg.maintenance,
-                batch: cfg.batch.map(BatchConfig::normalized),
-                durability: None,
-                chaos: None,
-            },
-            cities: RwLock::new(Vec::new()),
-            sched: Mutex::new(Scheduler {
-                draining: false,
-                cursor: 0,
-                deficits: Vec::new(),
-            }),
-            work: Condvar::new(),
-            sched_locks: LockStats::new(),
-            sleepers: AtomicUsize::new(0),
-            queued: AtomicU64::new(0),
-            backlogged: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            rejected_unknown_city: AtomicU64::new(0),
-            rejected_unknown_node: AtomicU64::new(0),
-            rejected_shutdown: AtomicU64::new(0),
-            rejected_offboarded: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            maintenance_stop: Mutex::new(false),
-            maintenance_cv: Condvar::new(),
-            maintenance_sweeps: AtomicU64::new(0),
-            maintenance_evicted: AtomicU64::new(0),
-            last_maintenance: Mutex::new(None),
-            durable: None,
-            chaos: None,
-        }
-    }
-
-    /// A standalone `CityState` (own ingress queue, machine resolution)
-    /// for scheduler-level tests.
-    fn bare_city(cfg: &PlatformConfig) -> Arc<CityState> {
-        let world = mini_world(7);
-        let graph = world.graph_arc();
-        let svc_cfg = ServiceConfig::strict_deterministic();
-        let core = svc_cfg.core.clone();
-        Arc::new(CityState {
-            service: Arc::new(RouteService::new(world, svc_cfg)),
-            factory: Box::new(move |_| {
-                Box::new(MachineResolver::new(Arc::clone(&graph), core.clone()))
-                    as Box<dyn Resolver + Send>
-            }),
-            crowd_state: None,
-            breaker: None,
-            offboarded: AtomicBool::new(false),
-            ingress: CityQueue::new(cfg),
-        })
-    }
-
-    /// Enqueues `n` jobs with origin `origin` into `city`'s queue with
-    /// full depth bookkeeping (what `submit_inner` does, minus tickets
-    /// anyone waits on).
-    fn push_jobs(inner: &Inner, city: &CityState, origin: u32, n: usize) {
-        let ing = &city.ingress;
-        let mut q = ing.queue.lock().unwrap();
+    /// Queues `n` jobs from `origin` (in origin cell `cell`) onto
+    /// `city`, booked as admitted: what `submit_inner` does for a miss,
+    /// minus tickets anyone waits on.
+    fn push_jobs(ingress: &mut Ingress, city: usize, origin: u32, cell: (i32, i32), n: usize) {
+        let c = &mut ingress.cities[city];
         for _ in 0..n {
-            q.jobs.push_back(Job {
+            c.jobs.push_back(Job {
                 req: Request::to_city(
-                    CityId(0),
+                    CityId(city as u32),
                     NodeId(origin),
                     NodeId(59),
                     TimeOfDay::from_hours(8.0),
                 ),
+                cell,
                 slot: TicketSlot::queued(Instant::now()),
                 admitted_at: Instant::now(),
             });
         }
-        q.admitted += n as u64;
-        ing.pushed(inner, n);
+        c.admitted += n as u64;
     }
 
-    /// One worker dispatch against `city`, as `next_job` does it.
-    /// Returns the run length.
-    fn dispatch_once(inner: &Inner, city: &CityState) -> usize {
-        pop_run(inner, city).expect("a seed job is queued").len()
+    /// A bare one-city ingress, with no worker threads, and the mini
+    /// city's service for origin cells.
+    fn bare_ingress() -> (Ingress, RouteService) {
+        let mut ingress = Ingress::default();
+        ingress.register(1);
+        let service = RouteService::new(mini_world(7), ServiceConfig::strict_deterministic());
+        (ingress, service)
     }
 
-    /// A bare one-city dispatcher coalescing up to 16 queued jobs.
-    fn bare_batching() -> (Inner, Arc<CityState>) {
-        let inner = bare_inner(PlatformConfig {
-            workers: 1,
-            batch: Some(BatchConfig::adaptive(16, Duration::from_secs(60))),
-            ..PlatformConfig::default()
-        });
-        let city = bare_city(&inner.cfg);
-        (inner, city)
+    /// One worker dispatch coalescing up to 16 queued jobs, as
+    /// `next_job` does it. Returns the run length.
+    fn dispatch_once(ingress: &mut Ingress) -> usize {
+        assert_eq!(ingress.drr_pick(), Some(0), "a seed job is queued");
+        ingress.pop_run(0, 16).len()
     }
 
     #[test]
     fn lone_seed_never_waits() {
         // A lone seed dispatches at once, and so does the next one: no
         // earlier dispatch may leave a window open for a later one.
-        let (inner, city) = bare_batching();
+        let (mut ingress, service) = bare_ingress();
         for origin in [0, 7] {
-            push_jobs(&inner, &city, origin, 1);
+            let cell = service.origin_cell_of(NodeId(origin));
+            push_jobs(&mut ingress, 0, origin, cell, 1);
             let t0 = Instant::now();
-            assert_eq!(dispatch_once(&inner, &city), 1);
+            assert_eq!(dispatch_once(&mut ingress), 1);
             assert!(
                 t0.elapsed() < Duration::from_secs(1),
                 "a lone seed waited {:?}",
@@ -3140,71 +2812,64 @@ mod tests {
 
     #[test]
     fn queued_burst_is_not_truncated_by_history() {
-        let (inner, city) = bare_batching();
+        let (mut ingress, service) = bare_ingress();
+        let cell = |n: u32| service.origin_cell_of(NodeId(n));
         for _ in 0..8 {
-            push_jobs(&inner, &city, 0, 2);
-            assert_eq!(dispatch_once(&inner, &city), 2);
+            push_jobs(&mut ingress, 0, 0, cell(0), 2);
+            assert_eq!(dispatch_once(&mut ingress), 2);
         }
         // 16 same-cell jobs interleaved with three other-cell ones: the
         // whole burst is one run, whatever the earlier runs looked like,
         // and the other cells keep their queue order.
         let others = [40u32, 45, 50];
-        let cell = |n: u32| city.service.origin_cell_of(NodeId(n));
         assert!(others.iter().all(|&o| cell(o) != cell(0)));
         for i in 0..16 {
-            push_jobs(&inner, &city, 0, 1);
+            push_jobs(&mut ingress, 0, 0, cell(0), 1);
             if i % 5 == 2 {
-                push_jobs(&inner, &city, others[i / 5], 1);
+                push_jobs(&mut ingress, 0, others[i / 5], cell(others[i / 5]), 1);
             }
         }
-        assert_eq!(dispatch_once(&inner, &city), 16);
-        let q = city.ingress.queue.lock().unwrap();
+        assert_eq!(dispatch_once(&mut ingress), 16);
+        let q = &ingress.cities[0];
         let left: Vec<u32> = q.jobs.iter().map(|j| j.req.from.0).collect();
         assert_eq!(left, others);
         assert_eq!(q.batch_max, 16);
-        assert_eq!(inner.queued.load(Ordering::SeqCst), 3);
+        assert_eq!(q.jobs.len(), 3);
     }
 
     #[test]
     fn drr_spends_quanta_proportional_to_weight() {
-        let heavy = PlatformConfig {
-            city_weight: 3,
-            ..PlatformConfig::default()
-        };
-        let light = PlatformConfig::default();
-        let cities = vec![bare_city(&heavy), bare_city(&light)];
-        cities[0].ingress.depth.store(100, Ordering::SeqCst);
-        cities[1].ingress.depth.store(100, Ordering::SeqCst);
-        let mut s = Scheduler {
-            draining: false,
-            cursor: 0,
-            deficits: vec![0, 0],
-        };
+        let mut ingress = Ingress::default();
+        ingress.register(3);
+        ingress.register(1);
+        let backlog = |ingress: &mut Ingress, city: usize| push_jobs(ingress, city, 0, (0, 0), 100);
+        backlog(&mut ingress, 0);
+        backlog(&mut ingress, 1);
         // Both backlogged: a full rotation grants 3 picks to the heavy
         // city for every 1 to the light one.
         let mut picks = [0u32; 2];
         for _ in 0..40 {
-            picks[drr_pick(&mut s, &cities).expect("both cities backlogged")] += 1;
+            picks[ingress.drr_pick().expect("both cities backlogged")] += 1;
         }
         assert_eq!(picks, [30, 10]);
         // The heavy city going idle forfeits its deficit: the light city
         // absorbs the full capacity (no starvation, no banking).
-        cities[0].ingress.depth.store(0, Ordering::SeqCst);
+        ingress.cities[0].jobs.clear();
         for _ in 0..8 {
-            assert_eq!(drr_pick(&mut s, &cities), Some(1));
+            assert_eq!(ingress.drr_pick(), Some(1));
         }
         // The heavy city returning gets its quantum again, not a stored
         // backlog of missed turns.
-        cities[0].ingress.depth.store(100, Ordering::SeqCst);
+        backlog(&mut ingress, 0);
         let mut picks = [0u32; 2];
         for _ in 0..40 {
-            picks[drr_pick(&mut s, &cities).expect("both cities backlogged")] += 1;
+            picks[ingress.drr_pick().expect("both cities backlogged")] += 1;
         }
         assert_eq!(picks, [30, 10]);
         // Every queue empty: a full rotation yields nothing.
-        cities[0].ingress.depth.store(0, Ordering::SeqCst);
-        cities[1].ingress.depth.store(0, Ordering::SeqCst);
-        assert_eq!(drr_pick(&mut s, &cities), None);
+        ingress.cities[0].jobs.clear();
+        ingress.cities[1].jobs.clear();
+        assert_eq!(ingress.drr_pick(), None);
     }
 
     #[test]

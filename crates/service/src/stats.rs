@@ -16,22 +16,56 @@ use std::time::Duration;
 /// bucket absorbs the tail).
 const BUCKETS: usize = 32;
 
-/// Percentile over a log₂ bucket histogram: the upper edge (`2^i` ns)
-/// of the bucket containing the `p`-quantile observation. Callers clamp
-/// it to the recorded maximum, which the edge can overshoot.
-fn bucket_percentile(buckets: &[u64], count: u64, p: f64) -> Duration {
-    if count == 0 {
-        return Duration::ZERO;
+/// A lock-free log₂ histogram of nanosecond samples: their sum, their
+/// maximum and 32 buckets (bucket `i` holds samples below `2^i` ns, the
+/// last one the tail). The sample count is the bucket sum, so it cannot
+/// drift from the percentiles.
+#[derive(Debug, Default)]
+struct Log2Histogram {
+    sum_ns: AtomicU64,
+    max_ns: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
+}
+
+impl Log2Histogram {
+    fn record(&self, ns: u64) {
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let bucket = (64 - ns.leading_zeros() as usize).min(BUCKETS - 1);
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
     }
-    let target = ((count as f64) * p).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            return Duration::from_nanos(1u64 << i.min(62));
+
+    /// Adds `other`'s samples (buckets and sums add, the maximum widens).
+    fn absorb(&self, other: &Log2Histogram) {
+        self.sum_ns
+            .fetch_add(other.sum_ns.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max_ns
+            .fetch_max(other.max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
+        for (dst, src) in self.buckets.iter().zip(&other.buckets) {
+            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
-    Duration::from_nanos(1u64 << 62)
+
+    /// Sample count, total, maximum and the `ps`-quantiles, each the
+    /// upper edge (`2^i` ns) of the bucket holding it clamped to the
+    /// maximum it can overshoot. All zero while empty.
+    fn summary<const N: usize>(&self, ps: [f64; N]) -> (u64, Duration, Duration, [Duration; N]) {
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let count: u64 = buckets.iter().sum();
+        let max = Duration::from_nanos(self.max_ns.load(Ordering::Relaxed));
+        let quantile = |p: f64| {
+            let target = ((count as f64) * p).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            let bucket = buckets.iter().position(|&c| {
+                seen += c;
+                seen >= target
+            });
+            Duration::from_nanos(1 << bucket.unwrap_or(BUCKETS - 1)).min(max)
+        };
+        let total = Duration::from_nanos(self.sum_ns.load(Ordering::Relaxed));
+        (count, total, max, ps.map(quantile))
+    }
 }
 
 /// Running counters, safe to update from any number of threads.
@@ -72,26 +106,20 @@ pub struct ServiceStats {
     /// Requests whose crowd task was entirely quota-starved (served by
     /// machine fallback instead).
     crowd_starved: AtomicU64,
-    // Latency (nanoseconds), over *all* served requests.
-    lat_count: AtomicU64,
-    lat_sum_ns: AtomicU64,
-    lat_min_ns: AtomicU64,
-    lat_max_ns: AtomicU64,
-    lat_buckets: [AtomicU64; BUCKETS],
-    // Per-stage span attribution (nanoseconds), recorded only when the
-    // owning service traces (`TraceConfig` ≠ off). A stage's span count
-    // is the sum of its buckets — there is no separate counter to
-    // drift from the histogram.
-    stage_sum_ns: [AtomicU64; Stage::COUNT],
-    stage_max_ns: [AtomicU64; Stage::COUNT],
-    stage_buckets: [[AtomicU64; BUCKETS]; Stage::COUNT],
+    /// Service time over *all* served requests.
+    latency: Log2Histogram,
+    /// Fastest service time (nanoseconds; `u64::MAX` while empty).
+    latency_min_ns: AtomicU64,
+    /// Per-stage span attribution, recorded only when the owning
+    /// service traces (`TraceConfig` ≠ off).
+    stages: [Log2Histogram; Stage::COUNT],
 }
 
 impl ServiceStats {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
         let s = ServiceStats::default();
-        s.lat_min_ns.store(u64::MAX, Ordering::Relaxed);
+        s.latency_min_ns.store(u64::MAX, Ordering::Relaxed);
         s
     }
 
@@ -176,25 +204,13 @@ impl ServiceStats {
         add(&self.crowd_workers, &other.crowd_workers);
         add(&self.crowd_quota_rejections, &other.crowd_quota_rejections);
         add(&self.crowd_starved, &other.crowd_starved);
-        add(&self.lat_count, &other.lat_count);
-        add(&self.lat_sum_ns, &other.lat_sum_ns);
-        self.lat_min_ns
-            .fetch_min(other.lat_min_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.lat_max_ns
-            .fetch_max(other.lat_max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        for (dst, src) in self.lat_buckets.iter().zip(&other.lat_buckets) {
-            add(dst, src);
-        }
-        for (dst, src) in self.stage_sum_ns.iter().zip(&other.stage_sum_ns) {
-            add(dst, src);
-        }
-        for (dst, src) in self.stage_max_ns.iter().zip(&other.stage_max_ns) {
-            dst.fetch_max(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for (dst_row, src_row) in self.stage_buckets.iter().zip(&other.stage_buckets) {
-            for (dst, src) in dst_row.iter().zip(src_row) {
-                add(dst, src);
-            }
+        self.latency.absorb(&other.latency);
+        self.latency_min_ns.fetch_min(
+            other.latency_min_ns.load(Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
+        for (dst, src) in self.stages.iter().zip(&other.stages) {
+            dst.absorb(src);
         }
     }
 
@@ -203,55 +219,30 @@ impl ServiceStats {
     /// [`CallTrace`](crate::CallTrace) or the platform's queue-wait
     /// bookkeeping).
     pub(crate) fn record_stage(&self, stage: Stage, ns: u64) {
-        let i = stage.index();
-        self.stage_sum_ns[i].fetch_add(ns, Ordering::Relaxed);
-        self.stage_max_ns[i].fetch_max(ns, Ordering::Relaxed);
-        let bucket = (64 - ns.leading_zeros() as usize).min(BUCKETS - 1);
-        self.stage_buckets[i][bucket].fetch_add(1, Ordering::Relaxed);
+        self.stages[stage.index()].record(ns);
     }
 
     /// Records one request's wall-clock service time.
     pub(crate) fn record_latency(&self, elapsed: Duration) {
         let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.lat_count.fetch_add(1, Ordering::Relaxed);
-        self.lat_sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.lat_min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.lat_max_ns.fetch_max(ns, Ordering::Relaxed);
-        let bucket = (64 - ns.leading_zeros() as usize).min(BUCKETS - 1);
-        self.lat_buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.latency.record(ns);
+        self.latency_min_ns.fetch_min(ns, Ordering::Relaxed);
     }
 
     /// A point-in-time copy with derived rates.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let count = self.lat_count.load(Ordering::Relaxed);
-        let sum = self.lat_sum_ns.load(Ordering::Relaxed);
-        let buckets: Vec<u64> = self
-            .lat_buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let max = Duration::from_nanos(self.lat_max_ns.load(Ordering::Relaxed));
-        let percentile = |p: f64| -> Duration { bucket_percentile(&buckets, count, p).min(max) };
-        let min = self.lat_min_ns.load(Ordering::Relaxed);
-        let mut stages = [StageSummary::default(); Stage::COUNT];
-        for (i, summary) in stages.iter_mut().enumerate() {
-            let stage_buckets: Vec<u64> = self.stage_buckets[i]
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect();
-            let stage_count: u64 = stage_buckets.iter().sum();
-            if stage_count == 0 {
-                continue;
+        let (count, total, max, [p50, p95, p99]) = self.latency.summary([0.50, 0.95, 0.99]);
+        let min = self.latency_min_ns.load(Ordering::Relaxed);
+        let stages = std::array::from_fn(|i| {
+            let (count, total, max, [p50, p95]) = self.stages[i].summary([0.50, 0.95]);
+            StageSummary {
+                count,
+                total,
+                p50,
+                p95,
+                max,
             }
-            let stage_max = Duration::from_nanos(self.stage_max_ns[i].load(Ordering::Relaxed));
-            *summary = StageSummary {
-                count: stage_count,
-                total: Duration::from_nanos(self.stage_sum_ns[i].load(Ordering::Relaxed)),
-                p50: bucket_percentile(&stage_buckets, stage_count, 0.50).min(stage_max),
-                p95: bucket_percentile(&stage_buckets, stage_count, 0.95).min(stage_max),
-                max: stage_max,
-            };
-        }
+        });
         StatsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             truth_hits: self.truth_hits.load(Ordering::Relaxed),
@@ -283,16 +274,18 @@ impl ServiceStats {
             locks: [LockSummary::default(); LockSite::COUNT],
             latency: LatencySummary {
                 count,
-                mean: Duration::from_nanos(sum.checked_div(count).unwrap_or(0)),
+                mean: Duration::from_nanos(
+                    (total.as_nanos() as u64).checked_div(count).unwrap_or(0),
+                ),
                 min: if min == u64::MAX {
                     Duration::ZERO
                 } else {
                     Duration::from_nanos(min)
                 },
                 max,
-                p50: percentile(0.50),
-                p95: percentile(0.95),
-                p99: percentile(0.99),
+                p50,
+                p95,
+                p99,
             },
         }
     }

@@ -113,9 +113,9 @@ impl Stage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum LockSite {
-    /// The ingress path: in a per-city trace this is the city's own
-    /// sharded queue mutex; in the platform aggregate it additionally
-    /// folds in the shared DRR scheduler lock.
+    /// The platform's one ingress mutex (every city's queue, the DRR
+    /// schedule and the admission ledger). Shared by all cities, it is
+    /// reported platform-wide; per-city rows read zero here.
     Ingress,
     /// The truth store's per-shard `RwLock`s (reads and writes pooled).
     TruthShards,
@@ -549,9 +549,9 @@ pub struct CityTrace {
     pub city: u32,
     /// Per-stage latency attribution (from the city's histograms).
     pub stages: [StageSummary; Stage::COUNT],
-    /// Per-site lock contention. The ingress row is this city's own
-    /// sharded queue mutex; the shared DRR scheduler lock is reported
-    /// at the report's top level.
+    /// Per-site lock contention. The ingress row reads zero: the one
+    /// ingress lock is shared by every city and reported at the
+    /// report's top level.
     pub locks: [LockSummary; LockSite::COUNT],
     /// Sampled complete traces (oldest first).
     pub traces: Vec<RequestTrace>,
@@ -563,9 +563,8 @@ pub struct CityTrace {
 /// [`Platform::trace_report`](crate::Platform::trace_report)).
 #[derive(Debug, Clone)]
 pub struct TraceReport {
-    /// Contention on the shared DRR scheduler lock (the only ingress
-    /// lock left that all cities touch; per-city queue mutexes are in
-    /// each [`CityTrace`]'s lock table).
+    /// Contention on the platform's one ingress lock, which every
+    /// city's submissions and dispatches share.
     pub ingress: LockSummary,
     /// Durability counters (`None` with durability off).
     pub durability: Option<crate::durable::DurabilitySnapshot>,

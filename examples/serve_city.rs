@@ -2,7 +2,7 @@
 //! one runnable HTTP server in the tree.
 //!
 //! Two cities share one platform: a Medium "metro" and a Small
-//! "satellite town". Each city has its own sharded ingress queue;
+//! "satellite town". Each city has its own bounded ingress queue;
 //! `--metro-weight <n>` (default 4) sets the metro's weighted-DRR
 //! dispatch quantum. The platform is built once and served on
 //! `127.0.0.1:8080` (`--http <addr>` overrides the bind address) —

@@ -206,3 +206,116 @@ fn shutdown_drains_unjoined_tickets_exactly_once() {
         assert!(ticket.try_wait().unwrap().is_ok(), "ticket {i} failed");
     }
 }
+
+/// The shared condvars under churn. For 1, 2 and 4 workers and one- to
+/// four-slot queues: three cities weighted 3:1:1, two submitter threads
+/// per city alternating `submit` and `submit_blocking`, the third city
+/// deregistered mid-run, and shutdown with jobs still queued. Every
+/// city's blocked submitters park on the one `not_full` condvar, so
+/// they are woken by pops of any city and by the offboarding. Every
+/// mid-run snapshot must balance, every ticket must resolve exactly
+/// once, and no blocked submitter may hang. (Shutdown with submitters
+/// still parked needs crate-internal access; the platform unit test
+/// `shutdown_wakes_submitters_blocked_on_every_city` covers it.)
+#[test]
+fn shared_condvars_wake_blocked_submitters_through_pops_offboarding_and_drain() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let worlds: Vec<SimWorld> = [5, 9, 13]
+        .into_iter()
+        .map(|seed| SimWorld::build(Scale::Small, seed).expect("world"))
+        .collect();
+    let streams: Vec<Vec<Request>> = worlds
+        .iter()
+        .zip(100u64..)
+        .map(|(world, seed)| city_stream(world, 24, 1, seed))
+        .collect();
+    let gone = CityId(2);
+    for workers in [1, 2, 4] {
+        for capacity in 1..=4 {
+            let platform = Platform::start(PlatformConfig {
+                workers,
+                queue_capacity: capacity,
+                ..PlatformConfig::default()
+            });
+            let ids: Vec<CityId> = worlds
+                .iter()
+                .map(|w| {
+                    platform.register_city(w.service_world(), ServiceConfig::strict_deterministic())
+                })
+                .collect();
+            assert_eq!(ids[2], gone);
+            for (&id, weight) in ids.iter().zip([3, 1, 1]) {
+                assert!(platform.set_city_weight(id, weight));
+            }
+            let finished = AtomicUsize::new(0);
+            let tickets: Vec<Ticket> = std::thread::scope(|s| {
+                let submitters: Vec<_> = (0..6)
+                    .map(|t| {
+                        let (platform, finished) = (&platform, &finished);
+                        let (city, stream) = (ids[t % 3], &streams[t % 3]);
+                        s.spawn(move || {
+                            let mut tickets = Vec::new();
+                            for (i, &req) in stream.iter().enumerate().skip(t / 3).step_by(2) {
+                                let req = Request { city, ..req };
+                                let submitted = if i % 4 < 2 {
+                                    platform.submit_blocking(req)
+                                } else {
+                                    platform.submit(req)
+                                };
+                                match submitted {
+                                    Ok(ticket) => tickets.push(ticket),
+                                    Err(ServiceError::Busy) => {}
+                                    Err(ServiceError::CityOffboarded(c)) if c == gone => {}
+                                    Err(e) => panic!("unexpected rejection: {e}"),
+                                }
+                            }
+                            finished.fetch_add(1, Ordering::Relaxed);
+                            tickets
+                        })
+                    })
+                    .collect();
+                // Offboard the third city once it has admitted some
+                // work, checking the ledger throughout.
+                let mut offboarded = false;
+                while finished.load(Ordering::Relaxed) < submitters.len() {
+                    let snap = platform.stats();
+                    assert!(snap.is_consistent(), "{snap:?}");
+                    if !offboarded && snap.per_city[2].admitted >= 4 {
+                        platform.deregister_city(gone).expect("registered");
+                        offboarded = true;
+                    }
+                    std::thread::yield_now();
+                }
+                if !offboarded {
+                    platform.deregister_city(gone).expect("registered");
+                }
+                submitters
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("submitter"))
+                    .collect()
+            });
+            let snap = platform.stats();
+            assert!(snap.is_consistent(), "{snap:?}");
+            assert_eq!(snap.admitted, tickets.len() as u64);
+            assert!(snap.per_city[2].offboarded);
+            platform.shutdown();
+            // The drain resolved whatever was still queued; `wait`
+            // consumes each ticket, so each result is taken once.
+            let label = format!("{workers} workers, {capacity} slots");
+            let mut completed = 0u64;
+            for ticket in tickets {
+                assert!(ticket.is_done(), "{label}: a ticket outlived the drain");
+                let city = ticket.city();
+                match ticket.wait() {
+                    Ok(_) => completed += 1,
+                    Err(ServiceError::CityOffboarded(c)) if c == gone && city == gone => {}
+                    Err(e) => panic!("{label}: ticket for {city} failed: {e}"),
+                }
+            }
+            // Shed tickets resolve with the offboarding error; every
+            // other admitted ticket completed.
+            assert_eq!(completed + snap.shed, snap.admitted, "{label}: {snap:?}");
+        }
+    }
+}
