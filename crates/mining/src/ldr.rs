@@ -23,7 +23,7 @@
 //! voice among several candidate sources. This interpretation is recorded
 //! in the root README's *Substitutions* table.
 
-use cp_roadnet::routing::{dijkstra_path, shortest_path_tree, time_cost, DijkstraResult};
+use cp_roadnet::routing::{dijkstra_path, ResumableTree};
 use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
 use cp_traj::{DriverId, Trip};
 use std::collections::HashMap;
@@ -105,18 +105,24 @@ pub(crate) fn expert_modal_exact(
         .map(|(path, _)| path.clone())
 }
 
-/// Stage 3 input: the expert's personal street-usage frequencies over
-/// their whole history (their habits generalise beyond one OD pair).
-fn expert_frequencies(graph: &RoadGraph, trips: &[Trip], expert: DriverId) -> Vec<f64> {
-    // (shared by the per-request path and the artifact habit-tree
-    // builder below)
-    let mut freq = vec![0.0f64; graph.edge_count()];
+/// Stage 3 input: how often the expert drove each edge over their whole
+/// history (their habits generalise beyond one OD pair).
+fn expert_counts(graph: &RoadGraph, trips: &[Trip], expert: DriverId) -> Vec<u32> {
+    let mut counts = vec![0u32; graph.edge_count()];
     for t in trips.iter().filter(|t| t.driver == expert) {
         for &e in t.path.edges() {
-            freq[e.index()] += 1.0;
+            counts[e.index()] += 1;
         }
     }
-    freq
+    counts
+}
+
+/// Stage 3's habit-discounted travel time. Counting in integers and
+/// converting once is exact, so this equals the sum-of-`1.0`s form bit
+/// for bit.
+#[inline]
+fn habit_cost(time: f64, beta: f64, count: u32) -> f64 {
+    time / (1.0 + beta * f64::from(count))
 }
 
 /// Computes the local-driver route for the request `(from, to)`.
@@ -144,9 +150,9 @@ pub fn local_driver_route(
         return Ok(path);
     }
 
-    let freq = expert_frequencies(graph, trips, expert);
+    let counts = expert_counts(graph, trips, expert);
     dijkstra_path(graph, from, to, |e| {
-        graph.edge(e).travel_time() / (1.0 + params.beta * freq[e.index()])
+        habit_cost(graph.edge(e).travel_time(), params.beta, counts[e.index()])
     })
 }
 
@@ -171,28 +177,54 @@ pub(crate) fn origin_local_indices(
         .collect()
 }
 
-/// The **full** stage-3 habit tree for one expert from `from`: their
-/// street-usage frequencies folded into the cost, expanded exhaustively
-/// so any destination can be answered later. `path_to` is
-/// byte-identical to the stage-3 search of [`local_driver_route`].
-pub(crate) fn expert_habit_tree(
-    graph: &RoadGraph,
-    trips: &[Trip],
-    expert: DriverId,
-    from: NodeId,
-    params: &LdrParams,
-) -> DijkstraResult {
-    let freq = expert_frequencies(graph, trips, expert);
-    let times = graph.travel_times();
-    shortest_path_tree(graph, from, None, |e| {
-        times[e.index()] / (1.0 + params.beta * freq[e.index()])
-    })
+/// One expert's stage-3 habit search from one origin: their edge
+/// counts plus a [`ResumableTree`] that settles only as far as the
+/// destinations asked for so far. The counts are kept as `u16` when they
+/// all fit (a dense `f64` cost row would be four times larger).
+pub(crate) struct HabitTree {
+    counts: HabitCounts,
+    tree: ResumableTree,
 }
 
-/// The **full** stage-4 fastest-fallback tree from `from`; `path_to` is
-/// byte-identical to the expert-less fallback of [`local_driver_route`].
-pub(crate) fn fastest_fallback_tree(graph: &RoadGraph, from: NodeId) -> DijkstraResult {
-    shortest_path_tree(graph, from, None, time_cost(graph))
+enum HabitCounts {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl HabitTree {
+    /// The expert's habit search from `from`, nothing settled yet.
+    pub(crate) fn new(graph: &RoadGraph, trips: &[Trip], expert: DriverId, from: NodeId) -> Self {
+        let wide = expert_counts(graph, trips, expert);
+        let counts = match wide.iter().map(|&c| u16::try_from(c)).collect() {
+            Ok(narrow) => HabitCounts::Narrow(narrow),
+            Err(_) => HabitCounts::Wide(wide),
+        };
+        HabitTree {
+            counts,
+            tree: ResumableTree::new(graph, from),
+        }
+    }
+
+    /// The stage-3 route to `to`, byte-identical to the stage-3 search of
+    /// [`local_driver_route`] (every resumption settles a prefix of the
+    /// same settle order). Every call must pass the same `params`.
+    pub(crate) fn path_to(
+        &mut self,
+        graph: &RoadGraph,
+        to: NodeId,
+        params: &LdrParams,
+    ) -> Option<Path> {
+        let times = graph.travel_times();
+        let beta = params.beta;
+        match &self.counts {
+            HabitCounts::Narrow(c) => self.tree.path_to(graph, to, |e| {
+                habit_cost(times[e.index()], beta, c[e.index()].into())
+            }),
+            HabitCounts::Wide(c) => self.tree.path_to(graph, to, |e| {
+                habit_cost(times[e.index()], beta, c[e.index()])
+            }),
+        }
+    }
 }
 
 /// Number of local trips supporting the request — the support level that
@@ -317,6 +349,38 @@ mod tests {
         )
         .unwrap();
         assert!((p.travel_time(g) - s.travel_time(g)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn resumed_habit_search_matches_the_float_frequency_search() {
+        let (city, ds) = setup();
+        let g = &city.graph;
+        let params = LdrParams::default();
+        let from = NodeId(4);
+        for expert in [ds.trips[0].driver, ds.trips[7].driver] {
+            // The sum-of-1.0s row stage 3 searched under before integer
+            // counts.
+            let mut freq = vec![0.0f64; g.edge_count()];
+            for t in ds.trips.iter().filter(|t| t.driver == expert) {
+                for &e in t.path.edges() {
+                    freq[e.index()] += 1.0;
+                }
+            }
+            let mut narrow = HabitTree::new(g, &ds.trips, expert, from);
+            assert!(matches!(narrow.counts, HabitCounts::Narrow(_)));
+            let mut wide = HabitTree {
+                counts: HabitCounts::Wide(expert_counts(g, &ds.trips, expert)),
+                tree: ResumableTree::new(g, from),
+            };
+            for b in [59u32, 13, 59, 4, 30] {
+                let want = dijkstra_path(g, from, NodeId(b), |e| {
+                    g.edge(e).travel_time() / (1.0 + params.beta * freq[e.index()])
+                })
+                .ok();
+                assert_eq!(narrow.path_to(g, NodeId(b), &params), want, "to {b}");
+                assert_eq!(wide.path_to(g, NodeId(b), &params), want, "to {b}");
+            }
+        }
     }
 
     #[test]

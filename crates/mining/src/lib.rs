@@ -21,11 +21,8 @@ pub mod transfer;
 pub mod webservice;
 
 pub use ldr::{local_driver_route, local_support, LdrParams};
-pub use mfp::{
-    best_bottleneck, frequency_discounted_tree, most_frequent_path, most_frequent_path_on,
-    MfpParams,
-};
-pub use mpr::{log_popularity, most_popular_route, popularity_tree, MprParams};
+pub use mfp::{best_bottleneck, most_frequent_path, most_frequent_path_on, MfpParams};
+pub use mpr::{log_popularity, most_popular_route, MprParams};
 pub use source::{
     candidates_from_artifacts, distinct_candidates, generate_candidates, CandidateGenerator,
     CandidateRoute, OriginArtifacts, SourceKind,

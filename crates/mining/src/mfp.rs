@@ -21,8 +21,8 @@
 //! attributes to MFP.
 
 use crate::transfer::TransferNetwork;
-use cp_roadnet::routing::{dijkstra_path, DijkstraResult};
-use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
+use cp_roadnet::routing::{dijkstra_path, ResumableTree};
+use cp_roadnet::{EdgeId, NodeId, Path, RoadGraph, RoadNetError};
 use cp_traj::{TimeOfDay, Trip};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -100,6 +100,22 @@ pub fn best_bottleneck(graph: &RoadGraph, tn: &TransferNetwork, from: NodeId, to
     width[to.index()]
 }
 
+/// MFP's saturating frequency discount: heavily-driven segments within
+/// the time period are cheaper (at most `1 + beta` times cheaper), so
+/// the search clings to the period's popular corridors without
+/// detouring wildly to reach them.
+fn discounted_cost<'a>(
+    graph: &'a RoadGraph,
+    tn: &'a TransferNetwork,
+    params: &'a MfpParams,
+) -> impl Fn(EdgeId) -> f64 + Copy + 'a {
+    let half = tn.mean_positive_frequency().max(1.0);
+    move |e| {
+        let f = tn.edge_frequency(e);
+        graph.edge(e).travel_time() / (1.0 + params.beta * f / (f + half))
+    }
+}
+
 /// Computes the time-period most frequent path on a pre-filtered transfer
 /// network (the caller already restricted trips to the period).
 pub fn most_frequent_path_on(
@@ -109,40 +125,27 @@ pub fn most_frequent_path_on(
     to: NodeId,
     params: &MfpParams,
 ) -> Result<Path, RoadNetError> {
-    if from == to {
-        return Err(RoadNetError::NoPath { from, to });
-    }
-    // Saturating frequency discount: heavily-driven segments within the
-    // time period are cheaper (at most 1 + beta times cheaper), so the
-    // search clings to the period's popular corridors without detouring
-    // wildly to reach them.
-    let half = tn.mean_positive_frequency().max(1.0);
-    dijkstra_path(graph, from, to, |e| {
-        let f = tn.edge_frequency(e);
-        graph.edge(e).travel_time() / (1.0 + params.beta * f / (f + half))
-    })
+    dijkstra_path(graph, from, to, discounted_cost(graph, tn, params))
 }
 
-/// Expands the **full** frequency-discounted tree from `from` over a
-/// pre-filtered period transfer network — the period-dependent half of
-/// a cached origin-mining artifact. `DijkstraResult::path_to` on the
-/// returned tree is byte-identical to [`most_frequent_path_on`] for
-/// every reachable target (settle-order prefix argument), so one
-/// expansion per `(origin, period)` answers any destination. The
-/// per-edge costs are computed once per `(tn, beta)` and kept on `tn`,
-/// so every origin served in one period shares them.
-pub fn frequency_discounted_tree(
+/// The MFP from `tree`'s source to `to` over a pre-filtered period
+/// network, resuming the frequency-discounted search `tree` until `to`
+/// settles: the period-dependent half of a cached origin-mining
+/// artifact. Byte-identical to [`most_frequent_path_on`] because every
+/// resumption settles a prefix of the same settle order. `tree` must
+/// only ever be resumed here, with the same `tn` (or an identical one)
+/// and `params`. The per-edge costs are computed once per `(tn, beta)`
+/// and kept on `tn`, so every origin served in one period shares them.
+pub(crate) fn discounted_path(
     graph: &RoadGraph,
     tn: &TransferNetwork,
-    from: NodeId,
+    tree: &mut ResumableTree,
+    to: NodeId,
     params: &MfpParams,
-) -> DijkstraResult {
-    let half = tn.mean_positive_frequency().max(1.0);
-    let cost = |e| {
-        let f = tn.edge_frequency(e);
-        graph.edge(e).travel_time() / (1.0 + params.beta * f / (f + half))
-    };
-    tn.discounted_costs.tree(graph, from, params.beta, cost)
+) -> Option<Path> {
+    let cost = discounted_cost(graph, tn, params);
+    tn.discounted_costs
+        .path_to(graph, tree, to, params.beta, cost)
 }
 
 /// Full MFP query: filters `trips` to the departure period around
@@ -253,21 +256,28 @@ mod tests {
         };
         let period = build();
         // The second beta no longer matches the array the first one
-        // memoised on `period`, so it must expand without it, not read it:
-        // its tree equals one over a fresh network bit for bit.
+        // memoised on `period`, so it must search without it, not read
+        // it: its distances equal a search over a fresh network bit for
+        // bit.
         for beta in [params.beta, 6.0] {
             let params = MfpParams { beta, ..params };
-            let tree = frequency_discounted_tree(g, &period, from, &params);
-            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&tree.dist),
-                bits(&frequency_discounted_tree(g, &build(), from, &params).dist)
-            );
-            for b in [59u32, 0, 31, 44] {
-                let want = most_frequent_path_on(g, &period, from, NodeId(b), &params).unwrap();
-                let got = tree.path_to(g, NodeId(b)).expect("reachable");
+            let mut tree = ResumableTree::new(g, from);
+            for b in [59u32, 0, 31, 44, 0] {
+                let want = most_frequent_path_on(g, &period, from, NodeId(b), &params).ok();
+                let got = discounted_path(g, &period, &mut tree, NodeId(b), &params);
+                assert!(got.is_some(), "to {b} is reachable");
                 assert_eq!(got, want, "to {b} at beta {beta}");
             }
+            let fresh = build();
+            let mut whole = ResumableTree::new(g, from);
+            for n in g.nodes() {
+                discounted_path(g, &period, &mut tree, n, &params);
+                discounted_path(g, &fresh, &mut whole, n, &params);
+            }
+            let bits = |t: &ResumableTree| -> Vec<_> {
+                g.nodes().map(|n| t.distance(n).map(f64::to_bits)).collect()
+            };
+            assert_eq!(bits(&tree), bits(&whole), "beta {beta}");
         }
     }
 

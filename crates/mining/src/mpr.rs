@@ -10,8 +10,8 @@
 //! `P(e) < 1` whenever a node has more than one outgoing edge).
 
 use crate::transfer::TransferNetwork;
-use cp_roadnet::routing::{dijkstra_path, DijkstraResult};
-use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
+use cp_roadnet::routing::{dijkstra_path, ResumableTree};
+use cp_roadnet::{EdgeId, NodeId, Path, RoadGraph, RoadNetError};
 
 /// Parameters of the MPR search.
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +26,20 @@ impl Default for MprParams {
     }
 }
 
+/// MPR's search cost `-ln P(e)`, which is ≥ 0 because `P(e) ≤ 1`.
+fn popularity_cost<'a>(
+    graph: &'a RoadGraph,
+    tn: &'a TransferNetwork,
+    params: &'a MprParams,
+) -> impl Fn(EdgeId) -> f64 + Copy + 'a {
+    move |e| {
+        let p = tn
+            .transfer_probability(graph, e, params.smoothing)
+            .max(f64::MIN_POSITIVE);
+        -p.ln()
+    }
+}
+
 /// Computes the most popular route from `from` to `to`.
 pub fn most_popular_route(
     graph: &RoadGraph,
@@ -34,39 +48,27 @@ pub fn most_popular_route(
     to: NodeId,
     params: &MprParams,
 ) -> Result<Path, RoadNetError> {
-    let cost = |e| {
-        let p = tn
-            .transfer_probability(graph, e, params.smoothing)
-            .max(f64::MIN_POSITIVE);
-        // -ln p ≥ 0 because p ≤ 1.
-        -p.ln()
-    };
-    dijkstra_path(graph, from, to, cost)
+    dijkstra_path(graph, from, to, popularity_cost(graph, tn, params))
 }
 
-/// Expands the **full** popularity tree from `from`: the all-day,
-/// destination-set-independent MPR artifact behind cross-bucket and
-/// cross-batch mining reuse. `-ln P(e)` depends only on the origin side
-/// and the all-day transfer network, so one exhaustive expansion
-/// answers *any* later destination; `DijkstraResult::path_to` on the
-/// returned tree is byte-identical to [`most_popular_route`] for every
-/// reachable target (the single-target search is a settle-order prefix
-/// of the exhaustive one). The per-edge costs are computed once per
-/// `(tn, smoothing)` and kept on `tn`, so later origins pay no `ln`.
-pub fn popularity_tree(
+/// The MPR from `tree`'s source to `to`, resuming the popularity search
+/// `tree` until `to` settles. `-ln P(e)` depends only on the origin side
+/// and the all-day network, so one search per origin answers every later
+/// destination. The answer is byte-identical to [`most_popular_route`]
+/// because every resumption settles a prefix of the same settle order.
+/// `tree` must only ever be resumed here, with the same `tn` and
+/// `params`. The per-edge costs are computed once per `(tn, smoothing)`
+/// and kept on `tn`, so later origins pay no `ln`.
+pub(crate) fn popularity_path(
     graph: &RoadGraph,
     tn: &TransferNetwork,
-    from: NodeId,
+    tree: &mut ResumableTree,
+    to: NodeId,
     params: &MprParams,
-) -> DijkstraResult {
-    let cost = |e| {
-        let p = tn
-            .transfer_probability(graph, e, params.smoothing)
-            .max(f64::MIN_POSITIVE);
-        -p.ln()
-    };
+) -> Option<Path> {
+    let cost = popularity_cost(graph, tn, params);
     tn.popularity_costs
-        .tree(graph, from, params.smoothing, cost)
+        .path_to(graph, tree, to, params.smoothing, cost)
 }
 
 /// Popularity score of a path: the product of its transfer probabilities,
@@ -174,22 +176,27 @@ mod tests {
         let g = &city.graph;
         let from = NodeId(3);
         // The second smoothing no longer matches the array the first one
-        // memoised on `tn`, so it must expand without it, not read it: its
-        // tree equals one over a fresh network bit for bit.
+        // memoised on `tn`, so it must search without it, not read it:
+        // its distances equal a search over a fresh network bit for bit.
         for smoothing in [0.3, 5.0] {
             let params = MprParams { smoothing };
-            let tree = popularity_tree(g, &tn, from, &params);
-            let fresh = TransferNetwork::build(g, &ds.trips, None);
-            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&tree.dist),
-                bits(&popularity_tree(g, &fresh, from, &params).dist)
-            );
-            for b in [59u32, 17, 44, 8, 0] {
-                let want = most_popular_route(g, &tn, from, NodeId(b), &params).unwrap();
-                let got = tree.path_to(g, NodeId(b)).expect("reachable");
+            let mut tree = ResumableTree::new(g, from);
+            for b in [59u32, 17, 44, 8, 0, 17] {
+                let want = most_popular_route(g, &tn, from, NodeId(b), &params).ok();
+                let got = popularity_path(g, &tn, &mut tree, NodeId(b), &params);
+                assert!(got.is_some(), "to {b} is reachable");
                 assert_eq!(got, want, "to {b} at smoothing {smoothing}");
             }
+            let fresh = TransferNetwork::build(g, &ds.trips, None);
+            let mut whole = ResumableTree::new(g, from);
+            for n in g.nodes() {
+                popularity_path(g, &tn, &mut tree, n, &params);
+                popularity_path(g, &fresh, &mut whole, n, &params);
+            }
+            let bits = |t: &ResumableTree| -> Vec<_> {
+                g.nodes().map(|n| t.distance(n).map(f64::to_bits)).collect()
+            };
+            assert_eq!(bits(&tree), bits(&whole), "smoothing {smoothing}");
         }
     }
 

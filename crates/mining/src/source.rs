@@ -4,18 +4,19 @@
 //! popular route mining algorithms, i.e., MPR, LDR and MFP").
 
 use crate::ldr::{
-    expert_habit_tree, expert_modal_exact, fastest_fallback_tree, local_driver_route,
-    local_support, origin_local_indices, pick_expert, LdrParams,
+    expert_modal_exact, local_driver_route, local_support, origin_local_indices, pick_expert,
+    HabitTree, LdrParams,
 };
-use crate::mfp::{frequency_discounted_tree, most_frequent_path, MfpParams};
-use crate::mpr::{most_popular_route, popularity_tree, MprParams};
+use crate::mfp::{discounted_path, most_frequent_path, MfpParams};
+use crate::mpr::{most_popular_route, popularity_path, MprParams};
 use crate::transfer::TransferNetwork;
 use crate::webservice::{FastestRouteService, ShortestRouteService};
-use cp_roadnet::routing::DijkstraResult;
-use cp_roadnet::{NodeId, Path, RoadGraph, RoadNetError};
+use cp_roadnet::routing::{time_cost, ResumableTree};
+use cp_roadnet::{NodeId, Path, RoadGraph};
 use cp_traj::{DriverId, TimeOfDay, Trip};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Where a candidate route came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,62 +177,78 @@ pub fn generate_candidates(
     out
 }
 
-/// The time-invariant share of one origin's candidate mining, computed
-/// once and reusable for **any** destination, **any** time bucket and
-/// **any** later batch:
+/// One origin's share of candidate mining, reusable for **any**
+/// destination, **any** time bucket and **any** later batch:
 ///
-/// * the full MPR popularity expansion (all-day transfer network);
 /// * the LDR origin-side locality scan (trip indices whose source is
-///   near the origin), with stage-3 habit trees memoised per expert and
-///   the stage-4 fastest-fallback tree memoised once (both lazily,
-///   behind mutexes, so a shared `Arc<OriginArtifacts>` keeps absorbing
-///   work from concurrent workers);
-/// * per-period MFP expansions memoised by departure bits (the caller
+///   near the origin), the only work [`OriginArtifacts::build`] does;
+/// * the MPR popularity search over the all-day transfer network;
+/// * one MFP search per departure, keyed by departure bits (the caller
 ///   supplies the period-filtered transfer network; the O(|trips|)
-///   aggregation itself is shared *across* origins, not stored here).
+///   aggregation itself is shared *across* origins, not stored here);
+/// * one LDR stage-3 habit search per local expert, and one stage-4
+///   fastest-fallback search.
 ///
-/// All expansions are exhaustive ([`shortest_path_tree`] with no stop
-/// target), trading a bounded amount of extra settle work for
-/// destination-set independence — the property that lets one artifact
-/// outlive the batch that built it. Every path reconstructed from these
-/// trees is byte-identical to the per-request miners (single-target
-/// searches are settle-order prefixes of exhaustive ones).
+/// Every search is a [`ResumableTree`], created on first use, that
+/// settles only as far as the destinations asked for so far and resumes
+/// for the next one. A single-use search thus costs about half an
+/// exhaustive one, and a reused one never settles a node twice. Every
+/// path is byte-identical to the per-request miners, because each
+/// resumption settles a prefix of the same settle order.
 ///
-/// [`shortest_path_tree`]: cp_roadnet::routing::shortest_path_tree
+/// Costs are supplied when a search resumes, not stored: every query
+/// on one artifact must pass the same transfer networks and miner
+/// parameters (see [`candidates_from_artifacts`]). The serving layer's
+/// cache guarantees this by tagging artifacts and period networks with
+/// the world generation they were built under. Each search sits behind
+/// its own mutex, and the per-expert and per-departure maps are never
+/// locked while a search settles, so a shared `Arc<OriginArtifacts>`
+/// keeps absorbing work from concurrent workers.
 pub struct OriginArtifacts {
     origin: NodeId,
-    /// Exhaustive `-ln P(e)` popularity expansion.
-    mpr_tree: DijkstraResult,
     /// Indices into the trip history whose source endpoint is local to
     /// the origin (order-preserving).
     origin_local: Vec<u32>,
-    /// Lazily-built exhaustive habit trees, one per local expert.
-    habit: Mutex<HashMap<DriverId, Arc<DijkstraResult>>>,
-    /// Lazily-built exhaustive fastest-fallback tree.
-    fastest: Mutex<Option<Arc<DijkstraResult>>>,
-    /// Lazily-built exhaustive MFP expansions, keyed by departure bits.
-    mfp_trees: Mutex<HashMap<u64, Arc<DijkstraResult>>>,
+    /// The `-ln P(e)` popularity search.
+    mpr: OnceLock<Mutex<ResumableTree>>,
+    /// Habit searches, one per local expert.
+    habit: Mutex<HashMap<DriverId, Arc<Mutex<HabitTree>>>>,
+    /// The fastest-fallback search.
+    fastest: OnceLock<Mutex<ResumableTree>>,
+    /// MFP searches, keyed by departure bits.
+    mfp: Mutex<HashMap<u64, Arc<Mutex<ResumableTree>>>>,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("artifact search poisoned")
+}
+
+/// The search memoised under `key`. On a miss `make` runs outside the map
+/// lock; if another thread inserted first, its search is kept (both
+/// start with nothing settled).
+fn memo<K: Eq + Hash, T>(
+    map: &Mutex<HashMap<K, Arc<Mutex<T>>>>,
+    key: K,
+    make: impl FnOnce() -> T,
+) -> Arc<Mutex<T>> {
+    if let Some(search) = lock(map).get(&key) {
+        return Arc::clone(search);
+    }
+    let made = Arc::new(Mutex::new(make()));
+    Arc::clone(lock(map).entry(key).or_insert(made))
 }
 
 impl OriginArtifacts {
-    /// Builds the eager artifacts (popularity tree + locality scan) for
-    /// one origin; the per-expert and per-period trees fill in lazily as
-    /// destinations are served.
-    pub fn build(
-        graph: &RoadGraph,
-        trips: &[Trip],
-        transfer: &TransferNetwork,
-        mpr: &MprParams,
-        ldr: &LdrParams,
-        origin: NodeId,
-    ) -> Self {
+    /// Runs the locality scan for one origin. Every search starts on
+    /// first use and settles only as far as the destinations served.
+    pub fn build(graph: &RoadGraph, trips: &[Trip], ldr: &LdrParams, origin: NodeId) -> Self {
         OriginArtifacts {
             origin,
-            mpr_tree: popularity_tree(graph, transfer, origin, mpr),
             origin_local: origin_local_indices(graph, trips, origin, ldr),
+            mpr: OnceLock::new(),
             habit: Mutex::new(HashMap::new()),
-            fastest: Mutex::new(None),
-            mfp_trees: Mutex::new(HashMap::new()),
+            fastest: OnceLock::new(),
+            mfp: Mutex::new(HashMap::new()),
         }
     }
 
@@ -240,14 +257,28 @@ impl OriginArtifacts {
         self.origin
     }
 
-    fn mpr(&self, graph: &RoadGraph, to: NodeId) -> Result<Path, RoadNetError> {
-        let from = self.origin;
-        if to == from {
-            return Err(RoadNetError::NoPath { from, to });
-        }
-        self.mpr_tree
-            .path_to(graph, to)
-            .ok_or(RoadNetError::NoPath { from, to })
+    fn search<'a>(
+        &self,
+        slot: &'a OnceLock<Mutex<ResumableTree>>,
+        graph: &RoadGraph,
+    ) -> MutexGuard<'a, ResumableTree> {
+        lock(slot.get_or_init(|| Mutex::new(ResumableTree::new(graph, self.origin))))
+    }
+
+    fn mpr(
+        &self,
+        graph: &RoadGraph,
+        transfer: &TransferNetwork,
+        params: &MprParams,
+        to: NodeId,
+    ) -> Option<Path> {
+        popularity_path(
+            graph,
+            transfer,
+            &mut self.search(&self.mpr, graph),
+            to,
+            params,
+        )
     }
 
     fn ldr(
@@ -256,11 +287,7 @@ impl OriginArtifacts {
         trips: &[Trip],
         params: &LdrParams,
         to: NodeId,
-    ) -> Result<Path, RoadNetError> {
-        let from = self.origin;
-        if to == from {
-            return Err(RoadNetError::NoPath { from, to });
-        }
+    ) -> Option<Path> {
         // Destination-side half of the locality filter over the shared
         // origin-side subset (order-preserving ⇒ reproduces the
         // per-request `local_trips` exactly).
@@ -273,26 +300,18 @@ impl OriginArtifacts {
             .filter(|t| graph.position(t.path.destination()).distance_sq(&tp) <= r2)
             .collect();
         let Some(expert) = pick_expert(&local) else {
-            let tree = {
-                let mut slot = self.fastest.lock().expect("artifact memo poisoned");
-                Arc::clone(slot.get_or_insert_with(|| Arc::new(fastest_fallback_tree(graph, from))))
-            };
-            return tree
-                .path_to(graph, to)
-                .ok_or(RoadNetError::NoPath { from, to });
+            return self
+                .search(&self.fastest, graph)
+                .path_to(graph, to, time_cost(graph));
         };
-        if let Some(path) = expert_modal_exact(graph, &local, expert, from, to) {
-            return Ok(path);
+        if let Some(path) = expert_modal_exact(graph, &local, expert, self.origin, to) {
+            return Some(path);
         }
-        let tree =
-            {
-                let mut memo = self.habit.lock().expect("artifact memo poisoned");
-                Arc::clone(memo.entry(expert).or_insert_with(|| {
-                    Arc::new(expert_habit_tree(graph, trips, expert, from, params))
-                }))
-            };
-        tree.path_to(graph, to)
-            .ok_or(RoadNetError::NoPath { from, to })
+        let habit = memo(&self.habit, expert, || {
+            HabitTree::new(graph, trips, expert, self.origin)
+        });
+        let mut habit = lock(&habit);
+        habit.path_to(graph, to, params)
     }
 
     fn mfp(
@@ -302,19 +321,12 @@ impl OriginArtifacts {
         period_tn: &TransferNetwork,
         departure: TimeOfDay,
         to: NodeId,
-    ) -> Result<Path, RoadNetError> {
-        let from = self.origin;
-        if to == from {
-            return Err(RoadNetError::NoPath { from, to });
-        }
-        let tree = {
-            let mut memo = self.mfp_trees.lock().expect("artifact memo poisoned");
-            Arc::clone(memo.entry(departure.0.to_bits()).or_insert_with(|| {
-                Arc::new(frequency_discounted_tree(graph, period_tn, from, params))
-            }))
-        };
-        tree.path_to(graph, to)
-            .ok_or(RoadNetError::NoPath { from, to })
+    ) -> Option<Path> {
+        let tree = memo(&self.mfp, departure.0.to_bits(), || {
+            ResumableTree::new(graph, self.origin)
+        });
+        let mut tree = lock(&tree);
+        discounted_path(graph, period_tn, &mut tree, to, params)
     }
 }
 
@@ -332,15 +344,18 @@ impl std::fmt::Debug for OriginArtifacts {
 /// byte-identical to [`generate_candidates`] over the same inputs
 /// (same sources, same paths, same order).
 ///
-/// Contract: `artifacts` was built for `(graph, trips, transfer, mpr,
-/// ldr)` with `artifacts.origin() == the query origin`, and `period_tn`
+/// Contract: `artifacts` was built for `(graph, trips, ldr)` with
+/// `artifacts.origin() == the query origin`; every query on one artifact
+/// passes the same `transfer`, `mpr`, `mfp` and `ldr`; and `period_tn`
 /// is `TransferNetwork::build(graph, trips, Some((departure,
-/// mfp.period_half_width)))` — the departure-bits memo inside the
-/// artifact assumes the period network is a pure function of the
-/// departure.
+/// mfp.period_half_width)))`. The artifact's searches resume under the
+/// costs these supply, and its departure-bits memo assumes the period
+/// network is a pure function of the departure.
 pub fn candidates_from_artifacts(
     graph: &RoadGraph,
     trips: &[Trip],
+    transfer: &TransferNetwork,
+    mpr: &MprParams,
     mfp: &MfpParams,
     ldr: &LdrParams,
     artifacts: &OriginArtifacts,
@@ -363,19 +378,22 @@ pub fn candidates_from_artifacts(
             path: p,
         });
     }
-    if let Ok(p) = artifacts.mpr(graph, to) {
+    if to == from {
+        return out;
+    }
+    if let Some(p) = artifacts.mpr(graph, transfer, mpr, to) {
         out.push(CandidateRoute {
             source: SourceKind::Mpr,
             path: p,
         });
     }
-    if let Ok(p) = artifacts.ldr(graph, trips, ldr, to) {
+    if let Some(p) = artifacts.ldr(graph, trips, ldr, to) {
         out.push(CandidateRoute {
             source: SourceKind::Ldr,
             path: p,
         });
     }
-    if let Ok(p) = artifacts.mfp(graph, mfp, period_tn, departure, to) {
+    if let Some(p) = artifacts.mfp(graph, mfp, period_tn, departure, to) {
         out.push(CandidateRoute {
             source: SourceKind::Mfp,
             path: p,
@@ -467,19 +485,14 @@ mod tests {
                 (NodeId(12), &[47, 7, 47]),
                 (driven.source(), &[driven.destination().0]),
             ] {
-                let art = OriginArtifacts::build(
-                    g,
-                    trips,
-                    gen.transfer_network(),
-                    &gen.mpr,
-                    &gen.ldr,
-                    from,
-                );
+                let art = OriginArtifacts::build(g, trips, &gen.ldr, from);
                 for &b in tos {
                     for (&dep, period) in deps.iter().zip(&periods) {
                         let got = candidates_from_artifacts(
                             g,
                             trips,
+                            gen.transfer_network(),
+                            &gen.mpr,
                             &gen.mfp,
                             &gen.ldr,
                             &art,
@@ -498,6 +511,63 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn concurrent_resumes_of_one_shared_artifact_match_generate_candidates() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::Hasher;
+        use std::sync::Barrier;
+        let (city, ds) = setup();
+        let (g, trips) = (&city.graph, &ds.trips[..]);
+        let gen = CandidateGenerator::new(g, trips);
+        let deps = [7.0, 8.0, 12.5, 17.0].map(TimeOfDay::from_hours);
+        let periods = deps
+            .map(|dep| TransferNetwork::build(g, trips, Some((dep, gen.mfp.period_half_width))));
+        for from in [NodeId(0), trips[0].path.source()] {
+            // Four workers share one artifact; each asks every
+            // (destination, departure) pair in its own shuffled order, so
+            // the searches are resumed by whichever worker gets there
+            // first, in interleaved orders. The barrier releases them
+            // together, so they contend from the first query on.
+            let art = Arc::new(OriginArtifacts::build(g, trips, &gen.ldr, from));
+            let start = Barrier::new(4);
+            std::thread::scope(|s| {
+                for worker in 0..4u64 {
+                    let (art, gen, periods, start) = (Arc::clone(&art), &gen, &periods, &start);
+                    s.spawn(move || {
+                        let mut queries: Vec<(u32, usize)> = (0..g.node_count() as u32)
+                            .flat_map(|b| (0..deps.len()).map(move |d| (b, d)))
+                            .collect();
+                        queries.sort_by_key(|q| {
+                            let mut h = DefaultHasher::new();
+                            (worker, q).hash(&mut h);
+                            h.finish()
+                        });
+                        start.wait();
+                        for (b, d) in queries {
+                            let got = candidates_from_artifacts(
+                                g,
+                                trips,
+                                gen.transfer_network(),
+                                &gen.mpr,
+                                &gen.mfp,
+                                &gen.ldr,
+                                &art,
+                                &periods[d],
+                                NodeId(b),
+                                deps[d],
+                            );
+                            let want = gen.candidates(from, NodeId(b), deps[d]);
+                            let view = |cs: &[CandidateRoute]| -> Vec<_> {
+                                cs.iter().map(|c| (c.source, c.path.clone())).collect()
+                            };
+                            assert_eq!(view(&got), view(&want), "{from:?} to {b} at {d}");
+                        }
+                    });
+                }
+            });
         }
     }
 

@@ -6,8 +6,8 @@
 //! probabilities. Both MPR and MFP consume it; MFP additionally filters
 //! trips by departure-time period (Luo et al., SIGMOD 2013).
 
-use cp_roadnet::routing::{shortest_path_tree, DijkstraResult};
-use cp_roadnet::{EdgeId, NodeId, RoadGraph};
+use cp_roadnet::routing::ResumableTree;
+use cp_roadnet::{EdgeId, NodeId, Path, RoadGraph};
 use cp_traj::{TimeOfDay, Trip};
 use std::sync::OnceLock;
 
@@ -18,19 +18,22 @@ use std::sync::OnceLock;
 pub(crate) struct CostMemo(OnceLock<(u64, Vec<f64>)>);
 
 impl CostMemo {
-    /// The exhaustive expansion from `from` under `cost`, reading the
-    /// memoised array (filled with `cost` over every edge on first use)
-    /// instead of calling `cost` per relaxation. When the memo already
-    /// holds an array for a different `param` (a miner parameter changed
-    /// after the first expansion) it calls `cost` per relaxation instead,
-    /// so it never reads a stale array.
-    pub(crate) fn tree(
+    /// Resumes `tree` under `cost` until `to` settles and returns the
+    /// path to it, reading the memoised array (filled with `cost` over
+    /// every edge on first use) instead of calling `cost` per
+    /// relaxation. When the memo already holds an array for a different
+    /// `param` (a miner parameter changed after the first search) it
+    /// calls `cost` per relaxation instead, so it never reads a stale
+    /// array. Either way each edge costs the same, so one tree may be
+    /// resumed through both.
+    pub(crate) fn path_to(
         &self,
         graph: &RoadGraph,
-        from: NodeId,
+        tree: &mut ResumableTree,
+        to: NodeId,
         param: f64,
         cost: impl Fn(EdgeId) -> f64 + Copy,
-    ) -> DijkstraResult {
+    ) -> Option<Path> {
         let (key, costs) = self.0.get_or_init(|| {
             let edges = graph.edge_count() as u32;
             (
@@ -39,9 +42,9 @@ impl CostMemo {
             )
         });
         if *key == param.to_bits() {
-            shortest_path_tree(graph, from, None, |e: EdgeId| costs[e.index()])
+            tree.path_to(graph, to, |e: EdgeId| costs[e.index()])
         } else {
-            shortest_path_tree(graph, from, None, cost)
+            tree.path_to(graph, to, cost)
         }
     }
 }

@@ -2,10 +2,14 @@
 //!
 //! The heap orders entries by the integer key `((cost + 0.0).to_bits(),
 //! node)`. For non-negative, non-NaN costs the IEEE-754 bit pattern
-//! sorts exactly like the value, so nodes settle in (cost, node id)
+//! sorts exactly like the value, so the heap pops in (cost, node id)
 //! order without an `f64` comparison per heap step; the `+ 0.0` folds
 //! `-0.0` (MPR's `-ln 1`) into `+0.0`, the one pair of equal costs
 //! whose bit patterns differ. Negative or NaN costs are a caller bug.
+//!
+//! [`ResumableTree`] holds the one relaxation loop. It settles only as
+//! far as the targets asked for so far and resumes for the next one;
+//! [`shortest_path_tree`] and [`dijkstra_path`] are thin wrappers.
 
 use crate::error::RoadNetError;
 use crate::graph::{EdgeId, NodeId, RoadGraph};
@@ -13,8 +17,9 @@ use crate::path::Path;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Any non-negative, non-NaN edge cost. Anything else is a caller bug;
-/// negative costs are debug-asserted in the relaxation loop.
+/// Any non-negative, non-NaN edge cost; an infinite cost never relaxes,
+/// so it bans the edge. Anything else is a caller bug; negative costs
+/// are debug-asserted in the relaxation loop.
 pub trait CostFn: Fn(EdgeId) -> f64 {}
 impl<F: Fn(EdgeId) -> f64> CostFn for F {}
 
@@ -25,32 +30,167 @@ fn key(cost: f64) -> u64 {
     (cost + 0.0).to_bits()
 }
 
+/// `ResumableTree::parent` entry of a node no edge has reached.
+const NO_EDGE: u32 = u32::MAX;
+
+/// A single-source Dijkstra search that settles only as far as the
+/// targets asked for so far.
+///
+/// [`path_to`](Self::path_to) settles nodes until its target is settled,
+/// then pauses with that node's out-edges not yet relaxed, exactly where
+/// `shortest_path_tree(.., Some(t), ..)` stops. The next call relaxes
+/// them first and carries on. So any sequence of targets settles nodes
+/// in the exhaustive run's order, and every settled node's distance and
+/// parent edge equal the exhaustive tree's bit for bit.
+///
+/// The cost is supplied per call, not stored. Every call on one tree
+/// must pass the same cost function: a tree resumed under another cost
+/// answers for neither.
+pub struct ResumableTree {
+    /// Tentative distance from the source; final once the node settles.
+    dist: Vec<f64>,
+    /// Edge entering each node on its tentative path, or [`NO_EDGE`].
+    parent: Vec<u32>,
+    settled: Vec<bool>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The last settled node, whose out-edges are not relaxed yet.
+    paused: Option<NodeId>,
+}
+
+impl ResumableTree {
+    /// A search from `source` that has settled nothing yet.
+    pub fn new(graph: &RoadGraph, source: NodeId) -> Self {
+        let n = graph.node_count();
+        let mut tree = ResumableTree {
+            dist: vec![f64::INFINITY; n],
+            parent: vec![NO_EDGE; n],
+            settled: vec![false; n],
+            heap: BinaryHeap::new(),
+            paused: None,
+        };
+        tree.dist[source.index()] = 0.0;
+        tree.heap.push(Reverse((key(0.0), source.0)));
+        tree
+    }
+
+    /// Settles nodes until `until` is settled, or with `None` until every
+    /// node reachable from the source is. Returns at once when `until`
+    /// is already settled.
+    fn settle(&mut self, graph: &RoadGraph, until: Option<NodeId>, cost: impl CostFn) {
+        if until.is_some_and(|t| self.settled[t.index()]) {
+            return;
+        }
+        loop {
+            if let Some(node) = self.paused.take() {
+                let d = self.dist[node.index()];
+                for &e in graph.out_edges(node) {
+                    let to = graph.edge(e).to.index();
+                    let w = cost(e);
+                    debug_assert!(w >= 0.0, "negative edge cost");
+                    let nd = d + w;
+                    if nd < self.dist[to] {
+                        self.dist[to] = nd;
+                        self.parent[to] = e.0;
+                        self.heap.push(Reverse((key(nd), to as u32)));
+                    }
+                }
+            }
+            // A node's first pop is its lowest push, whose cost `dist`
+            // holds.
+            let node = loop {
+                match self.heap.pop() {
+                    None => return,
+                    Some(Reverse((_, n))) if !self.settled[n as usize] => break NodeId(n),
+                    Some(_) => {}
+                }
+            };
+            self.settled[node.index()] = true;
+            self.paused = Some(node);
+            if until == Some(node) {
+                return;
+            }
+        }
+    }
+
+    /// The cheapest path to `target`, settling as far as that takes.
+    /// `None` when `target` is unreachable or is the source.
+    pub fn path_to(
+        &mut self,
+        graph: &RoadGraph,
+        target: NodeId,
+        cost: impl CostFn,
+    ) -> Option<Path> {
+        self.settle(graph, Some(target), cost);
+        trace_back(graph, self.settled[target.index()], target, |n| {
+            self.parent_edge(n)
+        })
+    }
+
+    /// The cheapest-path cost to `node` if it is settled, else `None`.
+    pub fn distance(&self, node: NodeId) -> Option<f64> {
+        self.settled[node.index()].then(|| self.dist[node.index()])
+    }
+
+    fn parent_edge(&self, node: NodeId) -> Option<EdgeId> {
+        Some(self.parent[node.index()])
+            .filter(|&e| e != NO_EDGE)
+            .map(EdgeId)
+    }
+
+    fn into_result(self) -> DijkstraResult {
+        let parent_edge = (0..self.parent.len() as u32)
+            .map(|n| self.parent_edge(NodeId(n)))
+            .collect();
+        DijkstraResult {
+            dist: self.dist,
+            parent_edge,
+            settled: self.settled,
+        }
+    }
+}
+
+/// The edges from the source to a settled `target`, found by following
+/// `parent` back; `None` for an unsettled target or the source itself.
+fn trace_back(
+    graph: &RoadGraph,
+    settled: bool,
+    target: NodeId,
+    parent: impl Fn(NodeId) -> Option<EdgeId>,
+) -> Option<Path> {
+    if !settled {
+        return None;
+    }
+    let mut edges_rev = Vec::new();
+    let mut cur = target;
+    while let Some(e) = parent(cur) {
+        edges_rev.push(e);
+        cur = graph.edge(e).from;
+    }
+    edges_rev.reverse();
+    Path::from_edges(graph, edges_rev)
+}
+
 /// Result of a single-source Dijkstra run.
 pub struct DijkstraResult {
-    /// `dist[n]` is the cost of the cheapest path from the source to `n`,
-    /// or `f64::INFINITY` if unreachable.
+    /// `dist[n]` is the cheapest-path cost from the source for every
+    /// settled `n`. A node reached but not settled before an `until`
+    /// stop holds only a tentative upper bound; `f64::INFINITY` means
+    /// never reached.
     pub dist: Vec<f64>,
-    /// `parent_edge[n]` is the edge by which the cheapest path enters `n`.
+    /// `parent_edge[n]` is the edge by which the path `dist[n]` costs
+    /// enters `n`.
     pub parent_edge: Vec<Option<EdgeId>>,
+    settled: Vec<bool>,
 }
 
 impl DijkstraResult {
-    /// Reconstructs the cheapest path to `target`, if reachable.
+    /// Reconstructs the cheapest path to `target` if the run settled it.
+    /// A tree stopped at `until` answers only the nodes it settled: a
+    /// reached-but-unsettled node's tentative path need not be cheapest.
     pub fn path_to(&self, graph: &RoadGraph, target: NodeId) -> Option<Path> {
-        if !self.dist[target.index()].is_finite() {
-            return None;
-        }
-        let mut edges_rev = Vec::new();
-        let mut cur = target;
-        while let Some(e) = self.parent_edge[cur.index()] {
-            edges_rev.push(e);
-            cur = graph.edge(e).from;
-        }
-        if edges_rev.is_empty() {
-            return None; // target == source: no edges
-        }
-        edges_rev.reverse();
-        Path::from_edges(graph, edges_rev)
+        trace_back(graph, self.settled[target.index()], target, |n| {
+            self.parent_edge[n.index()]
+        })
     }
 }
 
@@ -64,37 +204,9 @@ pub fn shortest_path_tree(
     until: Option<NodeId>,
     cost: impl CostFn,
 ) -> DijkstraResult {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent_edge: Vec<Option<EdgeId>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(Reverse((key(0.0), source.0)));
-    while let Some(Reverse((_, node))) = heap.pop() {
-        let node = NodeId(node);
-        if settled[node.index()] {
-            continue;
-        }
-        settled[node.index()] = true;
-        if until == Some(node) {
-            break;
-        }
-        // A node's first pop is its lowest push, whose cost `dist` holds.
-        let d = dist[node.index()];
-        for &e in graph.out_edges(node) {
-            let edge = graph.edge(e);
-            let w = cost(e);
-            debug_assert!(w >= 0.0, "negative edge cost");
-            let nd = d + w;
-            if nd < dist[edge.to.index()] {
-                dist[edge.to.index()] = nd;
-                parent_edge[edge.to.index()] = Some(e);
-                heap.push(Reverse((key(nd), edge.to.0)));
-            }
-        }
-    }
-    DijkstraResult { dist, parent_edge }
+    let mut tree = ResumableTree::new(graph, source);
+    tree.settle(graph, until, cost);
+    tree.into_result()
 }
 
 /// Cheapest path from `from` to `to` under `cost`.
@@ -107,8 +219,8 @@ pub fn dijkstra_path(
     if from == to {
         return Err(RoadNetError::NoPath { from, to });
     }
-    let tree = shortest_path_tree(graph, from, Some(to), cost);
-    tree.path_to(graph, to)
+    ResumableTree::new(graph, from)
+        .path_to(graph, to, cost)
         .ok_or(RoadNetError::NoPath { from, to })
 }
 
@@ -189,7 +301,15 @@ mod tests {
                 }
             }
         }
-        DijkstraResult { dist, parent_edge }
+        DijkstraResult {
+            dist,
+            parent_edge,
+            settled,
+        }
+    }
+
+    fn bits(r: &DijkstraResult) -> Vec<u64> {
+        r.dist.iter().map(|d| d.to_bits()).collect()
     }
 
     /// Both kernels from a random source, exhaustive and with a random
@@ -200,7 +320,6 @@ mod tests {
         for until in [None, Some(NodeId(rng.random_range(0..n)))] {
             let got = shortest_path_tree(g, source, until, &cost);
             let want = reference_tree(g, source, until, &cost);
-            let bits = |r: &DijkstraResult| r.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&got),
                 bits(&want),
@@ -213,12 +332,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn integer_keyed_heap_matches_the_f64_heap_bit_for_bit() {
-        let mut rng = SmallRng::seed_from_u64(0x5EED_D1C5);
+    /// A resumed tree, asked a random sequence of destinations (repeats,
+    /// the source itself, unreachable nodes), answers every one like the
+    /// exhaustive tree. Its settled nodes carry the exhaustive tree's
+    /// `dist` bits and parents, and its whole state equals one run
+    /// stopped at the deepest destination asked.
+    fn assert_resuming_matches_exhaustive(
+        g: &RoadGraph,
+        rng: &mut SmallRng,
+        cost: impl CostFn,
+        what: &str,
+    ) {
+        let n = g.node_count() as u32;
+        let source = NodeId(rng.random_range(0..n));
+        let full = shortest_path_tree(g, source, None, &cost);
+        let unreachable: Vec<u32> = (0..n)
+            .filter(|&v| full.dist[v as usize].is_infinite())
+            .collect();
+        let mut tree = ResumableTree::new(g, source);
+        let mut asked: Vec<NodeId> = Vec::new();
+        for _ in 0..rng.random_range(1..8usize) {
+            let t = match rng.random_range(0..5u32) {
+                0 => source,
+                1 if !asked.is_empty() => asked[rng.random_range(0..asked.len())],
+                2 if !unreachable.is_empty() => {
+                    NodeId(unreachable[rng.random_range(0..unreachable.len())])
+                }
+                _ => NodeId(rng.random_range(0..n)),
+            };
+            asked.push(t);
+            assert_eq!(
+                tree.path_to(g, t, &cost),
+                full.path_to(g, t),
+                "{what}: from {source:?} to {t:?} after {asked:?}"
+            );
+            assert_eq!(
+                tree.distance(t).map(f64::to_bits),
+                full.dist[t.index()]
+                    .is_finite()
+                    .then(|| full.dist[t.index()].to_bits()),
+                "{what}: distance to {t:?}"
+            );
+        }
+        for v in g.nodes() {
+            if let Some(d) = tree.distance(v) {
+                assert_eq!(d.to_bits(), full.dist[v.index()].to_bits(), "{what}: {v:?}");
+                assert_eq!(
+                    tree.parent_edge(v),
+                    full.parent_edge[v.index()],
+                    "{what}: {v:?}"
+                );
+            }
+        }
+        // An unreachable destination exhausts the search; otherwise it
+        // paused at the destination whose one-shot run settles the most
+        // nodes. (Zero-cost edges can settle a lower node id later at an
+        // equal cost, so settle order is not simply (cost, node id).)
+        let deepest = if asked.iter().any(|t| full.dist[t.index()].is_infinite()) {
+            None
+        } else {
+            asked.iter().copied().max_by_key(|&t| {
+                let once = shortest_path_tree(g, source, Some(t), &cost);
+                once.settled.iter().filter(|&&s| s).count()
+            })
+        };
+        let once = shortest_path_tree(g, source, deepest, &cost);
+        let resumed = tree.into_result();
+        assert_eq!(
+            bits(&resumed),
+            bits(&once),
+            "{what}: dist until {deepest:?}"
+        );
+        assert_eq!(resumed.parent_edge, once.parent_edge, "{what}: parents");
+        assert_eq!(resumed.settled, once.settled, "{what}: settled set");
+    }
+
+    /// The three city presets at random seeds, under distance, time and
+    /// integer-valued (tie-heavy) costs, then small synthetic multigraphs
+    /// (parallel edges, unreachable nodes, costs drawn from zero, -0.0,
+    /// small integers and fractions), each handed to `check`.
+    fn for_random_graphs(
+        seed: u64,
+        mut check: impl FnMut(&RoadGraph, &mut SmallRng, &dyn Fn(EdgeId) -> f64, &str),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
         let mut graphs = 0;
-        // The three city presets at random seeds, under distance, time
-        // and integer-valued (tie-heavy) costs.
         for i in 0..60 {
             let params = [
                 CityParams::small(),
@@ -233,13 +431,11 @@ mod tests {
                 .map(|_| rng.random_range(0..4u32) as f64)
                 .collect();
             let what = format!("preset {i} seed {seed}");
-            assert_kernels_agree(&g, &mut rng, distance_cost(&g), &what);
-            assert_kernels_agree(&g, &mut rng, time_cost(&g), &what);
-            assert_kernels_agree(&g, &mut rng, |e: EdgeId| ties[e.index()], &what);
+            check(&g, &mut rng, &distance_cost(&g), &what);
+            check(&g, &mut rng, &time_cost(&g), &what);
+            check(&g, &mut rng, &|e: EdgeId| ties[e.index()], &what);
             graphs += 1;
         }
-        // Small synthetic multigraphs: parallel edges, unreachable nodes,
-        // and costs drawn from zero, -0.0, small integers and fractions.
         for i in 0..150 {
             let mut b = RoadGraphBuilder::new();
             let n = rng.random_range(1..40u32);
@@ -270,16 +466,59 @@ mod tests {
             }
             let g = b.build();
             for _ in 0..4 {
-                assert_kernels_agree(
+                check(
                     &g,
                     &mut rng,
-                    |e: EdgeId| costs[e.index()],
+                    &|e: EdgeId| costs[e.index()],
                     &format!("synthetic {i}"),
                 );
             }
             graphs += 1;
         }
         assert!(graphs >= 200);
+    }
+
+    #[test]
+    fn resuming_over_any_destination_order_matches_the_exhaustive_tree() {
+        for_random_graphs(0x5EED_2E5E, |g, rng, cost, what| {
+            assert_resuming_matches_exhaustive(g, rng, cost, what)
+        });
+    }
+
+    /// s→a costs 1, s→t 5, a→t 1. Stopped at `a`, the tree has reached
+    /// `t` only through the dear direct edge; it must not answer `t`
+    /// with it.
+    #[test]
+    fn a_stopped_tree_answers_only_the_nodes_it_settled() {
+        let mut b = RoadGraphBuilder::new();
+        let s = b.add_node(Point::new(0.0, 0.0));
+        let a = b.add_node(Point::new(1.0, 0.0));
+        let t = b.add_node(Point::new(2.0, 0.0));
+        for (from, to) in [(s, a), (s, t), (a, t)] {
+            b.add_edge(from, to, RoadClass::Local, false, None).unwrap();
+        }
+        let g = b.build();
+        let costs = [1.0, 5.0, 1.0];
+        let cost = |e: EdgeId| costs[e.index()];
+        let full = shortest_path_tree(&g, s, None, cost);
+        let cheapest = full.path_to(&g, t).unwrap();
+        assert_eq!(cheapest.nodes(), &[s, a, t]);
+        let stopped = shortest_path_tree(&g, s, Some(a), cost);
+        assert_eq!(stopped.path_to(&g, a), full.path_to(&g, a));
+        assert_eq!(stopped.path_to(&g, t), None, "t was reached, not settled");
+        // Resuming past the stop answers `t` with the cheapest path.
+        let mut tree = ResumableTree::new(&g, s);
+        assert_eq!(tree.path_to(&g, a, cost), full.path_to(&g, a));
+        assert_eq!(tree.distance(t), None);
+        assert_eq!(tree.path_to(&g, t, cost), Some(cheapest));
+        assert_eq!(tree.distance(t), Some(2.0));
+    }
+
+    #[test]
+    fn integer_keyed_heap_matches_the_f64_heap_bit_for_bit() {
+        for_random_graphs(0x5EED_D1C5, |g, rng, cost, what| {
+            assert_kernels_agree(g, rng, cost, what)
+        });
     }
 
     /// Diamond where the top branch is shorter but the bottom branch is

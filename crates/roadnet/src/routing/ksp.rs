@@ -7,7 +7,7 @@
 use crate::error::RoadNetError;
 use crate::graph::{EdgeId, NodeId, RoadGraph};
 use crate::path::Path;
-use crate::routing::dijkstra::CostFn;
+use crate::routing::dijkstra::{CostFn, ResumableTree};
 use std::collections::BinaryHeap;
 
 /// Candidate path in Yen's B-heap, ordered by cost (min first).
@@ -39,7 +39,8 @@ impl PartialOrd for Candidate {
 }
 
 /// Dijkstra restricted to a node/edge mask. Returns the cheapest masked
-/// path from `from` to `to`, if any.
+/// path from `from` to `to`, if any. A masked edge costs infinity, which
+/// never relaxes anything.
 fn masked_dijkstra(
     graph: &RoadGraph,
     from: NodeId,
@@ -48,53 +49,16 @@ fn masked_dijkstra(
     banned_nodes: &[bool],
     banned_edges: &[bool],
 ) -> Option<(f64, Path)> {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<EdgeId>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-    // Order by cost bits for a lean heap: costs are non-negative finite, so
-    // the IEEE bit pattern of an f64 preserves order.
-    let key = |c: f64| c.to_bits();
-    dist[from.index()] = 0.0;
-    heap.push(std::cmp::Reverse((key(0.0), from.0)));
-    while let Some(std::cmp::Reverse((_, node))) = heap.pop() {
-        let node = NodeId(node);
-        if settled[node.index()] {
-            continue;
+    let mut tree = ResumableTree::new(graph, from);
+    let path = tree.path_to(graph, to, |e: EdgeId| {
+        let head = graph.edge(e).to;
+        if banned_edges[e.index()] || (banned_nodes[head.index()] && head != to) {
+            f64::INFINITY
+        } else {
+            cost(e)
         }
-        settled[node.index()] = true;
-        if node == to {
-            break;
-        }
-        for &e in graph.out_edges(node) {
-            if banned_edges[e.index()] {
-                continue;
-            }
-            let edge = graph.edge(e);
-            if banned_nodes[edge.to.index()] && edge.to != to {
-                continue;
-            }
-            let nd = dist[node.index()] + cost(e);
-            if nd < dist[edge.to.index()] {
-                dist[edge.to.index()] = nd;
-                parent[edge.to.index()] = Some(e);
-                heap.push(std::cmp::Reverse((key(nd), edge.to.0)));
-            }
-        }
-    }
-    if !dist[to.index()].is_finite() {
-        return None;
-    }
-    let mut edges_rev = Vec::new();
-    let mut cur = to;
-    while let Some(e) = parent[cur.index()] {
-        edges_rev.push(e);
-        cur = graph.edge(e).from;
-    }
-    edges_rev.reverse();
-    let path = Path::from_edges(graph, edges_rev)?;
-    Some((dist[to.index()], path))
+    })?;
+    Some((tree.distance(to)?, path))
 }
 
 /// Computes up to `k` cheapest simple paths from `from` to `to`.

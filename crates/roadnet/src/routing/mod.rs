@@ -1,7 +1,9 @@
 //! Routing algorithms over the road graph.
 //!
 //! * [`dijkstra`] — generic single-source shortest path with a pluggable
-//!   edge-cost function (distance, travel time, or any latent utility).
+//!   edge-cost function (distance, travel time, or any latent utility),
+//!   including a [`ResumableTree`] that settles only as far as the
+//!   targets asked for so far.
 //! * [`astar`] — goal-directed search with a Euclidean admissible heuristic,
 //!   used by the simulated web services where point-to-point queries
 //!   dominate.
@@ -13,7 +15,7 @@ pub mod dijkstra;
 pub mod ksp;
 
 pub use astar::astar_path;
-pub use dijkstra::{dijkstra_path, shortest_path_tree, CostFn, DijkstraResult};
+pub use dijkstra::{dijkstra_path, shortest_path_tree, CostFn, DijkstraResult, ResumableTree};
 pub use ksp::k_shortest_paths;
 
 use crate::graph::{EdgeId, RoadGraph};

@@ -1,34 +1,38 @@
 //! The cross-batch mining-artifact cache.
 //!
-//! PR 4's fused mining made the miss path O(distinct origin cells) per
-//! batch — but every batch still redid the all-day multi-target
-//! expansion (MPR popularity tree, LDR locality scan and habit trees)
-//! for an origin it expanded milliseconds earlier in a previous batch
-//! or under a different time bucket. [`MiningArtifactCache`] closes
-//! that gap: a bounded, per-city LRU of
-//! [`OriginArtifacts`] keyed by **origin
-//! grid cell** (the same coordinate the platform batcher coalesces on),
-//! plus an LRU of period-filtered transfer networks keyed by canonical
-//! departure, sized by the owner to hold one day of them — so a new
-//! batch skips the expensive expansions entirely whenever a recent batch
-//! already produced them. A cached period network also carries MFP's
-//! per-edge costs once its first origin has expanded over it.
+//! Fused mining makes the miss path O(distinct origin cells) per batch,
+//! but without a cache every batch would redo an origin's mining state
+//! (LDR locality scan, and the MPR, MFP, habit and fastest searches)
+//! that a previous batch or another time bucket built milliseconds
+//! earlier. [`MiningArtifactCache`] closes that gap: a bounded, per-city
+//! LRU of [`OriginArtifacts`] keyed by **origin grid cell** (the same
+//! coordinate the platform batcher coalesces on), plus an LRU of
+//! period-filtered transfer networks keyed by canonical departure,
+//! sized by the owner to hold one day of them. A cached artifact's
+//! searches are resumable: they settle only as far as the destinations
+//! served so far, and a later destination resumes where the last one
+//! paused. A cached period network also carries MFP's per-edge costs
+//! once its first origin has searched over it.
 //!
 //! Entries are **generation-versioned** against the owning
 //! [`World`]'s mining state: a
 //! [`World::bump_generation`](crate::World::bump_generation) (future
 //! trip ingestion, parameter mutation) makes every older entry a miss,
-//! so mutation invalidates cleanly instead of serving stale expansions.
+//! so mutation invalidates cleanly instead of serving stale searches.
+//! The tag also keeps each search resuming under the costs it started
+//! with: an artifact and the period networks it is queried with are
+//! always read at one generation.
 //! Hits, misses and evictions are counted in
 //! [`ServiceStats`] (`artifact_hits`,
 //! `artifact_misses`, `artifact_evictions`) and guarded by
 //! [`StatsSnapshot::is_consistent`](crate::StatsSnapshot::is_consistent).
 //!
 //! Concurrency: lookups and inserts hold a mutex only around map
-//! operations — never while expanding. Two workers missing the same
-//! origin simultaneously may both build it; the artifacts are
+//! operations — never while building or searching. Two workers missing
+//! the same origin simultaneously may both build it; the artifacts are
 //! byte-identical by construction, so the first insert wins and the
-//! loser's build is used once and dropped. Across generations, newer
+//! loser's build is used once and dropped. Workers sharing one artifact
+//! resume its searches one at a time, each search behind its own mutex. Across generations, newer
 //! always outranks older: a slow build from a superseded generation is
 //! never stored (and can never evict a fresher entry).
 
@@ -46,7 +50,7 @@ use std::sync::{Arc, Mutex};
 pub(crate) const ORIGIN_CELLS: usize = 256;
 
 /// Most distinct origin *nodes* kept per origin-cell key. Several
-/// intersections can share a grid cell; each holds its own expansion,
+/// intersections can share a grid cell; each holds its own artifacts,
 /// bounded FIFO so aliasing origins cannot thrash-evict each other.
 const NODES_PER_CELL: usize = 4;
 
@@ -96,7 +100,7 @@ impl MiningArtifactCache {
         &self.locks
     }
 
-    /// Drops every cached expansion (used when a city is offboarded and
+    /// Drops every cached artifact (used when a city is offboarded and
     /// its memory should be reclaimed promptly). Not counted as
     /// evictions: nothing can look the entries up again.
     pub fn clear(&self) {
@@ -106,8 +110,8 @@ impl MiningArtifactCache {
 
     /// The artifacts for `origin` (living in grid cell `cell`) at the
     /// world's current generation: a cached entry when a recent batch
-    /// already expanded this origin, a fresh build otherwise. The
-    /// expansion runs outside the cache lock.
+    /// already built this origin's artifacts, a fresh build otherwise.
+    /// The build runs outside the cache lock.
     pub(crate) fn origin_artifacts(
         &self,
         world: &World,
@@ -129,8 +133,8 @@ impl MiningArtifactCache {
         stats.inc_artifact_misses();
         let built = Arc::new(world.origin_artifacts(origin));
         // Store only while the build is still current: if the world's
-        // generation moved past `generation` during the (slow)
-        // expansion, this build is already stale — using it once is
+        // generation moved past `generation` during the build, this
+        // build is already stale — using it once is
         // fine (it was byte-correct for the inputs this caller read),
         // but caching it would evict a fresher entry a faster worker
         // may have inserted at the new generation.
@@ -170,7 +174,7 @@ impl MiningArtifactCache {
     /// The period-filtered transfer network for `departure` at the
     /// world's current generation (cached or freshly aggregated). Not
     /// counted in the artifact hit/miss statistics — those track the
-    /// per-origin expansions the cache exists to skip. Stored under the
+    /// per-origin artifacts the cache exists to share. Stored under the
     /// same rule as [`Self::origin_artifacts`]: only while the build is
     /// current, and never over a newer-generation entry.
     pub(crate) fn period_network(

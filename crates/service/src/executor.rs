@@ -662,6 +662,8 @@ impl RouteService {
                 pending[p].candidates = Some(cp_mining::candidates_from_artifacts(
                     graph,
                     self.world.trips(),
+                    self.world.transfer_network(),
+                    &self.world.mpr,
                     &self.world.mfp,
                     &self.world.ldr,
                     art,

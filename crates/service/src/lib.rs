@@ -37,8 +37,8 @@
 //!   per-city plus exact aggregate statistics, and graceful draining
 //!   [`Platform::shutdown`];
 //! * [`MiningArtifactCache`] — the **cross-batch mining-reuse layer**:
-//!   a bounded, generation-versioned per-city LRU of all-day per-origin
-//!   expansions ([`cp_mining::OriginArtifacts`]) plus period transfer
+//!   a bounded, generation-versioned per-city LRU of per-origin
+//!   resumable searches ([`cp_mining::OriginArtifacts`]) plus period transfer
 //!   networks, letting a batch skip mining work a recent batch — in any
 //!   time bucket — already did (`artifact_hits` in [`StatsSnapshot`]);
 //! * [`FlightTable`] — single-flight deduplication of identical

@@ -90,9 +90,9 @@ pub struct ServiceStats {
     /// fused-mining ratio).
     fused_mined_ods: AtomicU64,
     /// Mining-artifact cache hits (a batch reused another batch's
-    /// all-day origin expansion).
+    /// origin artifacts).
     artifact_hits: AtomicU64,
-    /// Mining-artifact cache misses (origin expansion computed).
+    /// Mining-artifact cache misses (origin artifacts built).
     artifact_misses: AtomicU64,
     /// Origin artifacts dropped from the cache (capacity, per-cell
     /// aliasing, or generation invalidation).
@@ -343,12 +343,12 @@ pub struct StatsSnapshot {
     /// in `cache_misses`, so the fused share of all mining is
     /// [`StatsSnapshot::fused_mining_ratio`].
     pub fused_mined_ods: u64,
-    /// Mining-artifact cache hits: a mining pass reused an all-day
-    /// origin expansion (MPR tree, LDR locality scan and memos) that an
-    /// earlier batch — possibly in a different time bucket — already
-    /// produced.
+    /// Mining-artifact cache hits: a mining pass reused origin
+    /// artifacts (LDR locality scan and the searches settled so far)
+    /// that an earlier batch — possibly in a different time bucket —
+    /// already produced.
     pub artifact_hits: u64,
-    /// Mining-artifact cache misses: the origin expansion was computed
+    /// Mining-artifact cache misses: the origin artifacts were built
     /// (and, when the cache is enabled, stored for later batches).
     pub artifact_misses: u64,
     /// Origin artifacts dropped from the cache: LRU capacity, per-cell
@@ -389,8 +389,8 @@ impl StatsSnapshot {
     }
 
     /// Mining-artifact cache hit rate over all origin-artifact lookups
-    /// (how often a batch skipped the all-day origin expansion because a
-    /// recent batch already produced it).
+    /// (how often a batch reused origin artifacts because a recent batch
+    /// already produced them).
     pub fn artifact_hit_rate(&self) -> f64 {
         let total = self.artifact_hits + self.artifact_misses;
         if total == 0 {

@@ -167,20 +167,13 @@ impl World {
         )
     }
 
-    /// Builds the time-invariant mining artifacts for one origin (full
-    /// MPR popularity expansion + LDR locality scan, with lazy habit /
-    /// fastest / per-period memos) — the expensive expansion the
-    /// serving layer's artifact cache shares across buckets and
-    /// batches.
+    /// Builds the time-invariant mining artifacts for one origin: the
+    /// LDR locality scan, plus MPR, MFP, habit and fastest searches that
+    /// start on first use and settle only as far as the destinations
+    /// served. The serving layer's artifact cache shares them across
+    /// buckets and batches.
     pub fn origin_artifacts(&self, origin: NodeId) -> OriginArtifacts {
-        OriginArtifacts::build(
-            &self.graph,
-            &self.trips,
-            &self.transfer,
-            &self.mpr,
-            &self.ldr,
-            origin,
-        )
+        OriginArtifacts::build(&self.graph, &self.trips, &self.ldr, origin)
     }
 
     /// Builds the period-filtered transfer network for `departure`
@@ -252,6 +245,8 @@ mod tests {
             let got = cp_mining::candidates_from_artifacts(
                 world.graph(),
                 world.trips(),
+                world.transfer_network(),
+                &world.mpr,
                 &world.mfp,
                 &world.ldr,
                 &art,
