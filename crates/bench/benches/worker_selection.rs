@@ -1,10 +1,13 @@
 //! Micro-benchmarks of the worker-selection pipeline: PMF fitting,
-//! Gaussian accumulation, and the full knowledge-model build.
+//! Gaussian accumulation, and the full knowledge-model build, both from
+//! scratch and over a warm `KnowledgeBasis` (what a planner pays per
+//! rebuild).
 
 use cp_core::worker_selection::{
-    accumulate_scores, observed_matrix, KnowledgeModel, PmfModel, PmfParams,
+    accumulate_scores, observed_matrix, KnowledgeBasis, KnowledgeModel, PmfModel, PmfParams,
 };
 use cp_core::Config;
+use cp_crowd::CrowdObserve;
 use criterion::{criterion_group, criterion_main, Criterion};
 use crowdplanner::sim::{Scale, SimWorld};
 use std::hint::black_box;
@@ -33,6 +36,13 @@ fn bench_worker_selection(c: &mut Criterion) {
     });
     group.bench_function("knowledge_model_full", |bench| {
         bench.iter(|| KnowledgeModel::build(black_box(&platform), &world.landmarks, &cfg))
+    });
+    let basis = KnowledgeBasis::new(platform.population(), &world.landmarks, cfg.eta_dis);
+    group.bench_function("knowledge_model_warm_basis", |bench| {
+        bench.iter(|| {
+            let (_, histories) = black_box(&platform).history_snapshot();
+            basis.model(&histories, &cfg)
+        })
     });
     group.finish();
 }

@@ -48,5 +48,5 @@ pub use taskgen::{
 pub use truth::{grid_cell, TruthEntry, TruthGrid, TruthStore, DEFAULT_BUCKET_S, DEFAULT_CELL_M};
 pub use worker_selection::{
     accumulate_scores, familiarity_score, observed_matrix, profile_familiarity, select_workers,
-    DenseMatrix, KnowledgeModel, PmfModel, PmfParams, SparseObservations,
+    DenseMatrix, KnowledgeBasis, KnowledgeModel, PmfModel, PmfParams, SparseObservations,
 };

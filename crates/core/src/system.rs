@@ -39,7 +39,7 @@ use crate::reward::{reward_for, Participation};
 use crate::route::LandmarkRoute;
 use crate::taskgen::{generate_task, SelectionAlgorithm, Task};
 use crate::truth::{TruthEntry, TruthStore};
-use crate::worker_selection::{select_workers_scored, KnowledgeModel};
+use crate::worker_selection::{select_workers_scored, KnowledgeBasis, KnowledgeModel};
 use cp_crowd::{CrowdDesk, Reservation};
 use cp_mining::{
     distinct_candidates, generate_candidates, LdrParams, MfpParams, MprParams, SourceKind,
@@ -133,9 +133,13 @@ pub struct CrowdPlanner {
     /// store batch-evicts oldest-first. Resident serving pools set this
     /// so long-lived per-worker planners cannot grow without bound.
     truth_cap: usize,
-    /// Cached knowledge model, keyed by the desk's answer-history
-    /// generation: any new answer (this planner's or a concurrent
-    /// sibling's) invalidates it.
+    /// The history-independent half of every knowledge build (profile
+    /// terms, neighbourhood weights), computed on the first build and
+    /// reused by every rebuild.
+    basis: Option<KnowledgeBasis>,
+    /// Cached knowledge model, tagged with the generation of the history
+    /// snapshot it was built from: any new answer (this planner's or a
+    /// concurrent sibling's) invalidates it.
     knowledge: Option<(u64, KnowledgeModel)>,
     cfg: Config,
     calibration: CalibrationParams,
@@ -209,6 +213,7 @@ impl CrowdPlanner {
             desk,
             truths: TruthStore::new(),
             truth_cap: 0,
+            basis: None,
             knowledge: None,
             cfg,
             calibration: CalibrationParams::default(),
@@ -291,7 +296,12 @@ impl CrowdPlanner {
 
     /// Lazily (re)builds the worker-knowledge model. Invalidated whenever
     /// the desk's answer history moves (this planner's asks or a
-    /// concurrent sibling's).
+    /// concurrent sibling's). A rebuild reads the history through one
+    /// [`CrowdObserve::history_snapshot`](cp_crowd::CrowdObserve::history_snapshot)
+    /// and tags the model with that snapshot's generation, so the cached
+    /// model always belongs to exactly the generation it claims, however
+    /// many answers land while it is built. Only the history-dependent
+    /// half is redone: the [`KnowledgeBasis`] is built once.
     pub fn knowledge_model(&mut self) -> &KnowledgeModel {
         let generation = self.desk.generation();
         let stale = self
@@ -299,10 +309,11 @@ impl CrowdPlanner {
             .as_ref()
             .is_none_or(|(g, _)| *g != generation);
         if stale {
-            self.knowledge = Some((
-                generation,
-                KnowledgeModel::build(&*self.desk, &self.landmarks, &self.cfg),
-            ));
+            let (generation, histories) = self.desk.history_snapshot();
+            let basis = self.basis.get_or_insert_with(|| {
+                KnowledgeBasis::new(self.desk.population(), &self.landmarks, self.cfg.eta_dis)
+            });
+            self.knowledge = Some((generation, basis.model(&histories, &self.cfg)));
         }
         &self.knowledge.as_ref().expect("just built").1
     }
@@ -700,7 +711,8 @@ impl CrowdPlanner {
 mod tests {
     use super::*;
     use cp_crowd::{
-        AnswerModel, CrowdObserve, Platform, PopulationParams, SharedCrowd, WorkerPopulation,
+        AnswerModel, AnswerRecord, AnswerTally, CrowdObserve, CrowdState, Platform,
+        PopulationParams, SharedCrowd, WorkerId, WorkerPopulation,
     };
     use cp_roadnet::{generate_city, generate_landmarks, CityParams, LandmarkGenParams};
     use cp_traj::{
@@ -953,6 +965,143 @@ mod tests {
             cp.truths().len() <= 4,
             "cap must bound the private store: {}",
             cp.truths().len()
+        );
+    }
+
+    /// A desk whose history moves under a per-worker reader: every
+    /// `worker_history` call is followed by one answer from the next
+    /// worker, as if a sibling planner's ask landed between two rows.
+    /// Its bulk snapshot is the shared desk's single-lock one.
+    struct TearingDesk {
+        inner: Arc<SharedCrowd>,
+        landmarks: u32,
+    }
+
+    impl CrowdObserve for TearingDesk {
+        fn population(&self) -> &WorkerPopulation {
+            self.inner.population()
+        }
+
+        fn worker_history(&self, worker: WorkerId) -> Vec<(LandmarkId, AnswerTally)> {
+            let row = self.inner.worker_history(worker);
+            let next = WorkerId((worker.0 + 1) % self.population().len() as u32);
+            self.inner.apply_answer(&AnswerRecord {
+                worker: next,
+                landmark: LandmarkId(worker.0 * 7 % self.landmarks),
+                correct: true,
+                response_time: 60.0,
+                generation: self.inner.generation() + 1,
+            });
+            row
+        }
+
+        fn history_snapshot(&self) -> (u64, Vec<Vec<(LandmarkId, AnswerTally)>>) {
+            self.inner.history_snapshot()
+        }
+
+        fn response_times(&self, worker: WorkerId) -> Vec<f64> {
+            self.inner.response_times(worker)
+        }
+
+        fn outstanding(&self, worker: WorkerId) -> u32 {
+            self.inner.outstanding(worker)
+        }
+
+        fn points(&self, worker: WorkerId) -> f64 {
+            self.inner.points(worker)
+        }
+
+        fn generation(&self) -> u64 {
+            self.inner.generation()
+        }
+    }
+
+    impl CrowdDesk for TearingDesk {
+        fn max_outstanding(&self) -> u32 {
+            self.inner.max_outstanding()
+        }
+
+        fn try_reserve(&self, worker: WorkerId) -> Result<(), cp_crowd::QuotaExhausted> {
+            self.inner.try_reserve(worker)
+        }
+
+        fn ask(
+            &self,
+            worker: WorkerId,
+            landmark: &cp_roadnet::Landmark,
+            truth: bool,
+        ) -> (bool, f64) {
+            self.inner.ask(worker, landmark, truth)
+        }
+
+        fn award(&self, worker: WorkerId, points: f64) {
+            self.inner.award(worker, points)
+        }
+
+        fn commit(&self, worker: WorkerId) {
+            self.inner.commit(worker)
+        }
+
+        fn release(&self, worker: WorkerId) {
+            self.inner.release(worker)
+        }
+
+        fn desk_stats(&self) -> cp_crowd::DeskStats {
+            self.inner.desk_stats()
+        }
+    }
+
+    /// The cached knowledge model must be the model of the generation it
+    /// is tagged with, even when answers land mid-build. Reading the
+    /// history one worker at a time (and the generation before that)
+    /// built a model from a mix of states under an older tag.
+    #[test]
+    fn cached_knowledge_matches_its_tagged_generation_under_concurrent_answers() {
+        let w = world(109);
+        let cfg = Config::default();
+        let shared = Arc::new(SharedCrowd::new(warmed_platform(&w, 109), cfg.eta_quota));
+        let desk = Arc::new(TearingDesk {
+            inner: Arc::clone(&shared),
+            landmarks: w.landmarks.len() as u32,
+        });
+        let mut planner = planner_with_desk(&w, desk, cfg.clone());
+        let built = planner.knowledge_model().clone();
+        let tag = planner.knowledge.as_ref().expect("built").0;
+        // An identically seeded platform is the desk at its starting
+        // generation, the one state a snapshot taken before any answer
+        // can see.
+        let mut at_tag = warmed_platform(&w, 109);
+        assert_eq!(
+            tag,
+            at_tag.generation(),
+            "tagged with the generation the model was built from \
+             (the desk is now at {})",
+            shared.generation()
+        );
+        let expected = KnowledgeModel::build(&at_tag, &w.landmarks, &cfg);
+        let bits = |k: &KnowledgeModel| -> Vec<u64> {
+            (0..k.accumulated.rows())
+                .flat_map(|r| k.accumulated.row(r).iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&built), bits(&expected));
+        // A later answer invalidates the cache; the rebuild is tagged with
+        // (and built from) the new generation.
+        let next = at_tag.generation() + 1;
+        let record = AnswerRecord {
+            worker: WorkerId(0),
+            landmark: LandmarkId(0),
+            correct: true,
+            response_time: 60.0,
+            generation: next,
+        };
+        shared.apply_answer(&record);
+        at_tag.apply_answer(record.worker, record.landmark, true, 60.0, next);
+        let rebuilt = planner.knowledge_model().clone();
+        assert_eq!(planner.knowledge.as_ref().expect("built").0, next);
+        assert_eq!(
+            bits(&rebuilt),
+            bits(&KnowledgeModel::build(&at_tag, &w.landmarks, &cfg))
         );
     }
 

@@ -20,6 +20,15 @@
 //! time over a landmark-major copy of `M'`, adding term after term into
 //! a per-worker column, which keeps each sum's order while letting the
 //! inner loop run across workers (and vectorise).
+//!
+//! Like the PMF epoch loop, the column kernel is compiled twice, once for
+//! the baseline target and once with AVX2, and the CPU picks at run time;
+//! the twins add the same terms in the same order, so they agree bit for
+//! bit (the `pmf` module docs explain why, and why FMA stays off). The
+//! neighbourhoods and their Gaussian weights depend only on the landmarks
+//! and η_dis, so a [`KnowledgeBasis`] computes them once per planner.
+//!
+//! [`KnowledgeBasis`]: crate::worker_selection::KnowledgeBasis
 
 use crate::worker_selection::matrix::DenseMatrix;
 use cp_roadnet::LandmarkSet;
@@ -33,9 +42,17 @@ pub fn accumulate_scores(
     eta_dis: f64,
 ) -> DenseMatrix {
     assert_eq!(densified.cols(), landmarks.len(), "one column per landmark");
+    accumulate_columns(&neighbourhoods(landmarks, eta_dis), densified)
+}
+
+/// Per target landmark `lⱼ`, its `(l, δ_l)` terms in the order
+/// [`LandmarkSet::within_radius`] lists them. Depends only on the
+/// landmarks and η_dis, so a [`KnowledgeBasis`] computes it once.
+///
+/// [`KnowledgeBasis`]: crate::worker_selection::KnowledgeBasis
+pub(crate) fn neighbourhoods(landmarks: &LandmarkSet, eta_dis: f64) -> Vec<Vec<(usize, f64)>> {
     let sigma0 = eta_dis / 3.0;
-    // Per target landmark, its neighbourhood and weights.
-    let neighbourhoods: Vec<Vec<(usize, f64)>> = landmarks
+    landmarks
         .iter()
         .map(|lj| {
             landmarks
@@ -47,16 +64,28 @@ pub fn accumulate_scores(
                 })
                 .collect()
         })
-        .collect();
-    accumulate_columns(&neighbourhoods, densified)
+        .collect()
 }
 
 /// `out[w][j] = Σ δ · densified[w][l]` over `neighbourhoods[j]`'s
-/// `(l, δ)` terms, added in the listed order (see the module docs).
-fn accumulate_columns(
+/// `(l, δ)` terms, added in the listed order (see the module docs), on
+/// the widest kernel twin the CPU runs.
+pub(crate) fn accumulate_columns(
     neighbourhoods: &[Vec<(usize, f64)>],
     densified: &DenseMatrix,
 ) -> DenseMatrix {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        return unsafe { accumulate_columns_avx2(neighbourhoods, densified) };
+    }
+    accumulate_columns_portable(neighbourhoods, densified)
+}
+
+/// The column kernel behind both twins. Always inlined, so each twin
+/// compiles it for its own instruction set.
+#[inline(always)]
+fn columns(neighbourhoods: &[Vec<(usize, f64)>], densified: &DenseMatrix) -> DenseMatrix {
     let n = densified.rows();
     let m = densified.cols();
     // Landmark-major copy of `M'`: `by_landmark[l * n + w]`.
@@ -80,6 +109,28 @@ fn accumulate_columns(
         }
     }
     out
+}
+
+/// [`columns`] for the build's baseline instruction set.
+#[inline(never)]
+fn accumulate_columns_portable(
+    neighbourhoods: &[Vec<(usize, f64)>],
+    densified: &DenseMatrix,
+) -> DenseMatrix {
+    columns(neighbourhoods, densified)
+}
+
+/// [`columns`] compiled for AVX2 (and never FMA, which would fuse
+/// `acc + δ · f` into one rounding; see the `pmf` module docs). Callers
+/// must first check that the CPU has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn accumulate_columns_avx2(
+    neighbourhoods: &[Vec<(usize, f64)>],
+    densified: &DenseMatrix,
+) -> DenseMatrix {
+    columns(neighbourhoods, densified)
 }
 
 #[cfg(test)]
@@ -173,10 +224,32 @@ mod tests {
             .collect()
     }
 
+    /// An accumulation column kernel.
+    type Kernel = fn(&[Vec<(usize, f64)>], &DenseMatrix) -> DenseMatrix;
+
+    /// The column kernel twins this host can run, by name.
+    fn kernel_twins() -> Vec<(&'static str, Kernel)> {
+        let mut twins: Vec<(_, Kernel)> = vec![("portable", accumulate_columns_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            twins.push(("avx2", |hoods, dense| unsafe {
+                accumulate_columns_avx2(hoods, dense)
+            }));
+        }
+        twins
+    }
+
     #[test]
     fn column_kernel_matches_the_scalar_loop_bit_for_bit() {
         use rand::rngs::SmallRng;
         use rand::{RngExt, SeedableRng};
+        let twins = kernel_twins();
+        let names: Vec<&str> = twins.iter().map(|&(name, _)| name).collect();
+        println!("accumulation column kernel twins compared against the scalar loop: {names:?}");
+        if names.len() == 1 {
+            println!("accumulation: this host lacks AVX2, so the avx2 twin was skipped");
+        }
         let mut rng = SmallRng::seed_from_u64(0xACC);
         for case in 0..240 {
             let n = rng.random_range(0..24usize);
@@ -209,11 +282,19 @@ mod tests {
                         .collect(),
                 })
                 .collect();
+            let reference = bits(&reference_accumulate(&hoods, &dense));
             assert_eq!(
                 bits(&accumulate_columns(&hoods, &dense)),
-                bits(&reference_accumulate(&hoods, &dense)),
+                reference,
                 "case {case}: n {n} m {m}"
             );
+            for &(name, kernel) in &twins {
+                assert_eq!(
+                    bits(&kernel(&hoods, &dense)),
+                    reference,
+                    "{name} twin, case {case}: n {n} m {m}"
+                );
+            }
         }
     }
 

@@ -14,9 +14,8 @@
 
 use crate::config::Config;
 use crate::worker_selection::matrix::SparseObservations;
-use cp_crowd::Worker;
-use cp_crowd::{AnswerTally, CrowdObserve};
-use cp_roadnet::{Landmark, LandmarkSet};
+use cp_crowd::{AnswerTally, CrowdObserve, Worker, WorkerPopulation};
+use cp_roadnet::{Landmark, LandmarkId, LandmarkSet};
 
 /// Profile-only familiarity term in `[0, 1]`.
 pub fn profile_familiarity(worker: &Worker, landmark: &Landmark, eta_dis: f64) -> f64 {
@@ -42,8 +41,18 @@ pub fn familiarity_score(
     tally: AnswerTally,
     cfg: &Config,
 ) -> f64 {
-    cfg.alpha * profile_familiarity(worker, landmark, cfg.eta_dis)
-        + (1.0 - cfg.alpha) * history_familiarity(tally, cfg.beta)
+    combine(
+        profile_familiarity(worker, landmark, cfg.eta_dis),
+        tally,
+        cfg,
+    )
+}
+
+/// `α·p + (1−α)·h`: the one place the two terms meet, so the scalar
+/// score and the sparse merge cannot drift.
+#[inline]
+fn combine(profile: f64, tally: AnswerTally, cfg: &Config) -> f64 {
+    cfg.alpha * profile + (1.0 - cfg.alpha) * history_familiarity(tally, cfg.beta)
 }
 
 /// Builds the sparse observed worker×landmark familiarity matrix `M`
@@ -54,26 +63,98 @@ pub fn observed_matrix<C: CrowdObserve + ?Sized>(
     landmarks: &LandmarkSet,
     cfg: &Config,
 ) -> SparseObservations {
-    let mut obs = SparseObservations::default();
-    for worker in crowd.population().iter() {
-        // History entries (sparse per worker).
-        let history = crowd.worker_history(worker.id);
-        let mut hist_iter = history.iter().peekable();
-        for lm in landmarks.iter() {
-            let tally = match hist_iter.peek() {
-                Some(&&(l, t)) if l == lm.id => {
-                    hist_iter.next();
-                    t
-                }
-                _ => AnswerTally::default(),
-            };
-            let f = familiarity_score(worker, lm, tally, cfg);
-            if f > 0.0 {
-                obs.push(worker.id.0, lm.id.0, f);
-            }
+    let (_, histories) = crowd.history_snapshot();
+    ProfileTerms::new(crowd.population(), landmarks, cfg.eta_dis).observed(&histories, cfg)
+}
+
+/// Every worker's non-zero profile terms `p_w^l`, sparse per worker in
+/// landmark order. The term depends on the worker's anchors, the
+/// landmarks and η_dis only, never on the answer history.
+#[derive(Debug, Clone)]
+pub(crate) struct ProfileTerms {
+    /// `rows[w]`: `(landmark index, p_w^l)` for every `p_w^l > 0`.
+    rows: Vec<Vec<(u32, f64)>>,
+    /// Number of landmarks (matrix columns).
+    landmarks: usize,
+}
+
+impl ProfileTerms {
+    pub(crate) fn new(
+        population: &WorkerPopulation,
+        landmarks: &LandmarkSet,
+        eta_dis: f64,
+    ) -> Self {
+        let rows = population
+            .iter()
+            .map(|worker| {
+                landmarks
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(j, lm)| {
+                        let p = profile_familiarity(worker, lm, eta_dis);
+                        (p != 0.0).then_some((j as u32, p))
+                    })
+                    .collect()
+            })
+            .collect();
+        ProfileTerms {
+            rows,
+            landmarks: landmarks.len(),
         }
     }
-    obs
+
+    /// Number of workers (matrix rows).
+    pub(crate) fn workers(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `M` for one answer history (`histories[w]` is worker `w`'s
+    /// [`CrowdObserve::worker_history`]): the entries the dense
+    /// worker × landmark scan over [`familiarity_score`] would emit, in
+    /// the same worker-major, landmark order, with the same values.
+    ///
+    /// Only cells with a profile term or a history entry are scored. Any
+    /// other cell is `α·0 + (1−α)·0`, which is never positive, so the
+    /// scan would have skipped it too.
+    pub(crate) fn observed(
+        &self,
+        histories: &[Vec<(LandmarkId, AnswerTally)>],
+        cfg: &Config,
+    ) -> SparseObservations {
+        assert_eq!(histories.len(), self.rows.len(), "one history per worker");
+        let mut obs = SparseObservations::default();
+        for (w, (profile, history)) in self.rows.iter().zip(histories).enumerate() {
+            let mut profile = profile.iter().peekable();
+            let mut history = history
+                .iter()
+                .take_while(|(l, _)| l.index() < self.landmarks)
+                .peekable();
+            loop {
+                let next_p = profile.peek().map(|&&(l, _)| l as usize);
+                let next_h = history.peek().map(|&&(l, _)| l.index());
+                let j = match (next_p, next_h) {
+                    (None, None) => break,
+                    (Some(j), None) | (None, Some(j)) => j,
+                    (Some(a), Some(b)) => a.min(b),
+                };
+                let p = if next_p == Some(j) {
+                    profile.next().expect("peeked").1
+                } else {
+                    0.0
+                };
+                let tally = if next_h == Some(j) {
+                    history.next().expect("peeked").1
+                } else {
+                    AnswerTally::default()
+                };
+                let f = combine(p, tally, cfg);
+                if f > 0.0 {
+                    obs.push(w as u32, j as u32, f);
+                }
+            }
+        }
+        obs
+    }
 }
 
 #[cfg(test)]

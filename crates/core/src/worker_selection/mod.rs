@@ -12,6 +12,16 @@
 //!    (η_time) ([`response`]);
 //! 5. pick the top-k by rated voting over the task's landmarks
 //!    ([`voting`]).
+//!
+//! Steps 1–3 make a [`KnowledgeModel`], which every new answer
+//! invalidates. Part of that work never depends on the answers: each
+//! worker's profile-familiarity term and each landmark's Gaussian-weighted
+//! η_dis neighbourhood. A [`KnowledgeBasis`] holds that part, so a
+//! planner computes it once and rebuilds only the history-dependent rest
+//! ([`KnowledgeBasis::model`]); [`KnowledgeModel::build`] is a fresh
+//! basis plus one model, bit for bit the same. The PMF epoch loop and the
+//! accumulation kernel each run an AVX2-compiled twin where the CPU has
+//! AVX2, with identical output (see [`pmf`]'s *Instruction set* docs).
 
 pub mod accumulate;
 pub mod familiarity;
@@ -31,8 +41,9 @@ pub use voting::{preference_scores, top_k_workers};
 
 use crate::config::Config;
 use crate::error::CoreError;
-use cp_crowd::{CrowdObserve, WorkerId};
+use cp_crowd::{AnswerTally, CrowdObserve, WorkerId, WorkerPopulation};
 use cp_roadnet::{LandmarkId, LandmarkSet};
+use familiarity::ProfileTerms;
 
 /// Precomputed worker-knowledge state (`M*` plus provenance), reusable
 /// across tasks until new answers arrive.
@@ -47,15 +58,62 @@ pub struct KnowledgeModel {
 impl KnowledgeModel {
     /// Builds the knowledge model: observed `M` → PMF densified `M'` →
     /// accumulated `M*`. Generic over the crowd view: an exclusively
-    /// owned `Platform` and a shared `CrowdDesk` both work.
+    /// owned `Platform` and a shared `CrowdDesk` both work. Builds a
+    /// fresh [`KnowledgeBasis`] each call; callers that rebuild as
+    /// answers arrive should keep one basis and call
+    /// [`KnowledgeBasis::model`] instead.
     pub fn build<C: CrowdObserve + ?Sized>(
         crowd: &C,
         landmarks: &LandmarkSet,
         cfg: &Config,
     ) -> KnowledgeModel {
-        let n = crowd.population().len();
-        let m = landmarks.len();
-        let obs = observed_matrix(crowd, landmarks, cfg);
+        let (_, histories) = crowd.history_snapshot();
+        KnowledgeBasis::new(crowd.population(), landmarks, cfg.eta_dis).model(&histories, cfg)
+    }
+}
+
+/// The part of a knowledge-model build that never depends on the answer
+/// history: each worker's profile-familiarity terms (sparse, non-zero
+/// only) and each landmark's Gaussian-weighted η_dis neighbourhood. A
+/// planner computes it once for its population, landmarks and η_dis and
+/// turns every later answer history into a [`KnowledgeModel`] with
+/// [`KnowledgeBasis::model`], bit for bit what [`KnowledgeModel::build`]
+/// returns for that history.
+#[derive(Debug, Clone)]
+pub struct KnowledgeBasis {
+    eta_dis: f64,
+    profile: ProfileTerms,
+    neighbourhoods: Vec<Vec<(usize, f64)>>,
+}
+
+impl KnowledgeBasis {
+    /// Computes the profile terms and neighbourhoods for `population`
+    /// over `landmarks` at η_dis = `eta_dis`.
+    pub fn new(population: &WorkerPopulation, landmarks: &LandmarkSet, eta_dis: f64) -> Self {
+        KnowledgeBasis {
+            eta_dis,
+            profile: ProfileTerms::new(population, landmarks, eta_dis),
+            neighbourhoods: accumulate::neighbourhoods(landmarks, eta_dis),
+        }
+    }
+
+    /// The knowledge model for one answer history: `histories[w]` is
+    /// worker `w`'s [`CrowdObserve::worker_history`], as
+    /// [`CrowdObserve::history_snapshot`] returns them. `cfg.eta_dis`
+    /// must be the η_dis the basis was built for.
+    pub fn model(
+        &self,
+        histories: &[Vec<(LandmarkId, AnswerTally)>],
+        cfg: &Config,
+    ) -> KnowledgeModel {
+        assert_eq!(
+            cfg.eta_dis.to_bits(),
+            self.eta_dis.to_bits(),
+            "basis built for another eta_dis"
+        );
+        let n = self.profile.workers();
+        let m = self.neighbourhoods.len();
+        let obs = self.profile.observed(histories, cfg);
         let observed_density = if n * m == 0 {
             0.0
         } else {
@@ -67,7 +125,7 @@ impl KnowledgeModel {
         };
         let model = PmfModel::fit(&obs, n, m, &params);
         let densified = model.densify(&obs);
-        let accumulated = accumulate_scores(landmarks, &densified, cfg.eta_dis);
+        let accumulated = accumulate::accumulate_columns(&self.neighbourhoods, &densified);
         KnowledgeModel {
             accumulated,
             observed_density,
@@ -137,7 +195,7 @@ pub fn select_workers_scored<C: CrowdObserve + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cp_crowd::{AnswerModel, Platform, PopulationParams, WorkerPopulation};
+    use cp_crowd::{AnswerModel, Platform, PopulationParams, Worker, WorkerPopulation};
     use cp_roadnet::{generate_city, generate_landmarks, CityParams, LandmarkGenParams};
 
     fn setup() -> (LandmarkSet, Platform, Config) {
@@ -162,6 +220,135 @@ mod tests {
             ..Config::default()
         };
         (lms, platform, cfg)
+    }
+
+    /// `KnowledgeModel::build` as it was before the basis: one
+    /// `worker_history` read per worker and a dense worker × landmark
+    /// scan over `familiarity_score`, then fit, densify and
+    /// `accumulate_scores` with freshly computed neighbourhoods.
+    fn reference_build(crowd: &Platform, landmarks: &LandmarkSet, cfg: &Config) -> KnowledgeModel {
+        use cp_crowd::AnswerTally;
+        let n = crowd.population().len();
+        let m = landmarks.len();
+        let mut obs = SparseObservations::default();
+        for worker in crowd.population().iter() {
+            let history = crowd.worker_history(worker.id);
+            let mut hist_iter = history.iter().peekable();
+            for lm in landmarks.iter() {
+                let tally = match hist_iter.peek() {
+                    Some(&&(l, t)) if l == lm.id => {
+                        hist_iter.next();
+                        t
+                    }
+                    _ => AnswerTally::default(),
+                };
+                let f = familiarity_score(worker, lm, tally, cfg);
+                if f > 0.0 {
+                    obs.push(worker.id.0, lm.id.0, f);
+                }
+            }
+        }
+        let observed_density = if n * m == 0 {
+            0.0
+        } else {
+            obs.len() as f64 / (n * m) as f64
+        };
+        let params = PmfParams {
+            dims: cfg.pmf_dims,
+            ..PmfParams::default()
+        };
+        let model = PmfModel::fit(&obs, n, m, &params);
+        let densified = model.densify(&obs);
+        KnowledgeModel {
+            accumulated: accumulate_scores(landmarks, &densified, cfg.eta_dis),
+            observed_density,
+        }
+    }
+
+    fn model_bits(k: &KnowledgeModel) -> (Vec<u64>, u64) {
+        let m = &k.accumulated;
+        let cells = (0..m.rows())
+            .flat_map(|r| m.row(r).iter().map(|v| v.to_bits()))
+            .collect();
+        (cells, k.observed_density.to_bits())
+    }
+
+    #[test]
+    fn basis_builds_match_the_dense_scan_bit_for_bit() {
+        let city = generate_city(&CityParams::small(), 71).unwrap();
+        let lms = generate_landmarks(&city.graph, &LandmarkGenParams::default(), 71);
+        let pop = WorkerPopulation::generate(
+            &city.graph,
+            &PopulationParams {
+                knowledge_scale: 400.0,
+                ..PopulationParams::default()
+            },
+            71,
+        );
+        let mut platform = Platform::new(pop, AnswerModel::default(), 71);
+        let base = Config {
+            eta_dis: 500.0,
+            ..Config::default()
+        };
+        // One basis for every state and configuration below, as a
+        // planner keeps it across rebuilds.
+        let basis = KnowledgeBasis::new(platform.population(), &lms, base.eta_dis);
+        let check = |platform: &Platform, cfg: &Config, state: &str| {
+            cfg.validate().unwrap();
+            let reference = model_bits(&reference_build(platform, &lms, cfg));
+            let (generation, histories) = platform.history_snapshot();
+            assert_eq!(generation, platform.generation());
+            assert_eq!(
+                model_bits(&basis.model(&histories, cfg)),
+                reference,
+                "warm basis, {state}, {cfg:?}"
+            );
+            assert_eq!(
+                model_bits(&KnowledgeModel::build(platform, &lms, cfg)),
+                reference,
+                "KnowledgeModel::build, {state}, {cfg:?}"
+            );
+        };
+        let with = |alpha: f64, beta: f64| Config {
+            alpha,
+            beta,
+            ..base
+        };
+
+        // 1. Nobody has answered anything: profile terms only.
+        check(&platform, &base, "no history");
+
+        // 2. A few workers answer, right and wrong, about landmarks their
+        // profile term is zero on; everyone else still has no history.
+        let mut answered = 0;
+        let workers: Vec<Worker> = platform.population().iter().take(6).cloned().collect();
+        for worker in &workers {
+            let zero_profile = lms
+                .iter()
+                .filter(|lm| profile_familiarity(worker, lm, base.eta_dis) == 0.0)
+                .step_by(7)
+                .take(4);
+            for (k, lm) in zero_profile.enumerate() {
+                let generation = platform.generation() + 1;
+                platform.apply_answer(worker.id, lm.id, k % 2 == 0, 60.0, generation);
+                answered += 1;
+            }
+        }
+        assert!(answered > 0, "some profile terms must be zero");
+        check(&platform, &base, "history on zero-profile landmarks");
+        // β = 0: a landmark answered only wrongly scores (1−α)·0 there.
+        check(
+            &platform,
+            &with(base.alpha, 0.0),
+            "zero-profile history, beta 0",
+        );
+
+        // 3. Every worker has a warm-up history.
+        platform.warm_up_with_radius(&lms, 15, 600.0);
+        check(&platform, &base, "warmed");
+        check(&platform, &with(0.0, base.beta), "warmed, alpha 0");
+        check(&platform, &with(1.0, base.beta), "warmed, alpha 1");
+        check(&platform, &with(0.0, 0.0), "warmed, alpha 0, beta 0");
     }
 
     #[test]

@@ -39,6 +39,24 @@
 //! its own `#[inline(never)]` function over fixed-size `[f64; D]` rows:
 //! inlined into [`PmfModel::fit`], or over slices of run-time length, the
 //! compiler keeps the rows in memory and the schedule gains nothing.
+//!
+//! # Instruction set
+//!
+//! The epoch loop is one `#[inline(always)]` body compiled twice: once
+//! for the build's baseline target and, on x86-64, once more with AVX2
+//! enabled. [`PmfModel::fit`] asks the CPU at run time and takes the
+//! AVX2 twin where it exists. The twin is the same Rust, so it performs
+//! the same IEEE-754 additions and multiplications on the same operands
+//! in the same order; wider registers only let the compiler run the
+//! row updates four lanes at a time instead of two, and a lane computes
+//! exactly what the scalar operation would. Both twins therefore fit
+//! the same factors to the last bit.
+//!
+//! The twin enables `avx2` and nothing else. In particular it must
+//! never enable `fma`: Rust does not contract `a * b + c` into a fused
+//! multiply-add on its own, but a fused operation rounds once where the
+//! written code rounds twice, so any FMA would change the factors, and
+//! with them every knowledge model downstream.
 
 use crate::worker_selection::matrix::{DenseMatrix, SparseObservations};
 use rand::rngs::SmallRng;
@@ -138,9 +156,21 @@ impl Sgd {
     }
 
     /// All epochs over `order` with `D`-wide rows (`D` = the latent
-    /// dimensionality). Kept out of line: see the module docs.
-    #[inline(never)]
+    /// dimensionality), on the widest kernel twin the CPU runs (see the
+    /// module docs).
     fn run<const D: usize>(&self, w: &mut [f64], l: &mut [f64], order: &[(u32, u32, f64)]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            return unsafe { self.run_avx2::<D>(w, l, order) };
+        }
+        self.run_portable::<D>(w, l, order)
+    }
+
+    /// The epoch loop behind both twins. Always inlined, so each twin
+    /// compiles it for its own instruction set.
+    #[inline(always)]
+    fn epochs<const D: usize>(&self, w: &mut [f64], l: &mut [f64], order: &[(u32, u32, f64)]) {
         let (w, _) = w.as_chunks_mut::<D>();
         let (l, _) = l.as_chunks_mut::<D>();
         for _ in 0..self.epochs {
@@ -148,6 +178,27 @@ impl Sgd {
                 self.step(&mut w[wi as usize], &mut l[lj as usize], value);
             }
         }
+    }
+
+    /// [`Sgd::epochs`] for the build's baseline instruction set. Kept
+    /// out of line: see the module docs.
+    #[inline(never)]
+    fn run_portable<const D: usize>(
+        &self,
+        w: &mut [f64],
+        l: &mut [f64],
+        order: &[(u32, u32, f64)],
+    ) {
+        self.epochs::<D>(w, l, order)
+    }
+
+    /// [`Sgd::epochs`] compiled for AVX2 (and never FMA). Callers must
+    /// first check that the CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline(never)]
+    fn run_avx2<const D: usize>(&self, w: &mut [f64], l: &mut [f64], order: &[(u32, u32, f64)]) {
+        self.epochs::<D>(w, l, order)
     }
 
     /// [`Sgd::run`] for a latent dimensionality without a fixed-size
@@ -183,6 +234,18 @@ impl PmfModel {
     /// Fits PMF to the observations. `n`/`m` are the full matrix
     /// dimensions (workers × landmarks).
     pub fn fit(obs: &SparseObservations, n: usize, m: usize, params: &PmfParams) -> PmfModel {
+        Self::fit_with(obs, n, m, params, Sgd::run::<8>)
+    }
+
+    /// [`PmfModel::fit`] with `run8` as the `d = 8` epoch kernel, so the
+    /// tests can pin each twin.
+    fn fit_with(
+        obs: &SparseObservations,
+        n: usize,
+        m: usize,
+        params: &PmfParams,
+        run8: impl FnOnce(&Sgd, &mut [f64], &mut [f64], &[(u32, u32, f64)]),
+    ) -> PmfModel {
         let d = params.dims.max(1);
         let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x94D0_49BB_1331_11EB);
         let mut w = vec![0.0; n * d];
@@ -204,7 +267,7 @@ impl PmfModel {
             epochs: params.epochs,
         };
         match d {
-            8 => sgd.run::<8>(&mut w, &mut l, &order),
+            8 => run8(&sgd, &mut w, &mut l, &order),
             _ => sgd.run_dyn(d, &mut w, &mut l, &order),
         }
         PmfModel {
@@ -345,8 +408,30 @@ mod tests {
         (bits(&model.w), bits(&model.l), model.mean.to_bits())
     }
 
+    /// A `d = 8` epoch kernel.
+    type Kernel = fn(&Sgd, &mut [f64], &mut [f64], &[(u32, u32, f64)]);
+
+    /// The `d = 8` kernel twins this host can run, by name.
+    fn kernel_twins() -> Vec<(&'static str, Kernel)> {
+        let mut twins: Vec<(_, Kernel)> = vec![("portable", Sgd::run_portable::<8>)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            twins.push(("avx2", |sgd, w, l, order| unsafe {
+                sgd.run_avx2::<8>(w, l, order)
+            }));
+        }
+        twins
+    }
+
     #[test]
     fn level_schedule_fits_the_same_factors_bit_for_bit() {
+        let twins = kernel_twins();
+        let names: Vec<&str> = twins.iter().map(|&(name, _)| name).collect();
+        println!("pmf d = 8 kernel twins compared against reference_fit: {names:?}");
+        if names.len() == 1 {
+            println!("pmf: this host lacks AVX2, so the avx2 twin was skipped");
+        }
         let mut rng = SmallRng::seed_from_u64(0x1E7E1);
         for case in 0..240 {
             let (n, m) = match case % 8 {
@@ -382,12 +467,24 @@ mod tests {
                 seed: case as u64,
                 ..PmfParams::default()
             };
+            let reference = factor_bits(&reference_fit(&obs, n, m, &params));
             assert_eq!(
                 factor_bits(&PmfModel::fit(&obs, n, m, &params)),
-                factor_bits(&reference_fit(&obs, n, m, &params)),
+                reference,
                 "case {case}: {n}x{m}, {} cells, {params:?}",
                 obs.len()
             );
+            // Every case again at d = 8, once per twin.
+            let params = PmfParams { dims: 8, ..params };
+            let reference = factor_bits(&reference_fit(&obs, n, m, &params));
+            for &(name, run8) in &twins {
+                assert_eq!(
+                    factor_bits(&PmfModel::fit_with(&obs, n, m, &params, run8)),
+                    reference,
+                    "{name} twin, case {case}: {n}x{m}, {} cells, {params:?}",
+                    obs.len()
+                );
+            }
         }
     }
 

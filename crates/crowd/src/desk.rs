@@ -118,6 +118,21 @@ pub trait CrowdObserve {
             })
             .collect()
     }
+    /// The answer-history generation together with every worker's
+    /// [`CrowdObserve::worker_history`], indexed by worker — the bulk
+    /// read a knowledge-model build makes. The rows belong to exactly
+    /// that generation, so shared desks must override this to capture
+    /// both under a **single** lock acquisition: answers landing between
+    /// per-worker reads would otherwise mix states.
+    fn history_snapshot(&self) -> (u64, Vec<Vec<(LandmarkId, AnswerTally)>>) {
+        let generation = self.generation();
+        let rows = self
+            .population()
+            .ids()
+            .map(|w| self.worker_history(w))
+            .collect();
+        (generation, rows)
+    }
     /// Number of outstanding (reserved, unfinished) tasks of a worker.
     fn outstanding(&self, worker: WorkerId) -> u32;
     /// Reward balance of a worker.
@@ -389,6 +404,11 @@ impl CrowdObserve for SharedCrowd {
     fn selection_snapshot(&self) -> Vec<(u32, usize, f64)> {
         // One lock acquisition for the whole population.
         CrowdObserve::selection_snapshot(&*self.lock())
+    }
+
+    fn history_snapshot(&self) -> (u64, Vec<Vec<(LandmarkId, AnswerTally)>>) {
+        // One lock acquisition: the rows and the generation agree.
+        CrowdObserve::history_snapshot(&*self.lock())
     }
 
     fn outstanding(&self, worker: WorkerId) -> u32 {

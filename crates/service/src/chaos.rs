@@ -410,6 +410,10 @@ impl CrowdObserve for ChaosDesk {
         self.inner.selection_snapshot()
     }
 
+    fn history_snapshot(&self) -> (u64, Vec<Vec<(LandmarkId, AnswerTally)>>) {
+        self.inner.history_snapshot()
+    }
+
     fn outstanding(&self, worker: WorkerId) -> u32 {
         self.inner.outstanding(worker)
     }
