@@ -20,7 +20,7 @@ pub mod source;
 pub mod transfer;
 pub mod webservice;
 
-pub use ldr::{local_driver_route, local_support, LdrParams};
+pub use ldr::{local_driver_route, local_support, LdrParams, TripIndex};
 pub use mfp::{best_bottleneck, most_frequent_path, most_frequent_path_on, MfpParams};
 pub use mpr::{log_popularity, most_popular_route, MprParams};
 pub use source::{

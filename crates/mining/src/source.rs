@@ -2,10 +2,17 @@
 //! component": "two types of candidate routes, the one provided by web
 //! services … and the one generated from historical trajectories by using
 //! popular route mining algorithms, i.e., MPR, LDR and MFP").
+//!
+//! Two paths produce the same candidate set. [`generate_candidates`]
+//! mines one request from scratch and is the reference.
+//! [`candidates_from_artifacts`] serves from an origin's cached
+//! [`OriginArtifacts`]: resumable searches plus the LDR locality scan,
+//! which reads the world's [`TripIndex`] instead of the whole trip
+//! history.
 
 use crate::ldr::{
-    expert_modal_exact, local_driver_route, local_support, origin_local_indices, pick_expert,
-    HabitTree, LdrParams,
+    expert_modal_exact, local_driver_route, local_support, pick_expert, HabitTree, LdrParams,
+    TripIndex,
 };
 use crate::mfp::{discounted_path, most_frequent_path, MfpParams};
 use crate::mpr::{most_popular_route, popularity_path, MprParams};
@@ -181,7 +188,8 @@ pub fn generate_candidates(
 /// destination, **any** time bucket and **any** later batch:
 ///
 /// * the LDR origin-side locality scan (trip indices whose source is
-///   near the origin), the only work [`OriginArtifacts::build`] does;
+///   near the origin), the only work [`OriginArtifacts::build`] does: a
+///   walk over the [`TripIndex`] grid cells near the origin;
 /// * the MPR popularity search over the all-day transfer network;
 /// * one MFP search per departure, keyed by departure bits (the caller
 ///   supplies the period-filtered transfer network; the O(|trips|)
@@ -206,6 +214,9 @@ pub fn generate_candidates(
 /// keeps absorbing work from concurrent workers.
 pub struct OriginArtifacts {
     origin: NodeId,
+    /// The world's trip index: destination positions for LDR's
+    /// destination-side filter, driver lists for its habit counts.
+    index: Arc<TripIndex>,
     /// Indices into the trip history whose source endpoint is local to
     /// the origin (order-preserving).
     origin_local: Vec<u32>,
@@ -239,12 +250,19 @@ fn memo<K: Eq + Hash, T>(
 }
 
 impl OriginArtifacts {
-    /// Runs the locality scan for one origin. Every search starts on
+    /// Runs the locality scan for one origin over `index`, which must
+    /// index the trips every later query passes. Every search starts on
     /// first use and settles only as far as the destinations served.
-    pub fn build(graph: &RoadGraph, trips: &[Trip], ldr: &LdrParams, origin: NodeId) -> Self {
+    pub fn build(
+        graph: &RoadGraph,
+        index: &Arc<TripIndex>,
+        ldr: &LdrParams,
+        origin: NodeId,
+    ) -> Self {
         OriginArtifacts {
             origin,
-            origin_local: origin_local_indices(graph, trips, origin, ldr),
+            index: Arc::clone(index),
+            origin_local: index.sources_near(&graph.position(origin), ldr.endpoint_radius),
             mpr: OnceLock::new(),
             habit: Mutex::new(HashMap::new()),
             fastest: OnceLock::new(),
@@ -296,8 +314,8 @@ impl OriginArtifacts {
         let local: Vec<&Trip> = self
             .origin_local
             .iter()
+            .filter(|&&i| self.index.destination(i).distance_sq(&tp) <= r2)
             .map(|&i| &trips[i as usize])
-            .filter(|t| graph.position(t.path.destination()).distance_sq(&tp) <= r2)
             .collect();
         let Some(expert) = pick_expert(&local) else {
             return self
@@ -308,7 +326,7 @@ impl OriginArtifacts {
             return Some(path);
         }
         let habit = memo(&self.habit, expert, || {
-            HabitTree::new(graph, trips, expert, self.origin)
+            HabitTree::new(graph, trips, &self.index, expert, self.origin)
         });
         let mut habit = lock(&habit);
         habit.path_to(graph, to, params)
@@ -344,7 +362,8 @@ impl std::fmt::Debug for OriginArtifacts {
 /// byte-identical to [`generate_candidates`] over the same inputs
 /// (same sources, same paths, same order).
 ///
-/// Contract: `artifacts` was built for `(graph, trips, ldr)` with
+/// Contract: `artifacts` was built for `(graph, ldr)` over the
+/// [`TripIndex`] of `(graph, trips)`, with
 /// `artifacts.origin() == the query origin`; every query on one artifact
 /// passes the same `transfer`, `mpr`, `mfp` and `ldr`; and `period_tn`
 /// is `TransferNetwork::build(graph, trips, Some((departure,
@@ -477,6 +496,7 @@ mod tests {
         let driven = &ds.trips[0].path;
         for trips in [&ds.trips[..], &[]] {
             let gen = CandidateGenerator::new(g, trips);
+            let index = Arc::new(TripIndex::build(g, trips));
             let periods = deps.map(|dep| {
                 TransferNetwork::build(g, trips, Some((dep, gen.mfp.period_half_width)))
             });
@@ -485,7 +505,7 @@ mod tests {
                 (NodeId(12), &[47, 7, 47]),
                 (driven.source(), &[driven.destination().0]),
             ] {
-                let art = OriginArtifacts::build(g, trips, &gen.ldr, from);
+                let art = OriginArtifacts::build(g, &index, &gen.ldr, from);
                 for &b in tos {
                     for (&dep, period) in deps.iter().zip(&periods) {
                         let got = candidates_from_artifacts(
@@ -522,6 +542,7 @@ mod tests {
         let (city, ds) = setup();
         let (g, trips) = (&city.graph, &ds.trips[..]);
         let gen = CandidateGenerator::new(g, trips);
+        let index = Arc::new(TripIndex::build(g, trips));
         let deps = [7.0, 8.0, 12.5, 17.0].map(TimeOfDay::from_hours);
         let periods = deps
             .map(|dep| TransferNetwork::build(g, trips, Some((dep, gen.mfp.period_half_width))));
@@ -531,7 +552,7 @@ mod tests {
             // the searches are resumed by whichever worker gets there
             // first, in interleaved orders. The barrier releases them
             // together, so they contend from the first query on.
-            let art = Arc::new(OriginArtifacts::build(g, trips, &gen.ldr, from));
+            let art = Arc::new(OriginArtifacts::build(g, &index, &gen.ldr, from));
             let start = Barrier::new(4);
             std::thread::scope(|s| {
                 for worker in 0..4u64 {

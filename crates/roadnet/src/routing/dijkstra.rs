@@ -26,7 +26,7 @@ impl<F: Fn(EdgeId) -> f64> CostFn for F {}
 /// The heap key of a tentative distance: bit order equals numeric order
 /// for non-negative costs once `-0.0` is folded into `+0.0`.
 #[inline]
-fn key(cost: f64) -> u64 {
+pub(crate) fn key(cost: f64) -> u64 {
     (cost + 0.0).to_bits()
 }
 

@@ -15,9 +15,9 @@
 
 #[cfg(doc)]
 use cp_mining::CandidateGenerator;
-use cp_mining::TransferNetwork;
 use cp_mining::{
     generate_candidates, CandidateRoute, LdrParams, MfpParams, MprParams, OriginArtifacts,
+    TransferNetwork, TripIndex,
 };
 use cp_roadnet::{NodeId, RoadGraph};
 use cp_traj::{TimeOfDay, Trip};
@@ -54,13 +54,15 @@ impl std::fmt::Display for CityId {
 ///
 /// Construction aggregates the all-day transfer network once (the
 /// expensive part of candidate mining), exactly like
-/// [`CandidateGenerator::new`]; afterwards
+/// [`CandidateGenerator::new`], and indexes the trips for the serving
+/// path's LDR locality scan and habit counts; afterwards
 /// [`World::candidates`] is a pure function of the request. `World` has
 /// no lifetime parameters — wrap it in an `Arc` and share it freely.
 pub struct World {
     graph: Arc<RoadGraph>,
     trips: Arc<Vec<Trip>>,
     transfer: Arc<TransferNetwork>,
+    trip_index: Arc<TripIndex>,
     /// MPR parameters.
     pub mpr: MprParams,
     /// MFP parameters.
@@ -73,7 +75,7 @@ pub struct World {
 
 impl World {
     /// Builds a world from owned parts (aggregates the transfer network
-    /// once).
+    /// and indexes the trips once).
     pub fn new(graph: RoadGraph, trips: Vec<Trip>) -> Self {
         Self::from_arcs(Arc::new(graph), Arc::new(trips))
     }
@@ -81,10 +83,12 @@ impl World {
     /// Builds a world from already-shared parts without cloning them.
     pub fn from_arcs(graph: Arc<RoadGraph>, trips: Arc<Vec<Trip>>) -> Self {
         let transfer = Arc::new(TransferNetwork::build(&graph, &trips, None));
+        let trip_index = Arc::new(TripIndex::build(&graph, &trips));
         World {
             graph,
             trips,
             transfer,
+            trip_index,
             mpr: MprParams::default(),
             mfp: MfpParams::default(),
             ldr: LdrParams::default(),
@@ -168,12 +172,13 @@ impl World {
     }
 
     /// Builds the time-invariant mining artifacts for one origin: the
-    /// LDR locality scan, plus MPR, MFP, habit and fastest searches that
+    /// LDR locality scan over this world's trip index, plus MPR, MFP,
+    /// habit and fastest searches that
     /// start on first use and settle only as far as the destinations
     /// served. The serving layer's artifact cache shares them across
     /// buckets and batches.
     pub fn origin_artifacts(&self, origin: NodeId) -> OriginArtifacts {
-        OriginArtifacts::build(&self.graph, &self.trips, &self.ldr, origin)
+        OriginArtifacts::build(&self.graph, &self.trip_index, &self.ldr, origin)
     }
 
     /// Builds the period-filtered transfer network for `departure`
