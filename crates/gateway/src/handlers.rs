@@ -193,7 +193,7 @@ fn upstream_error(state: &AppState, e: &ServiceError) -> Response {
             state.stats.inc(&state.stats.no_route);
             Response::error(422, "no_route", "no candidate route connects the OD pair")
         }
-        ServiceError::LeaderFailed | ServiceError::ResolverPanicked | ServiceError::Core(_) => {
+        ServiceError::ResolverPanicked | ServiceError::Core(_) => {
             state.stats.inc(&state.stats.server_errors);
             Response::error(500, "upstream", &escape_json(&e.to_string()))
         }
@@ -301,6 +301,7 @@ fn platform_json(snap: &PlatformSnapshot) -> String {
         .field("submitted", snap.submitted)
         .field("admitted", snap.admitted)
         .field("served_inline", snap.served_inline)
+        .field("deduped", snap.deduped)
         .field("rejected_busy", snap.rejected_busy)
         .field("rejected_unknown_city", snap.rejected_unknown_city)
         .field("rejected_unknown_node", snap.rejected_unknown_node)
@@ -343,6 +344,7 @@ fn per_city_json(per_city: &[CityQueueSnapshot]) -> String {
             .field("queue_depth", c.queue_depth)
             .field("admitted", c.admitted)
             .field("served_inline", c.served_inline)
+            .field("deduped", c.deduped)
             .field("rejected_busy", c.rejected_busy)
             .field("batched_requests", c.batched_requests)
             .field("unbatched_requests", c.unbatched_requests)

@@ -11,9 +11,6 @@ pub enum ServiceError {
     NoCandidates,
     /// The underlying planner pipeline failed.
     Core(CoreError),
-    /// The leader of a deduplicated flight failed; followers surface
-    /// this instead of retrying (callers may resubmit).
-    LeaderFailed,
     /// The platform's bounded ingress queue is full — admission control
     /// rejected the request. Callers should back off and resubmit.
     Busy,
@@ -56,9 +53,6 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::NoCandidates => write!(f, "no candidate route connects the OD pair"),
             ServiceError::Core(e) => write!(f, "planner pipeline error: {e}"),
-            ServiceError::LeaderFailed => {
-                write!(f, "the deduplicated in-flight request failed; resubmit")
-            }
             ServiceError::Busy => {
                 write!(f, "ingress queue full; back off and resubmit")
             }

@@ -7,10 +7,9 @@
 //! [`RouteService::serve_coalesced`], which takes a *run* of requests
 //! (a run of one is the lone case, not a separate path):
 //!
-//! 1. **single-flight dedup** — identical `(from, to, time bucket)`
-//!    requests collapse onto one leader, inside the run and (through
-//!    the flight table) against concurrent runs; followers share the
-//!    leader's result;
+//! 1. **in-run dedup** — identical `(from, to, time bucket)` requests
+//!    in the run collapse onto one leader; followers share the leader's
+//!    result, success or error;
 //! 2. **sharded truth lookup** — each leader first reads the shards
 //!    owning the origin neighbourhood; a hit answers the whole group;
 //! 3. **mining** — the run's remaining leaders mine together through
@@ -23,8 +22,10 @@
 //! [`Platform`](crate::Platform) — open submission with admission
 //! control and joinable tickets, several cities on one resident worker
 //! pool — serves truth hits on the submitting thread (the same lookup,
-//! [`RouteService`]'s one hit path, before anything queues) and hands
-//! every run of misses its workers dequeue to that one function;
+//! [`RouteService`]'s one hit path, before anything queues), attaches a
+//! miss whose key is already queued or running to that request at
+//! admission (cross-worker dedup lives in its ingress, not here) and
+//! hands every run of misses its workers dequeue to that one function;
 //! [`RouteService::handle`] is the run-of-one convenience.
 //!
 //! ## Determinism
@@ -41,7 +42,6 @@
 use crate::artifacts::{MiningArtifactCache, ORIGIN_CELLS};
 use crate::error::ServiceError;
 use crate::resolver::Resolver;
-use crate::singleflight::{FlightTable, JoinNow};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::store::ShardedTruthStore;
 use crate::trace::{LockSite, LockSummary, SpanRecorder, Stage, TraceConfig};
@@ -125,7 +125,8 @@ pub struct RequestKey {
 pub enum Served {
     /// Straight from the sharded truth store.
     TruthHit,
-    /// By joining an identical in-flight request.
+    /// By sharing the outcome of an identical request served at the
+    /// same time.
     Deduplicated,
     /// Freshly resolved (with the pipeline's resolution kind).
     Resolved(Resolution),
@@ -244,7 +245,6 @@ pub struct RouteService {
     world: Arc<World>,
     truths: ShardedTruthStore,
     artifacts: MiningArtifactCache,
-    flights: FlightTable<RequestKey, ServedRoute>,
     stats: ServiceStats,
     tracer: SpanRecorder,
     cfg: ServiceConfig,
@@ -266,7 +266,6 @@ impl RouteService {
             truths: ShardedTruthStore::new(cfg.shards, cfg.cell_m, truth_bucket_s)
                 .with_per_shard_cap(cfg.truth_cap_per_shard),
             artifacts: MiningArtifactCache::new(ORIGIN_CELLS, cfg.buckets_per_day() as usize),
-            flights: FlightTable::new(),
             stats: ServiceStats::new(),
             tracer: SpanRecorder::new(cfg.trace),
             cfg,
@@ -275,7 +274,6 @@ impl RouteService {
         if service.cfg.trace.enabled() {
             service.truths.lock_stats().set_enabled(true);
             service.artifacts.lock_stats().set_enabled(true);
-            service.flights.lock_stats().set_enabled(true);
         }
         service
     }
@@ -318,7 +316,6 @@ impl RouteService {
         let mut locks = [LockSummary::default(); LockSite::COUNT];
         locks[LockSite::TruthShards.index()] = self.truths.lock_stats().summary();
         locks[LockSite::ArtifactCache.index()] = self.artifacts.lock_stats().summary();
-        locks[LockSite::FlightTable.index()] = self.flights.lock_stats().summary();
         locks
     }
 
@@ -422,7 +419,7 @@ impl RouteService {
     }
 
     /// The one truth-hit path: `req` looked up in the sharded store at
-    /// its canonical departure. Books nothing; both callers — a flight
+    /// its canonical departure. Books nothing; both callers — a run's
     /// leader in [`RouteService::serve_coalesced`] and the platform's
     /// submit probe ([`RouteService::probe_truth`]) — book a hit their
     /// own way.
@@ -478,17 +475,51 @@ impl RouteService {
         hit.served
     }
 
+    /// A duplicate's share of its leader's outcome, booked as a dedup
+    /// hit or an error: the leader's route tagged
+    /// [`Served::Deduplicated`], or a clone of its error.
+    fn share_outcome(
+        &self,
+        leader: &Result<ServedRoute, ServiceError>,
+    ) -> Result<ServedRoute, ServiceError> {
+        match leader {
+            Ok(served) => {
+                self.stats.inc_dedup_hits();
+                Ok(ServedRoute {
+                    served: Served::Deduplicated,
+                    ..served.clone()
+                })
+            }
+            Err(e) => {
+                self.stats.inc_errors();
+                Err(e.clone())
+            }
+        }
+    }
+
+    /// Books a request the platform deduplicated at admission onto an
+    /// identical request whose outcome was `leader` — a request with
+    /// `elapsed` latency and its share of that outcome — and returns
+    /// the share.
+    pub(crate) fn book_follower(
+        &self,
+        leader: &Result<ServedRoute, ServiceError>,
+        elapsed: std::time::Duration,
+    ) -> Result<ServedRoute, ServiceError> {
+        self.stats.inc_requests();
+        self.stats.record_latency(elapsed);
+        self.share_outcome(leader)
+    }
+
     /// Serves a run of requests — the one serving ladder. The platform
     /// hands over whatever its batcher dequeued together (a run sharing
     /// `(city, origin cell)`, or a run of one — truth hits were already
     /// served at submit), and the shared work is paid once per run
     /// instead of once per request:
     ///
-    /// 1. **one single-flight leader per distinct OD key** — intra-run
-    ///    duplicates collapse locally, and the global flight table still
-    ///    dedups against concurrent workers; each leader then looks its
-    ///    key up in the sharded truth store, and a hit answers the
-    ///    leader's whole group;
+    /// 1. **one leader per distinct OD key** — intra-run duplicates
+    ///    collapse onto it; each leader looks its key up in the sharded
+    ///    truth store, and a hit answers the leader's whole group;
     /// 2. **one artifact-backed mining pass** — every leader OD that
     ///    missed the truth store mines through shared per-origin all-day
     ///    artifacts (cached across runs and buckets in the city's
@@ -497,7 +528,8 @@ impl RouteService {
     ///    buckets.
     /// 3. **resolution per leader** — the verified route is deposited
     ///    into the sharded store, unless the answer was a quota-starved
-    ///    crowd fallback.
+    ///    crowd fallback; the leader's duplicates share its route, or a
+    ///    clone of its error.
     ///
     /// Results come back in request order. Under
     /// [`ServiceConfig::strict_deterministic`] geometry and a
@@ -510,8 +542,7 @@ impl RouteService {
     /// A panicking resolver is contained: the leader that panicked (and
     /// every not-yet-resolved leader after it — the resolver may be
     /// mid-mutation) fails with [`ServiceError::ResolverPanicked`]
-    /// instead of unwinding, so batch accounting stays exact and
-    /// followers are never stranded. Callers owning the resolver should
+    /// instead of unwinding, so batch accounting stays exact. Callers owning the resolver should
     /// discard it when they see that error (the platform worker rebuilds
     /// from the city's factory).
     ///
@@ -536,13 +567,10 @@ impl RouteService {
         let mut results: Vec<Option<Result<ServedRoute, ServiceError>>> =
             requests.iter().map(|_| None).collect();
 
-        // 1. Group requests by dedup key (first-appearance order) and
-        // join the global flight table once per distinct key. Joins are
-        // non-blocking: keys led by a *concurrent* batch become deferred
-        // watches, waited on only after every leadership this batch
-        // holds is completed (step 3) — blocking inline here while
-        // holding other leader tokens would deadlock two batches that
-        // lead each other's keys in opposite orders.
+        // 1. Group requests by dedup key (first-appearance order); the
+        // first member of each group leads it. Leader truth check — the
+        // in-run hit path, for keys stored after their request passed
+        // the platform's submit probe.
         let mut groups: Vec<(RequestKey, Vec<usize>)> = Vec::new();
         for (i, req) in requests.iter().enumerate() {
             let key = self.key_of(req);
@@ -551,49 +579,34 @@ impl RouteService {
                 None => groups.push((key, vec![i])),
             }
         }
-        /// A key this batch leads: its member requests, the flight
-        /// obligation, and (once mined) its candidate set.
-        struct PendingFlight<'t> {
+        /// A group whose leader missed the truth store: its member
+        /// requests and (once mined) its candidate set.
+        struct Pending {
             members: Vec<usize>,
-            token: crate::singleflight::LeaderToken<'t, RequestKey, ServedRoute>,
             candidates: Option<Vec<CandidateRoute>>,
         }
-        let mut pending: Vec<PendingFlight<'_>> = Vec::new();
-        let mut watches: Vec<(Vec<usize>, crate::singleflight::FlightWatch<ServedRoute>)> =
-            Vec::new();
-        for (key, members) in groups {
-            match self.flights.join_deferred(key) {
-                JoinNow::Watch(watch) => watches.push((members, watch)),
-                JoinNow::Leader(token) => {
-                    // Leader truth check — the in-run hit path, for keys
-                    // stored after their request passed the submit probe.
-                    // A retired identical flight inserted its truth
-                    // before retiring, so that truth is visible here —
-                    // without this check a key could resolve twice.
-                    let hit = {
-                        let _s = tr.span(Stage::TruthLookup);
-                        self.truth_hit(&requests[members[0]])
-                    };
-                    if let Some(served) = hit {
-                        token.complete(served.clone());
-                        for &i in &members {
-                            self.stats.inc_truth_hits();
-                            results[i] = Some(Ok(served.clone()));
-                        }
-                    } else {
-                        pending.push(PendingFlight {
-                            members,
-                            token,
-                            candidates: None,
-                        });
-                    }
+        let mut pending: Vec<Pending> = Vec::new();
+        for (_, members) in groups {
+            let hit = {
+                let _s = tr.span(Stage::TruthLookup);
+                self.truth_hit(&requests[members[0]])
+            };
+            if let Some(served) = hit {
+                for &i in &members {
+                    self.stats.inc_truth_hits();
+                    results[i] = Some(Ok(served.clone()));
                 }
+            } else {
+                pending.push(Pending {
+                    members,
+                    candidates: None,
+                });
             }
         }
 
         // 2. One artifact-backed fused mining pass: every pending
         // leader missed the truth store, so every one mines.
-        let leads: Vec<&Request> = pending.iter().map(|f| &requests[f.members[0]]).collect();
+        let leads: Vec<&Request> = pending.iter().map(|g| &requests[g.members[0]]).collect();
         for _ in &leads {
             self.stats.inc_cache_misses();
         }
@@ -674,120 +687,83 @@ impl RouteService {
             }
         }
 
-        // 3. Resolve each led flight in batch order.
+        // 3. Resolve each pending group in batch order; the leader's
+        // duplicates share its outcome.
         let mut poisoned = false;
-        for flight in pending {
-            let first = flight.members[0];
+        for group in pending {
+            let first = group.members[0];
             let req = &requests[first];
-            if poisoned {
+            let out = if poisoned {
                 // The resolver panicked earlier in this batch and may be
-                // mid-mutation; fail fast. Dropping the token publishes
-                // the failure to any concurrent followers.
-                for &i in &flight.members {
-                    self.stats.inc_errors();
-                    results[i] = Some(Err(ServiceError::ResolverPanicked));
-                }
-                continue;
-            }
-            let departure = self.canonical_departure(req);
-            let candidates = flight
-                .candidates
-                .as_ref()
-                .expect("every pending flight was mined");
-            let r0 = tr.clock();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                resolver.resolve(req.from, req.to, departure, candidates)
-            }));
-            match outcome {
-                Err(_) => {
-                    tr.record(Stage::ResolveMachine, r0);
-                    poisoned = true;
-                    for &i in &flight.members {
-                        self.stats.inc_errors();
-                        results[i] = Some(Err(ServiceError::ResolverPanicked));
+                // mid-mutation; fail fast.
+                Err(ServiceError::ResolverPanicked)
+            } else {
+                let departure = self.canonical_departure(req);
+                let candidates = group
+                    .candidates
+                    .as_ref()
+                    .expect("every pending group was mined");
+                let r0 = tr.clock();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    resolver.resolve(req.from, req.to, departure, candidates)
+                }));
+                match outcome {
+                    Err(_) => {
+                        tr.record(Stage::ResolveMachine, r0);
+                        poisoned = true;
+                        Err(ServiceError::ResolverPanicked)
                     }
-                }
-                Ok(Err(e)) => {
-                    tr.record(resolve_stage_err(&e), r0);
-                    // Strict-shedding starvation serves no route but
-                    // must still surface in the crowd counters.
-                    if let ServiceError::CrowdStarved { quota_rejections } = e {
-                        self.stats.record_crowd(crate::resolver::CrowdCost {
-                            questions: 0,
-                            workers: 0,
-                            quota_rejections,
-                            starved: true,
-                        });
+                    Ok(Err(e)) => {
+                        tr.record(resolve_stage_err(&e), r0);
+                        // Strict-shedding starvation serves no route but
+                        // must still surface in the crowd counters.
+                        if let ServiceError::CrowdStarved { quota_rejections } = e {
+                            self.stats.record_crowd(crate::resolver::CrowdCost {
+                                questions: 0,
+                                workers: 0,
+                                quota_rejections,
+                                starved: true,
+                            });
+                        }
+                        Err(e)
                     }
-                    self.stats.inc_errors();
-                    results[first] = Some(Err(e));
-                    for &i in &flight.members[1..] {
-                        self.stats.inc_errors();
-                        results[i] = Some(Err(ServiceError::LeaderFailed));
-                    }
-                }
-                Ok(Ok(resolved)) => {
-                    tr.record(resolve_stage_ok(&resolved), r0);
-                    let starved = resolved.crowd.is_some_and(|c| c.starved);
-                    if let Some(cost) = resolved.crowd {
-                        self.stats.record_crowd(cost);
-                    }
-                    // A quota-starved fallback is transient contention,
-                    // not a verdict — it is served but never memoized,
-                    // so retries reach the crowd once capacity frees up
-                    // (mirroring the planner's own no-record rule for
-                    // starvation).
-                    if !starved {
-                        let _s = tr.span(Stage::Commit);
-                        self.commit_truth(TruthEntry {
-                            from: req.from,
-                            to: req.to,
-                            departure,
-                            path: resolved.path.clone(),
+                    Ok(Ok(resolved)) => {
+                        tr.record(resolve_stage_ok(&resolved), r0);
+                        let starved = resolved.crowd.is_some_and(|c| c.starved);
+                        if let Some(cost) = resolved.crowd {
+                            self.stats.record_crowd(cost);
+                        }
+                        // A quota-starved fallback is transient
+                        // contention, not a verdict — it is served but
+                        // never memoized, so retries reach the crowd once
+                        // capacity frees up (mirroring the planner's own
+                        // no-record rule for starvation).
+                        if !starved {
+                            let _s = tr.span(Stage::Commit);
+                            self.commit_truth(TruthEntry {
+                                from: req.from,
+                                to: req.to,
+                                departure,
+                                path: resolved.path.clone(),
+                                confidence: resolved.confidence,
+                            });
+                        }
+                        self.stats.inc_resolved();
+                        Ok(ServedRoute {
+                            path: resolved.path,
+                            served: Served::Resolved(resolved.resolution),
                             confidence: resolved.confidence,
-                        });
-                    }
-                    let served = ServedRoute {
-                        path: resolved.path,
-                        served: Served::Resolved(resolved.resolution),
-                        confidence: resolved.confidence,
-                    };
-                    self.stats.inc_resolved();
-                    flight.token.complete(served.clone());
-                    results[first] = Some(Ok(served.clone()));
-                    for &i in &flight.members[1..] {
-                        self.stats.inc_dedup_hits();
-                        results[i] = Some(Ok(ServedRoute {
-                            served: Served::Deduplicated,
-                            ..served.clone()
-                        }));
+                        })
                     }
                 }
-            }
-        }
-
-        // 4. Only now — with every leadership this batch held completed
-        // (or dropped) — wait on flights led by concurrent callers.
-        for (members, watch) in watches {
-            let shared = {
-                let _s = tr.span(Stage::FlightWait);
-                watch.wait()
             };
-            match shared {
-                Some(mut shared) => {
-                    shared.served = Served::Deduplicated;
-                    for &i in &members {
-                        self.stats.inc_dedup_hits();
-                        results[i] = Some(Ok(shared.clone()));
-                    }
-                }
-                None => {
-                    for &i in &members {
-                        self.stats.inc_errors();
-                        results[i] = Some(Err(ServiceError::LeaderFailed));
-                    }
-                }
+            if out.is_err() {
+                self.stats.inc_errors();
             }
+            for &i in &group.members[1..] {
+                results[i] = Some(self.share_outcome(&out));
+            }
+            results[first] = Some(out);
         }
 
         let elapsed = t0.elapsed();
@@ -812,7 +788,9 @@ impl RouteService {
 
     /// Serves one request with the caller's resolver: a run of one
     /// through [`RouteService::serve_coalesced`]. Safe to call from any
-    /// thread.
+    /// thread, but concurrent identical calls each resolve: only
+    /// [`Platform`](crate::Platform) deduplicates across threads, at
+    /// admission.
     pub fn handle<R: Resolver>(
         &self,
         req: Request,
@@ -1222,42 +1200,19 @@ mod tests {
     }
 
     #[test]
-    fn opposite_order_concurrent_batches_do_not_deadlock() {
-        use std::sync::Barrier;
-        // Regression: a batch must never block on another batch's
-        // flight while holding its own leaderships. Two threads serve
-        // the same two keys in opposite orders; with inline follower
-        // waits they could each lead one key and block forever on the
-        // other.
+    fn duplicates_of_a_failed_leader_share_its_error() {
         let world = mini_world();
-        let cfg = ServiceConfig::strict_deterministic();
-        let forward = [
-            Request::new(NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0)),
-            Request::new(NodeId(0), NodeId(31), TimeOfDay::from_hours(8.0)),
-        ];
-        let reverse = [forward[1], forward[0]];
-        for _round in 0..50 {
-            let service = RouteService::new(Arc::clone(&world), cfg.clone());
-            let barrier = Barrier::new(2);
-            std::thread::scope(|s| {
-                for reqs in [forward, reverse] {
-                    let service = &service;
-                    let barrier = &barrier;
-                    let world = &world;
-                    let core = cfg.core.clone();
-                    s.spawn(move || {
-                        let mut resolver = MachineResolver::new(world.graph_arc(), core);
-                        barrier.wait();
-                        for res in service.serve_coalesced(&reqs, &mut resolver) {
-                            res.expect("no batch may fail");
-                        }
-                    });
-                }
-            });
-            let snap = service.stats();
-            assert_eq!(snap.requests, 4);
-            assert!(snap.is_consistent(), "{snap:?}");
+        let service = RouteService::new(Arc::clone(&world), ServiceConfig::strict_deterministic());
+        let mut resolver = MachineResolver::new(world.graph_arc(), service.config().core.clone());
+        // No candidate route joins a node to itself.
+        let r = Request::new(NodeId(5), NodeId(5), TimeOfDay::from_hours(8.0));
+        let results = service.serve_coalesced(&[r, r], &mut resolver);
+        for res in &results {
+            assert!(matches!(res, Err(ServiceError::NoCandidates)), "{res:?}");
         }
+        let snap = service.stats();
+        assert_eq!((snap.requests, snap.errors), (2, 2));
+        assert!(snap.is_consistent(), "{snap:?}");
     }
 
     #[test]

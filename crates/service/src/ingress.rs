@@ -1,6 +1,6 @@
 //! The platform's ingress: every city's bounded queue of truth misses,
-//! the weighted deficit-round-robin schedule over them and the
-//! admission/dispatch ledger, all behind one mutex.
+//! its in-flight keys, the weighted deficit-round-robin schedule over
+//! the queues and the admission/dispatch ledger, all behind one mutex.
 //!
 //! Truth hits are served on the submitting thread and only book
 //! `admitted` and `served_inline` here, so the queues carry misses
@@ -8,8 +8,16 @@
 //! moves it. One lock makes every invariant a local argument:
 //!
 //! * every ledger term moves under the lock, so `admitted == batched +
-//!   unbatched + served_inline + shed + queue_depth` holds per city and
-//!   platform-wide whenever the lock is free;
+//!   unbatched + served_inline + deduped + shed + queue_depth` holds
+//!   per city and platform-wide whenever the lock is free;
+//! * cross-worker deduplication happens at admission: a queued or
+//!   running miss keeps its [`RequestKey`] in its city's in-flight map
+//!   until the worker that served it has committed the truth and
+//!   released the key, and an identical miss admitted meanwhile
+//!   attaches its ticket to that entry instead of queueing (booked
+//!   `deduped`, never shed as `Busy`). A miss admitted after the
+//!   release finds no entry and queues, and its run's truth check
+//!   serves it from the committed truth, so every key resolves once;
 //! * a worker parks on `work` only after [`Ingress::drr_pick`] found
 //!   every queue empty under the lock, and a submission that pushes a
 //!   job under the same lock wakes one parked worker, so no wake-up is
@@ -26,17 +34,19 @@
 //! counters.
 
 use crate::error::ServiceError;
-use crate::executor::Request;
+use crate::executor::{Request, RequestKey};
 use crate::platform::TicketSlot;
 use crate::trace::LockStats;
 use crate::world::CityId;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One admitted miss waiting for a worker.
 pub(crate) struct Job {
     pub(crate) req: Request,
+    /// The dedup identity that keys the city's in-flight map.
+    pub(crate) key: RequestKey,
     /// The origin grid cell runs coalesce on, computed at submit.
     pub(crate) cell: (i32, i32),
     pub(crate) slot: Arc<TicketSlot>,
@@ -45,10 +55,13 @@ pub(crate) struct Job {
     pub(crate) admitted_at: Instant,
 }
 
-/// One city's queue, DRR state and ledger.
+/// One city's queue, in-flight keys, DRR state and ledger.
 #[derive(Default)]
 pub(crate) struct CityIngress {
     pub(crate) jobs: VecDeque<Job>,
+    /// The key of every queued or running job, with the tickets of the
+    /// identical misses admitted since, which the job's outcome serves.
+    in_flight: HashMap<RequestKey, Vec<Arc<TicketSlot>>>,
     /// DRR weight (≥ 1): seed dispatches granted per rotation while
     /// backlogged.
     pub(crate) weight: u32,
@@ -57,12 +70,18 @@ pub(crate) struct CityIngress {
     /// Set by offboarding: submissions are refused and the queue stays
     /// empty forever, so the rotation skips the city.
     pub(crate) offboarded: bool,
-    /// Queued jobs shed with a terminal error by offboarding.
+    /// Queued jobs and their followers shed with a terminal error by
+    /// offboarding.
     pub(crate) shed: u64,
-    /// Requests admitted: queued, or served at submit.
+    /// Requests admitted: queued, attached to an in-flight job, or
+    /// served at submit.
     pub(crate) admitted: u64,
     /// Admitted truth hits served on the submitting thread.
     pub(crate) served_inline: u64,
+    /// Admitted misses attached to an identical in-flight job instead
+    /// of queueing (an offboarding drain that sheds the job moves its
+    /// followers to `shed`).
+    pub(crate) deduped: u64,
     /// Non-blocking submissions shed because the queue was full.
     pub(crate) rejected_busy: u64,
     /// Jobs dispatched inside a coalesced run of ≥ 2.
@@ -108,15 +127,17 @@ impl Ingress {
         });
     }
 
-    /// Whether a request for `city` may be admitted now. A truth hit
-    /// (`inline`) needs no queue space; a miss finding `capacity` jobs
-    /// queued gets [`ServiceError::Busy`]. Offboarding wins over
+    /// Whether a request for `city` with dedup identity `key` may be
+    /// admitted now. A truth hit (`inline`) and a miss whose key is in
+    /// flight need no queue space; any other miss finding `capacity`
+    /// jobs queued gets [`ServiceError::Busy`]. Offboarding wins over
     /// draining: a deregistered city's callers get the terminal answer,
     /// whichever flag was raised first.
     pub(crate) fn check(
         &self,
         city: usize,
         inline: bool,
+        key: &RequestKey,
         capacity: usize,
     ) -> Result<(), ServiceError> {
         let c = &self.cities[city];
@@ -124,20 +145,47 @@ impl Ingress {
             Err(ServiceError::CityOffboarded(CityId(city as u32)))
         } else if self.draining {
             Err(ServiceError::ShuttingDown)
-        } else if inline || c.jobs.len() < capacity {
+        } else if inline || c.jobs.len() < capacity || c.in_flight.contains_key(key) {
             Ok(())
         } else {
             Err(ServiceError::Busy)
         }
     }
 
-    /// Books an admitted submission for `city`; `inline` for a truth hit
-    /// served on the submitting thread.
-    pub(crate) fn admit(&mut self, city: usize, inline: bool) {
+    /// Books an admitted truth hit for `city`, served on the submitting
+    /// thread.
+    pub(crate) fn admit_hit(&mut self, city: usize) {
         self.submitted += 1;
         let c = &mut self.cities[city];
         c.admitted += 1;
-        c.served_inline += u64::from(inline);
+        c.served_inline += 1;
+    }
+
+    /// Books an admitted miss for `city`: it attaches its ticket to the
+    /// in-flight entry of its key, or queues and opens that entry.
+    /// Returns whether it queued (a parked worker must be woken).
+    pub(crate) fn admit_miss(&mut self, city: usize, job: Job) -> bool {
+        self.submitted += 1;
+        let c = &mut self.cities[city];
+        c.admitted += 1;
+        if let Some(followers) = c.in_flight.get_mut(&job.key) {
+            followers.push(job.slot);
+            c.deduped += 1;
+            return false;
+        }
+        c.in_flight.insert(job.key, Vec::new());
+        c.jobs.push_back(job);
+        true
+    }
+
+    /// Closes the in-flight entries of a served `run` of `city` and
+    /// returns each job's followers, in run order. The worker calls it
+    /// once the run's truths are committed.
+    pub(crate) fn release(&mut self, city: usize, run: &[Job]) -> Vec<Vec<Arc<TicketSlot>>> {
+        let c = &mut self.cities[city];
+        run.iter()
+            .map(|job| c.in_flight.remove(&job.key).unwrap_or_default())
+            .collect()
     }
 
     /// Books a submission for `city` refused with `e`.
@@ -207,16 +255,23 @@ impl Ingress {
         run
     }
 
-    /// Offboards `city`: refuses its later submissions and takes every
-    /// queued job, booked as shed. `None` when it was already
-    /// offboarded.
-    pub(crate) fn offboard(&mut self, city: usize) -> Option<Vec<Job>> {
+    /// Offboards `city`: refuses its later submissions and takes the
+    /// ticket of every queued job and of every follower attached to one,
+    /// booked as shed. Running jobs keep their followers. `None` when
+    /// the city was already offboarded.
+    pub(crate) fn offboard(&mut self, city: usize) -> Option<Vec<Arc<TicketSlot>>> {
         let c = &mut self.cities[city];
         if c.offboarded {
             return None;
         }
         c.offboarded = true;
-        let dropped: Vec<Job> = c.jobs.drain(..).collect();
+        let mut dropped = Vec::with_capacity(c.jobs.len());
+        for job in c.jobs.drain(..) {
+            let followers = c.in_flight.remove(&job.key).unwrap_or_default();
+            c.deduped -= followers.len() as u64;
+            dropped.push(job.slot);
+            dropped.extend(followers);
+        }
         c.shed += dropped.len() as u64;
         Some(dropped)
     }

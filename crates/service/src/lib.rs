@@ -17,19 +17,22 @@
 //! * [`RouteService`] — the per-city executor and its one serving
 //!   ladder, [`RouteService::serve_coalesced`]: a *run* of requests
 //!   (typically sharing an origin cell; a run of one is the lone case)
-//!   walks *single-flight dedup → truth hit → mining → resolution*
-//!   through one flight leader per distinct OD (each leader's truth
-//!   lookup is the in-run hit path; the truth store is the one per-OD
-//!   memo, so every leader that misses it mines) and one
-//!   artifact-backed mining pass;
+//!   walks *in-run dedup → truth hit → mining → resolution* through one
+//!   leader per distinct OD (each leader's truth lookup is the in-run
+//!   hit path; the truth store is the one per-OD memo, so every leader
+//!   that misses it mines) and one artifact-backed mining pass;
 //! * [`Platform`] — the front door: **truth hits served on the
 //!   submitting thread** ([`Platform::submit`] probes the city's truth
 //!   store and returns a completed [`Ticket`] on a hit), a resident
 //!   worker pool over all registered cities for the misses,
 //!   **per-city bounded ingress queues** with weighted
 //!   deficit-round-robin dispatch and admission control (a miss is
-//!   rejected with [`ServiceError::Busy`] when its queue is full), all
-//!   behind one ingress lock, joinable/pollable [`Ticket`]s,
+//!   rejected with [`ServiceError::Busy`] when its queue is full),
+//!   **deduplication at admission** (a miss whose `(OD, time-bucket)`
+//!   key is already queued or running attaches to that request and
+//!   shares its outcome — one resolution, crucial when resolution
+//!   spends crowd budget), all behind one ingress lock,
+//!   joinable/pollable [`Ticket`]s,
 //!   opportunistic **origin-cell request coalescing**
 //!   ([`PlatformConfig::batch`] / [`BatchConfig`]: a worker dequeues
 //!   its job together with every already-queued `(city, origin
@@ -41,9 +44,6 @@
 //!   resumable searches ([`cp_mining::OriginArtifacts`]) plus period transfer
 //!   networks, letting a batch skip mining work a recent batch — in any
 //!   time bucket — already did (`artifact_hits` in [`StatsSnapshot`]);
-//! * [`FlightTable`] — single-flight deduplication of identical
-//!   in-flight `(OD, time-bucket)` requests (one resolution, shared
-//!   result — crucial when resolution spends crowd budget);
 //! * [`Lru`] — the bounded cache behind the artifact cache's origin
 //!   cells and period networks;
 //! * [`Resolver`] — pluggable miss handling: deterministic machine-only
@@ -57,7 +57,7 @@
 //!   exactly across cities;
 //! * [`SpanRecorder`] / [`TraceConfig`] — span-level request tracing:
 //!   every request's sojourn attributed to pipeline [`Stage`]s (queue
-//!   wait, truth lookup, flight wait, artifact fetch, mining, machine/crowd resolve, commit) with
+//!   wait, truth lookup, artifact fetch, mining, machine/crowd resolve, commit) with
 //!   per-stage histograms in [`StatsSnapshot`], lock-wait counters
 //!   ([`LockStats`]) on the contended primitives, and a bounded ring of
 //!   complete sampled traces exportable via [`Platform::trace_report`]
@@ -134,7 +134,6 @@ mod ingress;
 pub mod json;
 pub mod platform;
 pub mod resolver;
-pub mod singleflight;
 pub mod stats;
 pub mod store;
 pub mod trace;
@@ -154,7 +153,6 @@ pub use platform::{
     PlatformConfig, PlatformSnapshot, RecoveryReport, Ticket,
 };
 pub use resolver::{CrowdCost, CrowdResolver, MachineResolver, OracleFactory, Resolved, Resolver};
-pub use singleflight::{FlightTable, FlightWatch, Join, JoinNow, LeaderToken};
 pub use stats::{LatencySummary, ServiceStats, StatsSnapshot};
 pub use store::ShardedTruthStore;
 pub use trace::{

@@ -7,7 +7,7 @@
 //!
 //! * **owned worlds** — each city is an `Arc<World>` registered under a
 //!   [`CityId`]; the platform owns a full per-city service instance
-//!   (truth shards, mining artifacts, flight table, stats), so cities never
+//!   (truth shards, mining artifacts, stats), so cities never
 //!   contend with each other on anything but CPU;
 //! * **resident worker pool** — [`Platform::start`] spawns N
 //!   `std::thread` workers that live until [`Platform::shutdown`]; each
@@ -25,10 +25,20 @@
 //!   load instead of collapsing under it; a hit is never shed).
 //!   [`Platform::submit_blocking`] waits for space instead. Workers pick
 //!   the next city by weighted deficit round robin. Every city's queue,
-//!   the schedule and the admission ledger sit behind one mutex, so
-//!   `admitted == batched + unbatched + served_inline + shed +
-//!   queue_depth` ([`PlatformSnapshot::is_consistent`]) holds per city
-//!   and platform-wide at every instant a snapshot can observe;
+//!   its in-flight keys, the schedule and the admission ledger sit
+//!   behind one mutex, so `admitted == batched + unbatched +
+//!   served_inline + deduped + shed + queue_depth`
+//!   ([`PlatformSnapshot::is_consistent`]) holds per city and
+//!   platform-wide at every instant a snapshot can observe;
+//! * **deduplication at admission** — a miss whose `(OD, time bucket)`
+//!   key is already queued or running attaches its ticket to that
+//!   request instead of queueing (booked `deduped`; it needs no queue
+//!   space, so it is never shed as `Busy`). The worker that served the
+//!   request releases the key once its truth is committed and hands
+//!   every attached ticket the same outcome — the route tagged
+//!   [`Served::Deduplicated`](crate::Served::Deduplicated), or the
+//!   leader's error — so identical concurrent requests pay for one
+//!   resolution and its crowd questions once;
 //! * **origin-cell coalescing** — with [`PlatformConfig::batch`] set, a
 //!   worker dispatches its job together with every job already queued
 //!   for the same city and origin cell, up to
@@ -367,11 +377,15 @@ pub struct CityQueueSnapshot {
     pub weight: u32,
     /// Jobs currently waiting in this city's queue.
     pub queue_depth: usize,
-    /// Requests admitted for this city: queued, or served at submit.
+    /// Requests admitted for this city: queued, attached to an
+    /// identical in-flight request, or served at submit.
     pub admitted: u64,
     /// Admitted truth hits served on the submitting thread, never
     /// queued.
     pub served_inline: u64,
+    /// Admitted misses that attached to an identical queued or running
+    /// request instead of queueing, served its outcome.
+    pub deduped: u64,
     /// Non-blocking submissions shed because this city's queue was
     /// full (other cities shed independently).
     pub rejected_busy: u64,
@@ -386,8 +400,8 @@ pub struct CityQueueSnapshot {
     /// Whether the city was deregistered at runtime
     /// ([`Platform::deregister_city`]).
     pub offboarded: bool,
-    /// Queued tickets shed with [`ServiceError::CityOffboarded`] by the
-    /// offboarding drain.
+    /// Queued tickets, and the tickets attached to them, shed with
+    /// [`ServiceError::CityOffboarded`] by the offboarding drain.
     pub shed: u64,
     /// The city's crowd-circuit-breaker observables (`None` for cities
     /// registered without a breaker).
@@ -396,15 +410,17 @@ pub struct CityQueueSnapshot {
 
 impl CityQueueSnapshot {
     /// The per-city dispatch ledger: every admitted request was served
-    /// at submit, or is still queued, was dispatched exactly once —
-    /// batched or unbatched — or was shed with a terminal error by an
-    /// offboarding drain. All terms are captured under the ingress lock,
-    /// so this is exact at every observable instant.
+    /// at submit, attached to an identical in-flight request, or is
+    /// still queued, was dispatched exactly once — batched or unbatched
+    /// — or was shed with a terminal error by an offboarding drain. All
+    /// terms are captured under the ingress lock, so this is exact at
+    /// every observable instant.
     pub fn is_consistent(&self) -> bool {
         self.admitted
             == self.batched_requests
                 + self.unbatched_requests
                 + self.served_inline
+                + self.deduped
                 + self.shed
                 + self.queue_depth as u64
             && self.batch_max <= self.batched_requests
@@ -424,6 +440,9 @@ pub struct PlatformSnapshot {
     /// Admitted truth hits served on the submitting thread without
     /// queueing (Σ per-city).
     pub served_inline: u64,
+    /// Admitted misses attached to an identical in-flight request
+    /// instead of queueing (Σ per-city).
+    pub deduped: u64,
     /// Rejections because the target city's queue was full (Σ
     /// per-city).
     pub rejected_busy: u64,
@@ -484,15 +503,16 @@ pub struct PlatformSnapshot {
 impl PlatformSnapshot {
     /// The admission and dispatch accounting invariants: every
     /// submission was either admitted or rejected for exactly one
-    /// reason, and every admitted request was served at submit, is
-    /// still queued, was dispatched exactly once — batched or unbatched
-    /// — or was shed. Every city's dispatch counters, `admitted`,
-    /// `served_inline` and queue depth are captured in one hold of the
+    /// reason, and every admitted request was served at submit,
+    /// attached to an identical in-flight request, is still queued, was
+    /// dispatched exactly once — batched or unbatched — or was shed.
+    /// Every city's dispatch counters, `admitted`, `served_inline`,
+    /// `deduped` and queue depth are captured in one hold of the
     /// ingress lock (admission and dispatch mutate them in the same
     /// critical sections that move jobs), so every per-city ledger and
     /// their sum, `admitted == batched + unbatched + served_inline +
-    /// shed + Σ per-city queue_depth`, is exact at one instant, not
-    /// just at quiescence.
+    /// deduped + shed + Σ per-city queue_depth`, is exact at one
+    /// instant, not just at quiescence.
     pub fn is_consistent(&self) -> bool {
         let per_city_depth: u64 = self.per_city.iter().map(|c| c.queue_depth as u64).sum();
         self.admitted
@@ -506,10 +526,12 @@ impl PlatformSnapshot {
                 == self.batched_requests
                     + self.unbatched_requests
                     + self.served_inline
+                    + self.deduped
                     + self.shed
                     + self.queue_depth as u64
             && self.shed == self.per_city.iter().map(|c| c.shed).sum::<u64>()
             && self.served_inline == self.per_city.iter().map(|c| c.served_inline).sum::<u64>()
+            && self.deduped == self.per_city.iter().map(|c| c.deduped).sum::<u64>()
             && self.queue_depth as u64 == per_city_depth
             && self.admitted == self.per_city.iter().map(|c| c.admitted).sum::<u64>()
             && self.per_city.iter().all(CityQueueSnapshot::is_consistent)
@@ -945,25 +967,25 @@ impl Platform {
     }
 
     /// Deregisters a city at runtime. Under the ingress lock: later
-    /// submissions are rejected with
-    /// [`ServiceError::CityOffboarded`], every *queued* job is drained
+    /// submissions are rejected with [`ServiceError::CityOffboarded`],
+    /// every *queued* job and every request attached to one is drained
     /// and shed with that terminal error (jobs already dispatched —
-    /// in-flight on a worker — resolve normally, exactly once), and the
-    /// emptied-forever queue drops out of the DRR rotation on its own
-    /// (the rotation only picks non-empty queues). Cache state —
-    /// mining artifacts and truths — is reclaimed, and
-    /// [`Platform::city_service`] answers `None` so a gateway maps the
-    /// city to 404. Other cities' queues, weights and fairness are
+    /// in-flight on a worker — resolve normally, exactly once, and so
+    /// do their followers), and the emptied-forever queue drops out of
+    /// the DRR rotation on its own (the rotation only picks non-empty
+    /// queues). Cache state — mining artifacts and truths — is
+    /// reclaimed, and [`Platform::city_service`] answers `None` so a
+    /// gateway maps the city to 404. Other cities' queues, weights and fairness are
     /// untouched. A crowd city's per-worker planners stay with their
     /// workers until shutdown, each holding its capped private truth
     /// store (see [`Platform::register_city_crowd`]: it only feeds
     /// truth-derived confidence, so nothing is ever served from it).
     ///
-    /// Returns the number of queued tickets shed (`Some(0)` when the
-    /// city was already offboarded — idempotent), or `None` for an id
-    /// that was never registered. City ids are dense indices, so the
-    /// slot itself is retained as a tombstone: no other city's id
-    /// shifts.
+    /// Returns the number of tickets shed, queued or attached
+    /// (`Some(0)` when the city was already offboarded — idempotent),
+    /// or `None` for an id that was never registered. City ids are
+    /// dense indices, so the slot itself is retained as a tombstone: no
+    /// other city's id shifts.
     pub fn deregister_city(&self, city: CityId) -> Option<u64> {
         let state = {
             let cities = self.inner.cities.read().expect("city registry poisoned");
@@ -981,8 +1003,8 @@ impl Platform {
         drop(ingress);
         // Fulfil outside the ingress lock: ticket waiters take their own
         // slot locks.
-        for job in dropped {
-            job.slot.fulfill(Err(ServiceError::CityOffboarded(city)));
+        for slot in dropped {
+            slot.fulfill(Err(ServiceError::CityOffboarded(city)));
         }
         state.service.reclaim();
         Some(n as u64)
@@ -1080,8 +1102,9 @@ impl Platform {
         // and served below without touching a queue or a worker; only
         // misses enqueue.
         let hit = service.probe_truth(&req);
+        let key = service.key_of(&req);
         let mut ingress = inner.ingress.lock();
-        while let Err(e) = ingress.check(i, hit.is_some(), inner.cfg.queue_capacity) {
+        while let Err(e) = ingress.check(i, hit.is_some(), &key, inner.cfg.queue_capacity) {
             if e == ServiceError::Busy && block_on_full {
                 ingress = inner.ingress.wait_for_space(ingress);
                 continue;
@@ -1091,8 +1114,8 @@ impl Platform {
             ingress.refuse(i, &e);
             return Err(e);
         }
-        ingress.admit(i, hit.is_some());
         if let Some(hit) = hit {
+            ingress.admit_hit(i);
             drop(ingress);
             let served = service.book_inline_hit(&req, hit, submitted_at.elapsed());
             inner.completed.fetch_add(1, Ordering::Relaxed);
@@ -1105,14 +1128,22 @@ impl Platform {
                 slot: TicketSlot::served(submitted_at, served, ns),
             });
         }
+        // A miss whose key is in flight rides along with that job;
+        // any other miss queues for a worker.
         let slot = TicketSlot::queued(submitted_at);
-        ingress.cities[i].jobs.push_back(Job {
-            req,
-            cell: service.origin_cell_of(req.from),
-            slot: Arc::clone(&slot),
-            admitted_at: Instant::now(),
-        });
-        inner.ingress.wake_worker(&ingress);
+        let queued = ingress.admit_miss(
+            i,
+            Job {
+                req,
+                key,
+                cell: service.origin_cell_of(req.from),
+                slot: Arc::clone(&slot),
+                admitted_at: Instant::now(),
+            },
+        );
+        if queued {
+            inner.ingress.wake_worker(&ingress);
+        }
         Ok(Ticket {
             city: req.city,
             slot,
@@ -1219,7 +1250,7 @@ impl Platform {
     /// was produced. Truth sequence counters and crowd generations are
     /// re-seeded, so serving resumes with monotone sequences — a warm
     /// restart: truths and answer history intact, caches (mining
-    /// artifacts, flight table) deliberately cold.
+    /// artifacts) deliberately cold.
     pub fn recover_from(&self, dir: &std::path::Path) -> Result<RecoveryReport, DurableError> {
         self.apply_durable(dir, None)
     }
@@ -1443,6 +1474,7 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
             queue_depth: c.jobs.len(),
             admitted: c.admitted,
             served_inline: c.served_inline,
+            deduped: c.deduped,
             rejected_busy: c.rejected_busy,
             batched_requests: c.batched_requests,
             unbatched_requests: c.unbatched_requests,
@@ -1467,6 +1499,7 @@ fn snapshot_of(inner: &Inner) -> PlatformSnapshot {
         submitted,
         admitted: per_city.iter().map(|c| c.admitted).sum(),
         served_inline: per_city.iter().map(|c| c.served_inline).sum(),
+        deduped: per_city.iter().map(|c| c.deduped).sum(),
         rejected_busy: per_city.iter().map(|c| c.rejected_busy).sum(),
         rejected_unknown_city: unknown_city,
         rejected_unknown_node: unknown_node,
@@ -1797,7 +1830,17 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
         {
             resolvers[city_idx] = None;
         }
-        for (job, result) in run.into_iter().zip(results) {
+        // The run's truths are committed: close its in-flight keys, then
+        // serve each job's followers its outcome, outside the lock.
+        let followers = inner.ingress.lock().release(city_idx, &run);
+        for ((job, result), followers) in run.into_iter().zip(results).zip(followers) {
+            for slot in followers {
+                let shared = city
+                    .service
+                    .book_follower(&result, slot.submitted_at.elapsed());
+                inner.completed.fetch_add(1, Ordering::Relaxed);
+                slot.fulfill(shared);
+            }
             inner.completed.fetch_add(1, Ordering::Relaxed);
             job.slot.fulfill(result);
         }
@@ -1807,7 +1850,7 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Served;
+    use crate::executor::{RequestKey, Served};
     use crate::ingress::Ingress;
     use cp_roadnet::{generate_city, CityParams, NodeId};
     use cp_traj::{generate_trips, TimeOfDay, TripGenParams};
@@ -2335,11 +2378,15 @@ mod tests {
         assert!(desk.desk_stats().is_drained());
     }
 
+    /// The destination [`gated_platform`]'s resolver panics on.
+    const POISON: NodeId = NodeId(7);
+
     /// A one-worker platform (`cfg` with `workers: 1`) over `world` with
     /// one strict city, whose resolver holds its first resolution: it
     /// signals the returned receiver, then waits until the returned
     /// sender fires. Whatever is submitted meanwhile stays queued behind
-    /// that dispatch.
+    /// that dispatch. A request to [`POISON`] panics the resolver once
+    /// it passes the gate.
     fn gated_platform(
         world: &Arc<World>,
         cfg: PlatformConfig,
@@ -2361,6 +2408,7 @@ mod tests {
                     let _ = entered.send(());
                     gate.recv().expect("the test opens the gate");
                 }
+                assert!(to != POISON, "poisoned request");
                 self.0.resolve(from, to, departure, candidates)
             }
         }
@@ -2379,12 +2427,18 @@ mod tests {
         (platform, id, entered, open)
     }
 
+    /// The miss [`held_and_full`] holds its only worker inside.
+    fn held_miss() -> Request {
+        Request::to_city(CityId(0), NodeId(1), NodeId(50), TimeOfDay::from_hours(8.0))
+    }
+
     /// A one-worker, two-slot platform over the mini city with the
     /// verified route of `key` already stored, its only worker held
-    /// inside a miss's resolution and its queue at capacity. Returns the
-    /// platform, `key`'s stored route and the sender that releases the
-    /// worker.
-    fn held_and_full(key: Request) -> (Platform, ServedRoute, Sender<()>) {
+    /// inside the resolution of [`held_miss`] and its queue at capacity
+    /// with the misses to nodes 51 and 52. Returns the platform, `key`'s
+    /// stored route, the held miss's ticket and the sender that releases
+    /// the worker.
+    fn held_and_full(key: Request) -> (Platform, ServedRoute, Ticket, Sender<()>) {
         let world = mini_world(7);
         let cfg = ServiceConfig::strict_deterministic();
         let reference = RouteService::new(Arc::clone(&world), cfg.clone());
@@ -2404,20 +2458,20 @@ mod tests {
         }
         let miss =
             |to: u32| Request::to_city(id, NodeId(1), NodeId(to), TimeOfDay::from_hours(8.0));
-        let held = platform.submit(miss(50)).unwrap();
+        let held = platform.submit(held_miss()).unwrap();
         entered.recv().expect("the worker takes the first miss");
         assert!(!held.is_done());
         for to in [51, 52] {
             platform.submit(miss(to)).unwrap();
         }
         assert_eq!(platform.submit(miss(53)).unwrap_err(), ServiceError::Busy);
-        (platform, stored, open)
+        (platform, stored, held, open)
     }
 
     #[test]
     fn a_stored_key_is_served_at_submit_while_the_worker_is_held_and_the_queue_full() {
         let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
-        let (platform, stored, open) = held_and_full(key);
+        let (platform, stored, _, open) = held_and_full(key);
         for ticket in [platform.submit(key), platform.submit_blocking(key)] {
             let ticket = ticket.expect("a truth hit is never shed");
             assert!(ticket.is_done(), "complete when returned");
@@ -2434,7 +2488,7 @@ mod tests {
     #[test]
     fn a_snapshot_while_the_worker_is_held_balances_with_served_inline() {
         let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
-        let (platform, _, open) = held_and_full(key);
+        let (platform, _, _, open) = held_and_full(key);
         for _ in 0..3 {
             platform.submit(key).unwrap();
         }
@@ -2517,7 +2571,7 @@ mod tests {
     #[test]
     fn a_would_be_hit_after_shutdown_starts_or_offboarding_books_nothing() {
         let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
-        let (platform, _, open) = held_and_full(key);
+        let (platform, _, _, open) = held_and_full(key);
         let before = platform.city_stats(CityId(0)).unwrap();
         std::thread::scope(|s| {
             // Shutdown raises every drain flag, then blocks joining the
@@ -2558,6 +2612,112 @@ mod tests {
         let snap = platform.stats();
         assert_eq!((snap.admitted, snap.served_inline), (1, 0));
         assert!(snap.is_consistent(), "{snap:?}");
+        platform.shutdown();
+    }
+
+    #[test]
+    fn a_duplicate_of_the_held_miss_is_admitted_with_the_queue_full_and_shares_its_route() {
+        let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        let (platform, _, held, open) = held_and_full(key);
+        let followers = [
+            platform.submit(held_miss()),
+            platform.submit_blocking(held_miss()),
+        ]
+        .map(|t| t.expect("a duplicate of an in-flight miss needs no queue slot"));
+        assert!(followers.iter().all(|t| !t.is_done()));
+        let snap = platform.stats();
+        assert!(snap.is_consistent(), "{snap:?}");
+        let row = &snap.per_city[0];
+        assert!(row.is_consistent(), "{row:?}");
+        // Three misses (one on the held worker, two queued), one shed and
+        // two duplicates attached to the held one.
+        assert_eq!(
+            (row.admitted, row.deduped, row.unbatched_requests),
+            (5, 2, 1)
+        );
+        assert_eq!((row.queue_depth, row.rejected_busy), (2, 1));
+        assert_eq!(snap.deduped, 2);
+
+        open.send(()).unwrap();
+        let leader = held.wait().unwrap();
+        assert!(matches!(leader.served, Served::Resolved(_)));
+        for ticket in followers {
+            let served = ticket.wait().unwrap();
+            assert_eq!(served.served, Served::Deduplicated);
+            assert_eq!(served.path, leader.path);
+            assert_eq!(served.confidence.to_bits(), leader.confidence.to_bits());
+        }
+        platform.shutdown_impl();
+        let snap = platform.stats();
+        assert!(snap.is_consistent(), "{snap:?}");
+        assert_eq!((snap.admitted, snap.completed, snap.deduped), (5, 5, 2));
+        let city = platform.city_stats(CityId(0)).unwrap();
+        assert!(city.is_consistent(), "{city:?}");
+        assert_eq!((city.requests, city.resolved, city.dedup_hits), (5, 3, 2));
+        assert_eq!(city.latency.count, 5);
+    }
+
+    #[test]
+    fn offboarding_sheds_the_followers_of_queued_misses_with_them() {
+        let key = Request::to_city(CityId(0), NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        let (platform, _, held, open) = held_and_full(key);
+        let queued = |to: u32| {
+            Request::to_city(CityId(0), NodeId(1), NodeId(to), TimeOfDay::from_hours(8.0))
+        };
+        let shed: Vec<Ticket> = [queued(51), queued(51), queued(52)]
+            .into_iter()
+            .map(|req| platform.submit(req).expect("attached"))
+            .collect();
+        let rides_along = platform.submit(held_miss()).expect("attached");
+        // Both queued misses and their three followers.
+        assert_eq!(platform.deregister_city(CityId(0)), Some(5));
+        for ticket in shed {
+            assert!(ticket.is_done(), "shed at once");
+            assert_eq!(
+                ticket.wait().unwrap_err(),
+                ServiceError::CityOffboarded(CityId(0))
+            );
+        }
+        let snap = platform.stats();
+        assert!(snap.is_consistent(), "{snap:?}");
+        assert_eq!((snap.admitted, snap.shed, snap.deduped), (7, 5, 1));
+        assert_eq!(snap.queue_depth, 0);
+
+        // The running miss and its follower resolve normally.
+        open.send(()).unwrap();
+        let leader = held.wait().unwrap();
+        let served = rides_along.wait().unwrap();
+        assert_eq!(served.served, Served::Deduplicated);
+        assert_eq!(served.path, leader.path);
+        platform.shutdown_impl();
+        let snap = platform.stats();
+        assert!(snap.is_consistent(), "{snap:?}");
+        assert_eq!(snap.completed, snap.admitted - snap.shed);
+    }
+
+    #[test]
+    fn followers_of_a_panicking_leader_get_its_error_and_the_worker_survives() {
+        let world = mini_world(7);
+        let (platform, id, entered, open) = gated_platform(&world, PlatformConfig::default());
+        let poisoned = Request::to_city(id, NodeId(1), POISON, TimeOfDay::from_hours(8.0));
+        let leader = platform.submit(poisoned).unwrap();
+        entered.recv().expect("the worker takes the poisoned miss");
+        let followers: Vec<Ticket> = (0..3)
+            .map(|_| platform.submit(poisoned).expect("attached"))
+            .collect();
+        open.send(()).unwrap();
+        for ticket in std::iter::once(leader).chain(followers) {
+            assert_eq!(ticket.wait().unwrap_err(), ServiceError::ResolverPanicked);
+        }
+        // The only worker survived and serves the next miss.
+        let healthy = Request::to_city(id, NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        platform.submit(healthy).unwrap().wait().unwrap();
+        let snap = platform.stats();
+        assert!(snap.is_consistent(), "{snap:?}");
+        assert_eq!(snap.deduped, 3);
+        let city = platform.city_stats(id).unwrap();
+        assert!(city.is_consistent(), "{city:?}");
+        assert_eq!((city.requests, city.errors, city.resolved), (5, 4, 1));
         platform.shutdown();
     }
 
@@ -2618,9 +2778,9 @@ mod tests {
         assert!(snap.is_consistent(), "{snap:?}");
         assert_eq!(snap.admitted, requests.len() as u64);
         assert_eq!(
-            snap.batched_requests + snap.unbatched_requests,
+            snap.batched_requests + snap.unbatched_requests + snap.deduped,
             snap.admitted,
-            "drained: every admitted job was dispatched"
+            "drained: every admitted job was dispatched or attached"
         );
         assert!(snap.batch_runs >= 1, "a queued burst must coalesce");
         assert!(snap.batch_max >= 2);
@@ -2768,6 +2928,11 @@ mod tests {
                     NodeId(59),
                     TimeOfDay::from_hours(8.0),
                 ),
+                key: RequestKey {
+                    from: NodeId(origin),
+                    to: NodeId(59),
+                    bucket: 32,
+                },
                 cell,
                 slot: TicketSlot::queued(Instant::now()),
                 admitted_at: Instant::now(),

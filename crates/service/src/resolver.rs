@@ -1,8 +1,8 @@
 //! Pluggable request resolution.
 //!
-//! The executor owns everything shared (truth shards, mining artifacts,
-//! single-flight table); what *resolving a miss* means is a per-worker
-//! strategy behind the [`Resolver`] trait:
+//! The executor owns everything shared (truth shards, mining
+//! artifacts); what *resolving a miss* means is a per-worker strategy
+//! behind the [`Resolver`] trait:
 //!
 //! * [`MachineResolver`] — the machine-only pipeline (agreement
 //!   clustering, then the best-machine-guess fallback ranked by learned

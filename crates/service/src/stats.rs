@@ -75,13 +75,15 @@ pub struct ServiceStats {
     requests: AtomicU64,
     /// Served straight from the sharded truth store.
     truth_hits: AtomicU64,
-    /// Served by waiting on an identical in-flight request.
+    /// Served the outcome of an identical request served at the same
+    /// time.
     dedup_hits: AtomicU64,
-    /// Resolved freshly (leader of a flight).
+    /// Resolved freshly (a run's leader for its key).
     resolved: AtomicU64,
-    /// Failed (no candidates / resolver error / failed leader).
+    /// Failed (no candidates / resolver error), duplicates of a failed
+    /// leader included.
     errors: AtomicU64,
-    /// OD pairs mined (flight leaders that missed the truth store).
+    /// OD pairs mined (run leaders that missed the truth store).
     cache_misses: AtomicU64,
     /// Fused candidate-generation calls (one multi-OD mining pass).
     fused_minings: AtomicU64,
@@ -267,8 +269,8 @@ impl ServiceStats {
             crowd_starved: self.crowd_starved.load(Ordering::Relaxed),
             stages,
             // Lock contention lives on the owning primitives (truth
-            // shards, artifact cache, flight table, ingress queue); the
-            // owner fills these in (see `RouteService::stats` and
+            // shards, artifact cache, ingress queue); the owner fills
+            // these in (see `RouteService::stats` and
             // `Platform::snapshot_of`). Raw counters stay zero here so
             // two layers can never drift apart.
             locks: [LockSummary::default(); LockSite::COUNT],
@@ -319,7 +321,9 @@ pub struct StatsSnapshot {
     pub requests: u64,
     /// Served from the sharded truth store.
     pub truth_hits: u64,
-    /// Served by joining an identical in-flight request.
+    /// Served the outcome of an identical request served at the same
+    /// time: a duplicate inside one run, or a platform submission that
+    /// attached to an identical queued or running request.
     pub dedup_hits: u64,
     /// Resolved freshly.
     pub resolved: u64,
@@ -329,7 +333,7 @@ pub struct StatsSnapshot {
     /// so every truth miss mines. Kept because `benchmark/` reads it
     /// (`service.cache.candidate_hit_share`).
     pub cache_hits: u64,
-    /// OD pairs mined: one per flight leader that missed the truth
+    /// OD pairs mined: one per run leader that missed the truth
     /// store.
     pub cache_misses: u64,
     /// Truths evicted from the sharded store (capacity or age). Sourced

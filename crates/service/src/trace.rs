@@ -2,12 +2,13 @@
 //!
 //! PRs 1–5 made the serving stack fast on one worker; this module makes
 //! it *explainable* at many. Every request's lifetime is attributed to
-//! pipeline [`Stage`]s — ingress queue wait, truth lookup,
-//! flight-table wait, artifact fetch/build, fused mining,
-//! machine/crowd resolution, truth commit — and every contended
-//! primitive (the ingress mutex, truth-shard `RwLock`s, the
-//! artifact-cache mutexes, the flight table) counts how long
-//! acquisitions actually blocked ([`LockStats`]).
+//! pipeline [`Stage`]s — ingress queue wait, truth lookup, artifact
+//! fetch/build, fused mining, machine/crowd resolution, truth commit —
+//! and every contended primitive (the ingress mutex, truth-shard
+//! `RwLock`s, the artifact-cache mutexes) counts how long acquisitions
+//! actually blocked ([`LockStats`]). A request deduplicated at
+//! admission runs no stage of its own: it shares the outcome of the
+//! identical request it attached to.
 //!
 //! Three cost tiers, selected per city by [`TraceConfig`] in
 //! [`ServiceConfig`](crate::ServiceConfig):
@@ -51,11 +52,8 @@ pub enum Stage {
     /// none).
     QueueWait,
     /// Sharded truth-store lookups (the platform's submit probe of an
-    /// admitted hit, and flight leaders' lookups).
+    /// admitted hit, and each run leader's lookup).
     TruthLookup,
-    /// Blocking on another caller's in-flight resolution (single-flight
-    /// follower waits).
-    FlightWait,
     /// Fetching or building per-origin all-day mining artifacts and
     /// period transfer networks ([`MiningArtifactCache`](crate::MiningArtifactCache)).
     ArtifactFetch,
@@ -73,13 +71,12 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (array dimension for per-stage histograms).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::QueueWait,
         Stage::TruthLookup,
-        Stage::FlightWait,
         Stage::ArtifactFetch,
         Stage::Mining,
         Stage::ResolveMachine,
@@ -93,7 +90,6 @@ impl Stage {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::TruthLookup => "truth_lookup",
-            Stage::FlightWait => "flight_wait",
             Stage::ArtifactFetch => "artifact_fetch",
             Stage::Mining => "mining",
             Stage::ResolveMachine => "resolve_machine",
@@ -121,20 +117,17 @@ pub enum LockSite {
     TruthShards,
     /// The mining-artifact cache's origin/period mutexes.
     ArtifactCache,
-    /// The single-flight table's map mutex.
-    FlightTable,
 }
 
 impl LockSite {
     /// Number of lock sites (array dimension for lock summaries).
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 
     /// Every site, in order.
     pub const ALL: [LockSite; LockSite::COUNT] = [
         LockSite::Ingress,
         LockSite::TruthShards,
         LockSite::ArtifactCache,
-        LockSite::FlightTable,
     ];
 
     /// Stable snake_case name (used in trace-report JSON).
@@ -143,7 +136,6 @@ impl LockSite {
             LockSite::Ingress => "ingress",
             LockSite::TruthShards => "truth_shards",
             LockSite::ArtifactCache => "artifact_cache",
-            LockSite::FlightTable => "flight_table",
         }
     }
 

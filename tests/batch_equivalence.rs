@@ -94,9 +94,10 @@ proptest! {
             let snap = platform.stats();
             prop_assert!(snap.is_consistent(), "{:?}", snap);
             // Every request was dispatched, or — a duplicate whose truth
-            // was stored before it was submitted — served at submit.
+            // was stored before it was submitted — served at submit, or —
+            // a duplicate of a queued or running request — attached to it.
             prop_assert_eq!(
-                snap.batched_requests + snap.unbatched_requests + snap.served_inline,
+                snap.batched_requests + snap.unbatched_requests + snap.served_inline + snap.deduped,
                 requests.len() as u64
             );
             prop_assert!(snap.aggregate.is_consistent(), "{:?}", snap.aggregate);

@@ -133,10 +133,11 @@ proptest! {
                 prop_assert!(snap.aggregate.is_consistent(), "{:?}", snap.aggregate);
                 if level.enabled() {
                     // Every dispatched job's queue wait was attributed;
-                    // a truth hit served at submit never queued.
+                    // a truth hit served at submit and a duplicate
+                    // attached at admission never queued.
                     prop_assert_eq!(
                         snap.aggregate.stages[Stage::QueueWait.index()].count,
-                        snap.admitted - snap.served_inline
+                        snap.admitted - snap.served_inline - snap.deduped
                     );
                 }
                 let report = platform.trace_report();
@@ -179,9 +180,7 @@ fn counter_histograms_reconcile_with_request_counters() {
     assert_eq!(stage(Stage::ResolveMachine), snap.resolved);
     assert_eq!(stage(Stage::ResolveCrowd), 0);
     assert_eq!(stage(Stage::Commit), snap.resolved);
-    // No single-flight contention and no platform queue in this
-    // sequential run.
-    assert_eq!(stage(Stage::FlightWait), 0);
+    // No platform queue in this sequential run.
     assert_eq!(stage(Stage::QueueWait), 0);
     // Stage totals never exceed the end-to-end service time they are
     // carved out of (mean × count reconstructs the total sojourn, ±1 ns
