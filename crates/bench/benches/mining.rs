@@ -1,17 +1,16 @@
 //! Micro-benchmarks of a cold miss's per-request mining on the Large
 //! city (the `cold_mine` benchmark world): the two web services' A*
 //! searches, the trip index a world builds once, and the locality scan
-//! `OriginArtifacts::build` runs per origin. Each iteration covers
+//! `World::origin_artifacts` runs per origin. Each iteration covers
 //! `ODS` requests, so divide the reported time by `ODS` for one.
 
-use cp_mining::{FastestRouteService, LdrParams, OriginArtifacts, ShortestRouteService, TripIndex};
+use cp_mining::{FastestRouteService, ShortestRouteService, TripIndex};
 use cp_roadnet::NodeId;
 use criterion::{criterion_group, criterion_main, Criterion};
 use crowdplanner::sim::{Scale, SimWorld};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// Requests per iteration.
 const ODS: usize = 256;
@@ -30,8 +29,7 @@ fn bench_mining(c: &mut Criterion) {
             )
         })
         .collect();
-    let index = Arc::new(TripIndex::build(graph, trips));
-    let ldr = LdrParams::default();
+    let mining = world.service_world();
 
     let mut group = c.benchmark_group("mining");
     group.sample_size(20);
@@ -49,7 +47,7 @@ fn bench_mining(c: &mut Criterion) {
     group.bench_function("origin_artifacts_build_256_origins", |bench| {
         bench.iter(|| {
             for &(from, _) in &ods {
-                black_box(OriginArtifacts::build(graph, &index, &ldr, from));
+                black_box(mining.origin_artifacts(from));
             }
         })
     });

@@ -66,12 +66,12 @@ pub fn random_selection_instance(
 /// Candidate landmark-routes for a request, deduplicated at landmark level.
 pub fn calibrated_candidates(
     world: &SimWorld,
-    gen: &cp_mining::CandidateGenerator<'_>,
+    mining: &cp_mining::World,
     from: cp_roadnet::NodeId,
     to: cp_roadnet::NodeId,
     departure: cp_traj::TimeOfDay,
 ) -> Vec<LandmarkRoute> {
-    let cands = gen.candidates(from, to, departure);
+    let cands = mining.candidates(from, to, departure);
     let distinct = cp_mining::distinct_candidates(&cands);
     let mut out: Vec<LandmarkRoute> = Vec::new();
     for (p, _) in distinct {

@@ -7,7 +7,7 @@
 //! with density; MFP tops the table once data is dense.
 
 use crate::common::{header, row};
-use cp_mining::{CandidateGenerator, SourceKind};
+use cp_mining::{SourceKind, World};
 use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
 
@@ -32,10 +32,10 @@ pub fn run(fast: bool) {
     for d in densities {
         let keep = ((world.trips.trips.len() as f64) * d) as usize;
         let subset = &world.trips.trips[..keep.min(world.trips.trips.len())];
-        let gen = CandidateGenerator::new(&world.city.graph, subset);
+        let mining = World::new(world.city.graph.clone(), subset.to_vec());
         let mut hits = [0usize; 5];
         for &(a, b) in &requests {
-            for c in gen.candidates(a, b, departure) {
+            for c in mining.candidates(a, b, departure) {
                 if world.is_best(&c.path) {
                     let i = SourceKind::ALL.iter().position(|&s| s == c.source).unwrap();
                     hits[i] += 1;

@@ -8,7 +8,6 @@
 use crate::common::{calibrated_candidates, header, row};
 use cp_core::taskgen::{build_question_tree, QuestionNode, SelectionAlgorithm, SelectionProblem};
 use cp_core::LandmarkRoute;
-use cp_mining::CandidateGenerator;
 use cp_roadnet::LandmarkId;
 use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
@@ -61,7 +60,7 @@ fn max_depth_of(n: &QuestionNode) -> usize {
 /// Runs E4.
 pub fn run(fast: bool) {
     let world = SimWorld::build(Scale::Medium, 17).expect("world");
-    let gen = CandidateGenerator::new(&world.city.graph, &world.trips.trips);
+    let mining = world.service_world();
     let n_req = if fast { 40 } else { 200 };
     let requests = world.request_stream(n_req, 6, 47);
     let departure = TimeOfDay::from_hours(8.0);
@@ -70,7 +69,7 @@ pub fn run(fast: bool) {
     let mut by_n: std::collections::BTreeMap<usize, Vec<(f64, f64, f64, usize)>> =
         std::collections::BTreeMap::new();
     for &(a, b) in &requests {
-        let routes = calibrated_candidates(&world, &gen, a, b, departure);
+        let routes = calibrated_candidates(&world, &mining, a, b, departure);
         let n = routes.len();
         if n < 2 {
             continue;

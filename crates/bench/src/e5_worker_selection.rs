@@ -10,7 +10,6 @@ use cp_core::taskgen::{SelectionAlgorithm, SelectionProblem};
 use cp_core::worker_selection::KnowledgeModel;
 use cp_core::Config;
 use cp_crowd::WorkerId;
-use cp_mining::CandidateGenerator;
 use cp_roadnet::LandmarkId;
 use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
@@ -22,7 +21,7 @@ pub fn run(fast: bool) {
     let platform = world.platform(200, 30, 13);
     let cfg = Config::default();
     let knowledge = KnowledgeModel::build(&platform, &world.landmarks, &cfg);
-    let gen = CandidateGenerator::new(&world.city.graph, &world.trips.trips);
+    let mining = world.service_world();
     let model = *platform.answer_model();
     let n_req = if fast { 20 } else { 80 };
     let requests = world.request_stream(n_req, 6, 53);
@@ -50,7 +49,7 @@ pub fn run(fast: bool) {
 
     let mut totals: Vec<(f64, usize)> = vec![(0.0, 0); 4]; // random, sum, voting, oracle
     for &(a, b) in &requests {
-        let routes = calibrated_candidates(&world, &gen, a, b, departure);
+        let routes = calibrated_candidates(&world, &mining, a, b, departure);
         if routes.len() < 2 {
             continue;
         }

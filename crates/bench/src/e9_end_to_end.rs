@@ -7,7 +7,7 @@
 
 use crate::common::{header, row};
 use cp_core::Config;
-use cp_mining::{CandidateGenerator, SourceKind};
+use cp_mining::SourceKind;
 use cp_traj::TimeOfDay;
 use crowdplanner::sim::{Scale, SimWorld};
 
@@ -24,10 +24,10 @@ pub fn run(fast: bool) {
     );
 
     // Single sources.
-    let gen = CandidateGenerator::new(&world.city.graph, &world.trips.trips);
+    let mining = world.service_world();
     let mut hits = [0usize; 5];
     for &(a, b) in &requests {
-        for c in gen.candidates(a, b, departure) {
+        for c in mining.candidates(a, b, departure) {
             if world.is_best(&c.path) {
                 let i = SourceKind::ALL.iter().position(|&s| s == c.source).unwrap();
                 hits[i] += 1;
@@ -93,7 +93,7 @@ pub fn run(fast: bool) {
     // Oracle ceiling: is the best route among the candidates at all?
     let mut ceiling = 0usize;
     for &(a, b) in &requests {
-        if gen
+        if mining
             .candidates(a, b, departure)
             .iter()
             .any(|c| world.is_best(&c.path))

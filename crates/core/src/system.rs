@@ -12,8 +12,8 @@
 //!    reward workers, record the verified truth, and return.
 //!
 //! The planner is **owned and `'static`**: it holds `Arc` handles to its
-//! world (road graph, landmarks, significance, trips, pre-built transfer
-//! network) and reaches the crowd through an `Arc<dyn CrowdDesk>` — the
+//! mining [`World`] (road graph, trips and mining state), landmarks and
+//! significance, and reaches the crowd through an `Arc<dyn CrowdDesk>` — the
 //! reserve → ask → commit protocol of [`cp_crowd::desk`] — instead of a
 //! privately owned `&mut Platform`. That makes a planner `Send`, movable
 //! onto resident worker pools, and lets N planners share one crowd
@@ -41,12 +41,9 @@ use crate::taskgen::{generate_task, SelectionAlgorithm, Task};
 use crate::truth::{TruthEntry, TruthStore};
 use crate::worker_selection::{select_workers_scored, KnowledgeBasis, KnowledgeModel};
 use cp_crowd::{CrowdDesk, Reservation};
-use cp_mining::{
-    distinct_candidates, generate_candidates, LdrParams, MfpParams, MprParams, SourceKind,
-    TransferNetwork,
-};
+use cp_mining::{distinct_candidates, SourceKind, World};
 use cp_roadnet::{LandmarkId, LandmarkSet, NodeId, Path, RoadGraph};
-use cp_traj::{CalibrationParams, TimeOfDay, Trip};
+use cp_traj::{CalibrationParams, TimeOfDay};
 use std::sync::Arc;
 
 /// How a request was resolved.
@@ -113,20 +110,15 @@ pub struct SystemStats {
 
 /// The CrowdPlanner server: owned, `Send` and `'static`.
 ///
-/// Build one with [`CrowdPlanner::new`] (aggregates the transfer network
-/// itself) or [`CrowdPlanner::with_mining_state`] (shares a pre-built
-/// one, e.g. a serving world's). Planner-local state (truth store,
-/// knowledge-model cache, source reliability, statistics) stays private;
-/// the crowd is shared through the desk.
+/// It mines candidates from a shared [`World`], so every planner over
+/// one city (a serving pool's, say) shares one mining state.
+/// Planner-local state (truth store, knowledge-model cache, source
+/// reliability, statistics) stays private; the crowd is shared through
+/// the desk.
 pub struct CrowdPlanner {
-    graph: Arc<RoadGraph>,
+    world: Arc<World>,
     landmarks: Arc<LandmarkSet>,
     significance: Arc<Vec<f64>>,
-    trips: Arc<Vec<Trip>>,
-    transfer: Arc<TransferNetwork>,
-    mpr: MprParams,
-    mfp: MfpParams,
-    ldr: LdrParams,
     desk: Arc<dyn CrowdDesk>,
     truths: TruthStore,
     /// Upper bound on the private truth store (0 = unbounded); a full
@@ -150,47 +142,14 @@ pub struct CrowdPlanner {
 }
 
 impl CrowdPlanner {
-    /// Builds the server, aggregating the all-day transfer network from
-    /// the trips (the expensive part of candidate mining).
+    /// Builds the server over `world`'s mining state.
     ///
     /// `significance` must have one entry per landmark (the HITS-inferred
     /// `l.s` scores).
     pub fn new(
-        graph: Arc<RoadGraph>,
+        world: Arc<World>,
         landmarks: Arc<LandmarkSet>,
         significance: Arc<Vec<f64>>,
-        trips: Arc<Vec<Trip>>,
-        desk: Arc<dyn CrowdDesk>,
-        cfg: Config,
-    ) -> Result<Self, CoreError> {
-        let transfer = Arc::new(TransferNetwork::build(&graph, &trips, None));
-        Self::with_mining_state(
-            graph,
-            landmarks,
-            significance,
-            trips,
-            transfer,
-            MprParams::default(),
-            MfpParams::default(),
-            LdrParams::default(),
-            desk,
-            cfg,
-        )
-    }
-
-    /// Builds the server over an already-aggregated transfer network and
-    /// explicit miner parameters — the constructor for serving stacks
-    /// that keep one shared mining state per city world.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_mining_state(
-        graph: Arc<RoadGraph>,
-        landmarks: Arc<LandmarkSet>,
-        significance: Arc<Vec<f64>>,
-        trips: Arc<Vec<Trip>>,
-        transfer: Arc<TransferNetwork>,
-        mpr: MprParams,
-        mfp: MfpParams,
-        ldr: LdrParams,
         desk: Arc<dyn CrowdDesk>,
         cfg: Config,
     ) -> Result<Self, CoreError> {
@@ -202,14 +161,9 @@ impl CrowdPlanner {
             });
         }
         Ok(CrowdPlanner {
-            graph,
+            world,
             landmarks,
             significance,
-            trips,
-            transfer,
-            mpr,
-            mfp,
-            ldr,
             desk,
             truths: TruthStore::new(),
             truth_cap: 0,
@@ -244,7 +198,7 @@ impl CrowdPlanner {
     /// Records a truth, enforcing the cap. Batch eviction (an eighth of
     /// the cap at a time) amortises the store's O(remaining) re-index.
     fn record_truth(&mut self, entry: TruthEntry) {
-        self.truths.insert(&self.graph, entry);
+        self.truths.insert(self.world.graph(), entry);
         if self.truth_cap != 0 && self.truths.len() > self.truth_cap {
             let batch = (self.truth_cap / 8).max(1) + (self.truths.len() - self.truth_cap - 1);
             self.truths.evict_oldest(batch);
@@ -263,8 +217,8 @@ impl CrowdPlanner {
     }
 
     /// The road graph.
-    pub fn graph(&self) -> &Arc<RoadGraph> {
-        &self.graph
+    pub fn graph(&self) -> &RoadGraph {
+        self.world.graph()
     }
 
     /// The landmark set.
@@ -272,26 +226,15 @@ impl CrowdPlanner {
         &self.landmarks
     }
 
-    /// Produces one candidate route per available source over the owned
-    /// mining state (identical output to the borrowed
-    /// `CandidateGenerator` over the same inputs).
+    /// Produces one candidate route per available source, mined from
+    /// scratch by the planner's world ([`World::candidates`]).
     pub fn candidates(
         &self,
         from: NodeId,
         to: NodeId,
         departure: TimeOfDay,
     ) -> Vec<cp_mining::CandidateRoute> {
-        generate_candidates(
-            &self.graph,
-            &self.trips,
-            &self.transfer,
-            &self.mpr,
-            &self.mfp,
-            &self.ldr,
-            from,
-            to,
-            departure,
-        )
+        self.world.candidates(from, to, departure)
     }
 
     /// Lazily (re)builds the worker-knowledge model. Invalidated whenever
@@ -327,7 +270,7 @@ impl CrowdPlanner {
     ) -> Option<Recommendation> {
         let hit = self
             .truths
-            .lookup(&self.graph, from, to, departure, &self.cfg)?;
+            .lookup(self.graph(), from, to, departure, &self.cfg)?;
         self.stats.reuse_hits += 1;
         Some(Recommendation {
             path: hit.path.clone(),
@@ -381,8 +324,9 @@ impl CrowdPlanner {
         }
 
         // Step 3: machine evaluation.
+        let graph = self.graph();
         let confidences =
-            match evaluate_candidates(&self.graph, candidates, &self.truths, from, to, &self.cfg) {
+            match evaluate_candidates(graph, candidates, &self.truths, from, to, &self.cfg) {
                 Evaluation::Agreement { path, supporters } => {
                     self.stats.agreements += 1;
                     self.record_truth(TruthEntry {
@@ -460,7 +404,7 @@ impl CrowdPlanner {
         let mut routes: Vec<LandmarkRoute> = Vec::new();
         let mut kept: Vec<usize> = Vec::new();
         for (i, p) in paths.iter().enumerate() {
-            let lr = LandmarkRoute::from_path(&self.graph, &self.landmarks, p, &self.calibration);
+            let lr = LandmarkRoute::from_path(self.graph(), &self.landmarks, p, &self.calibration);
             if routes.iter().all(|r| !r.same_landmark_set(&lr)) {
                 routes.push(lr);
                 kept.push(i);
@@ -749,6 +693,13 @@ mod tests {
         }
     }
 
+    fn mining_world(w: &World) -> Arc<cp_mining::World> {
+        Arc::new(cp_mining::World::new(
+            w.city.graph.clone(),
+            w.trips.trips.clone(),
+        ))
+    }
+
     fn warmed_platform(w: &World, seed: u64) -> Platform {
         let pop = WorkerPopulation::generate(&w.city.graph, &PopulationParams::default(), seed);
         let mut platform = Platform::new(pop, AnswerModel::default(), seed);
@@ -758,10 +709,9 @@ mod tests {
 
     fn planner_with_desk(w: &World, desk: Arc<dyn CrowdDesk>, cfg: Config) -> CrowdPlanner {
         CrowdPlanner::new(
-            Arc::new(w.city.graph.clone()),
+            mining_world(w),
             Arc::new(w.landmarks.clone()),
             Arc::new(w.significance.clone()),
-            Arc::new(w.trips.trips.clone()),
             desk,
             cfg,
         )
@@ -820,23 +770,6 @@ mod tests {
         assert_eq!(second.path, first.path);
         assert_eq!(cp.stats().reuse_hits, 1);
         assert_eq!(second.questions_asked, 0);
-    }
-
-    #[test]
-    fn owned_candidates_match_borrowed_generator() {
-        let w = world(83);
-        let cp = planner(&w, 83);
-        let generator = cp_mining::CandidateGenerator::new(&w.city.graph, &w.trips.trips);
-        let dep = TimeOfDay::from_hours(8.0);
-        for (a, b) in [(0u32, 59u32), (5, 54), (12, 47)] {
-            let borrowed = generator.candidates(NodeId(a), NodeId(b), dep);
-            let owned = cp.candidates(NodeId(a), NodeId(b), dep);
-            assert_eq!(borrowed.len(), owned.len());
-            for (x, y) in borrowed.iter().zip(&owned) {
-                assert_eq!(x.source, y.source);
-                assert_eq!(x.path, y.path);
-            }
-        }
     }
 
     #[test]
@@ -1127,10 +1060,9 @@ mod tests {
         let desk: Arc<dyn CrowdDesk> = Arc::new(SharedCrowd::new(warmed_platform(&w, 103), 5));
         assert!(matches!(
             CrowdPlanner::new(
-                Arc::new(w.city.graph.clone()),
+                mining_world(&w),
                 Arc::new(w.landmarks.clone()),
                 Arc::new(vec![0.5; 3]),
-                Arc::new(w.trips.trips.clone()),
                 desk,
                 Config::default(),
             ),

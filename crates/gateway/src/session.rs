@@ -11,7 +11,7 @@
 //! [`World::generation`](cp_service::World::generation), exactly like
 //! the serving layer's `MiningArtifactCache`: a response rendered at
 //! generation *g* is served only while the city's world is still at
-//! *g*. After `bump_generation` (mining-state mutation), the stale body
+//! *g*. After `bump_generation` (the generation moved on), the stale body
 //! is dropped and the request goes back through the platform — the edge
 //! can never pin a client to a pre-mutation route.
 //!

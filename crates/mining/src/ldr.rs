@@ -399,18 +399,6 @@ impl HabitTree {
     }
 }
 
-/// Number of local trips supporting the request — the support level that
-/// route evaluation uses to judge whether LDR's answer is data-backed.
-pub fn local_support(
-    graph: &RoadGraph,
-    trips: &[Trip],
-    from: NodeId,
-    to: NodeId,
-    params: &LdrParams,
-) -> usize {
-    local_trips(graph, trips, from, to, params).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,32 +680,6 @@ mod tests {
                 prop_assert_eq!(counts, expert_counts(&g, &trips, driver), "{:?}", driver);
             }
         }
-    }
-
-    #[test]
-    fn support_counts_nearby_trips() {
-        let (city, ds) = setup();
-        let g = &city.graph;
-        let trip = &ds.trips[0];
-        let s = local_support(
-            g,
-            &ds.trips,
-            trip.path.source(),
-            trip.path.destination(),
-            &LdrParams::default(),
-        );
-        assert!(s >= 1);
-        let s0 = local_support(
-            g,
-            &ds.trips,
-            trip.path.source(),
-            trip.path.destination(),
-            &LdrParams {
-                endpoint_radius: 0.0,
-                beta: 0.8,
-            },
-        );
-        assert!(s0 <= s);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! * [`mfp`] — time-period Most Frequent Path (Luo et al., SIGMOD 2013);
 //! * [`ldr`] — Local-Driver Route (after Ceikute & Jensen, MDM 2013);
 //! * [`webservice`] — simulated shortest/fastest map services;
-//! * [`source`] — the unified candidate-set generator.
+//! * [`source`] — candidate routes, their sources, and the per-origin
+//!   [`OriginArtifacts`] the serving path mines from;
+//! * [`world`] — [`World`], one city's graph, trips and mining state: the
+//!   only way to mine a candidate set.
 
 #![warn(missing_docs)]
 
@@ -19,13 +22,12 @@ pub mod mpr;
 pub mod source;
 pub mod transfer;
 pub mod webservice;
+pub mod world;
 
-pub use ldr::{local_driver_route, local_support, LdrParams, TripIndex};
+pub use ldr::{local_driver_route, LdrParams, TripIndex};
 pub use mfp::{best_bottleneck, most_frequent_path, most_frequent_path_on, MfpParams};
 pub use mpr::{log_popularity, most_popular_route, MprParams};
-pub use source::{
-    candidates_from_artifacts, distinct_candidates, generate_candidates, CandidateGenerator,
-    CandidateRoute, OriginArtifacts, SourceKind,
-};
+pub use source::{distinct_candidates, CandidateRoute, OriginArtifacts, SourceKind};
 pub use transfer::TransferNetwork;
 pub use webservice::{FastestRouteService, ShortestRouteService};
+pub use world::World;

@@ -1,23 +1,17 @@
-//! Unified candidate-route generation (paper §II-B1, "route generation
+//! Candidate routes and their sources (paper §II-B1, "route generation
 //! component": "two types of candidate routes, the one provided by web
 //! services … and the one generated from historical trajectories by using
 //! popular route mining algorithms, i.e., MPR, LDR and MFP").
 //!
-//! Two paths produce the same candidate set. [`generate_candidates`]
-//! mines one request from scratch and is the reference.
-//! [`candidates_from_artifacts`] serves from an origin's cached
-//! [`OriginArtifacts`]: resumable searches plus the LDR locality scan,
-//! which reads the world's [`TripIndex`] instead of the whole trip
-//! history.
+//! [`World`](crate::World) mines them, either from scratch or from an
+//! origin's cached [`OriginArtifacts`]: resumable searches plus the LDR
+//! locality scan, which reads the world's [`TripIndex`] instead of the
+//! whole trip history.
 
-use crate::ldr::{
-    expert_modal_exact, local_driver_route, local_support, pick_expert, HabitTree, LdrParams,
-    TripIndex,
-};
-use crate::mfp::{discounted_path, most_frequent_path, MfpParams};
-use crate::mpr::{most_popular_route, popularity_path, MprParams};
+use crate::ldr::{expert_modal_exact, pick_expert, HabitTree, LdrParams, TripIndex};
+use crate::mfp::{discounted_path, MfpParams};
+use crate::mpr::{popularity_path, MprParams};
 use crate::transfer::TransferNetwork;
-use crate::webservice::{FastestRouteService, ShortestRouteService};
 use cp_roadnet::routing::{time_cost, ResumableTree};
 use cp_roadnet::{NodeId, Path, RoadGraph};
 use cp_traj::{DriverId, TimeOfDay, Trip};
@@ -71,124 +65,12 @@ pub struct CandidateRoute {
     pub path: Path,
 }
 
-/// Generates the full candidate set for route requests, holding the
-/// pre-built all-day transfer network so repeated requests are cheap.
-pub struct CandidateGenerator<'a> {
-    graph: &'a RoadGraph,
-    trips: &'a [Trip],
-    transfer: TransferNetwork,
-    /// MPR parameters.
-    pub mpr: MprParams,
-    /// MFP parameters.
-    pub mfp: MfpParams,
-    /// LDR parameters.
-    pub ldr: LdrParams,
-}
-
-impl<'a> CandidateGenerator<'a> {
-    /// Builds the generator (aggregates the transfer network once).
-    pub fn new(graph: &'a RoadGraph, trips: &'a [Trip]) -> Self {
-        CandidateGenerator {
-            graph,
-            trips,
-            transfer: TransferNetwork::build(graph, trips, None),
-            mpr: MprParams::default(),
-            mfp: MfpParams::default(),
-            ldr: LdrParams::default(),
-        }
-    }
-
-    /// The underlying all-day transfer network.
-    pub fn transfer_network(&self) -> &TransferNetwork {
-        &self.transfer
-    }
-
-    /// Historical-trip support near this OD pair (how much data backs the
-    /// miners here) — consumed by route evaluation.
-    pub fn od_support(&self, from: NodeId, to: NodeId) -> usize {
-        local_support(self.graph, self.trips, from, to, &self.ldr)
-    }
-
-    /// Produces one candidate per available source. Sources that cannot
-    /// route the request (disconnected etc.) are silently skipped; the
-    /// result is empty only if no source can connect the pair.
-    pub fn candidates(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        departure: TimeOfDay,
-    ) -> Vec<CandidateRoute> {
-        generate_candidates(
-            self.graph,
-            self.trips,
-            &self.transfer,
-            &self.mpr,
-            &self.mfp,
-            &self.ldr,
-            from,
-            to,
-            departure,
-        )
-    }
-}
-
-/// Produces one candidate per available source from explicitly supplied
-/// world parts — the ownership-free core behind
-/// [`CandidateGenerator::candidates`], usable by callers that hold the
-/// graph and trips behind shared pointers instead of borrows (the
-/// serving layer's owned worlds). Sources that cannot route the request
-/// are silently skipped; the result is empty only if no source can
-/// connect the pair.
-pub fn generate_candidates(
-    graph: &RoadGraph,
-    trips: &[Trip],
-    transfer: &TransferNetwork,
-    mpr: &MprParams,
-    mfp: &MfpParams,
-    ldr: &LdrParams,
-    from: NodeId,
-    to: NodeId,
-    departure: TimeOfDay,
-) -> Vec<CandidateRoute> {
-    let mut out = Vec::with_capacity(SourceKind::ALL.len());
-    if let Ok(p) = ShortestRouteService.route(graph, from, to) {
-        out.push(CandidateRoute {
-            source: SourceKind::ShortestWebService,
-            path: p,
-        });
-    }
-    if let Ok(p) = FastestRouteService.route(graph, from, to) {
-        out.push(CandidateRoute {
-            source: SourceKind::FastestWebService,
-            path: p,
-        });
-    }
-    if let Ok(p) = most_popular_route(graph, transfer, from, to, mpr) {
-        out.push(CandidateRoute {
-            source: SourceKind::Mpr,
-            path: p,
-        });
-    }
-    if let Ok(p) = local_driver_route(graph, trips, from, to, ldr) {
-        out.push(CandidateRoute {
-            source: SourceKind::Ldr,
-            path: p,
-        });
-    }
-    if let Ok(p) = most_frequent_path(graph, trips, from, to, departure, mfp) {
-        out.push(CandidateRoute {
-            source: SourceKind::Mfp,
-            path: p,
-        });
-    }
-    out
-}
-
 /// One origin's share of candidate mining, reusable for **any**
 /// destination, **any** time bucket and **any** later batch:
 ///
 /// * the LDR origin-side locality scan (trip indices whose source is
-///   near the origin), the only work [`OriginArtifacts::build`] does: a
+///   near the origin), the only work
+///   [`World::origin_artifacts`](crate::World::origin_artifacts) does: a
 ///   walk over the [`TripIndex`] grid cells near the origin;
 /// * the MPR popularity search over the all-day transfer network;
 /// * one MFP search per departure, keyed by departure bits (the caller
@@ -204,14 +86,14 @@ pub fn generate_candidates(
 /// path is byte-identical to the per-request miners, because each
 /// resumption settles a prefix of the same settle order.
 ///
-/// Costs are supplied when a search resumes, not stored: every query
-/// on one artifact must pass the same transfer networks and miner
-/// parameters (see [`candidates_from_artifacts`]). The serving layer's
-/// cache guarantees this by tagging artifacts and period networks with
-/// the world generation they were built under. Each search sits behind
-/// its own mutex, and the per-expert and per-departure maps are never
-/// locked while a search settles, so a shared `Arc<OriginArtifacts>`
-/// keeps absorbing work from concurrent workers.
+/// Costs are supplied when a search resumes, not stored: the world that
+/// built an artifact answers every query on it
+/// ([`World::artifact_candidates`](crate::World::artifact_candidates)),
+/// so all of them pass that world's transfer networks and miner
+/// parameters. Each search sits behind its own mutex, and the
+/// per-expert and per-departure maps are never locked while a search
+/// settles, so a shared `Arc<OriginArtifacts>` keeps absorbing work from
+/// concurrent workers.
 pub struct OriginArtifacts {
     origin: NodeId,
     /// The world's trip index: destination positions for LDR's
@@ -253,7 +135,7 @@ impl OriginArtifacts {
     /// Runs the locality scan for one origin over `index`, which must
     /// index the trips every later query passes. Every search starts on
     /// first use and settles only as far as the destinations served.
-    pub fn build(
+    pub(crate) fn build(
         graph: &RoadGraph,
         index: &Arc<TripIndex>,
         ldr: &LdrParams,
@@ -275,6 +157,11 @@ impl OriginArtifacts {
         self.origin
     }
 
+    /// Whether these artifacts were built over `index`.
+    pub(crate) fn is_over(&self, index: &Arc<TripIndex>) -> bool {
+        Arc::ptr_eq(&self.index, index)
+    }
+
     fn search<'a>(
         &self,
         slot: &'a OnceLock<Mutex<ResumableTree>>,
@@ -283,7 +170,7 @@ impl OriginArtifacts {
         lock(slot.get_or_init(|| Mutex::new(ResumableTree::new(graph, self.origin))))
     }
 
-    fn mpr(
+    pub(crate) fn mpr(
         &self,
         graph: &RoadGraph,
         transfer: &TransferNetwork,
@@ -299,7 +186,7 @@ impl OriginArtifacts {
         )
     }
 
-    fn ldr(
+    pub(crate) fn ldr(
         &self,
         graph: &RoadGraph,
         trips: &[Trip],
@@ -332,7 +219,7 @@ impl OriginArtifacts {
         habit.path_to(graph, to, params)
     }
 
-    fn mfp(
+    pub(crate) fn mfp(
         &self,
         graph: &RoadGraph,
         params: &MfpParams,
@@ -357,70 +244,6 @@ impl std::fmt::Debug for OriginArtifacts {
     }
 }
 
-/// Produces one query's candidate set from cached per-origin artifacts
-/// plus the period-filtered transfer network for its departure —
-/// byte-identical to [`generate_candidates`] over the same inputs
-/// (same sources, same paths, same order).
-///
-/// Contract: `artifacts` was built for `(graph, ldr)` over the
-/// [`TripIndex`] of `(graph, trips)`, with
-/// `artifacts.origin() == the query origin`; every query on one artifact
-/// passes the same `transfer`, `mpr`, `mfp` and `ldr`; and `period_tn`
-/// is `TransferNetwork::build(graph, trips, Some((departure,
-/// mfp.period_half_width)))`. The artifact's searches resume under the
-/// costs these supply, and its departure-bits memo assumes the period
-/// network is a pure function of the departure.
-pub fn candidates_from_artifacts(
-    graph: &RoadGraph,
-    trips: &[Trip],
-    transfer: &TransferNetwork,
-    mpr: &MprParams,
-    mfp: &MfpParams,
-    ldr: &LdrParams,
-    artifacts: &OriginArtifacts,
-    period_tn: &TransferNetwork,
-    to: NodeId,
-    departure: TimeOfDay,
-) -> Vec<CandidateRoute> {
-    let from = artifacts.origin;
-    // Assembly order must match `generate_candidates` exactly.
-    let mut out = Vec::with_capacity(SourceKind::ALL.len());
-    if let Ok(p) = ShortestRouteService.route(graph, from, to) {
-        out.push(CandidateRoute {
-            source: SourceKind::ShortestWebService,
-            path: p,
-        });
-    }
-    if let Ok(p) = FastestRouteService.route(graph, from, to) {
-        out.push(CandidateRoute {
-            source: SourceKind::FastestWebService,
-            path: p,
-        });
-    }
-    if to == from {
-        return out;
-    }
-    if let Some(p) = artifacts.mpr(graph, transfer, mpr, to) {
-        out.push(CandidateRoute {
-            source: SourceKind::Mpr,
-            path: p,
-        });
-    }
-    if let Some(p) = artifacts.ldr(graph, trips, ldr, to) {
-        out.push(CandidateRoute {
-            source: SourceKind::Ldr,
-            path: p,
-        });
-    }
-    if let Some(p) = artifacts.mfp(graph, mfp, period_tn, departure, to) {
-        out.push(CandidateRoute {
-            source: SourceKind::Mfp,
-            path: p,
-        });
-    }
-    out
-}
-
 /// Deduplicates candidates into distinct paths, remembering every source
 /// that proposed each path. Order follows first appearance.
 pub fn distinct_candidates(candidates: &[CandidateRoute]) -> Vec<(Path, Vec<SourceKind>)> {
@@ -438,6 +261,7 @@ pub fn distinct_candidates(candidates: &[CandidateRoute]) -> Vec<(Path, Vec<Sour
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::World;
     use cp_roadnet::{generate_city, CityParams};
     use cp_traj::{generate_trips, TripGenParams};
 
@@ -447,11 +271,14 @@ mod tests {
         (city, ds)
     }
 
+    fn world() -> World {
+        let (city, ds) = setup();
+        World::new(city.graph, ds.trips)
+    }
+
     #[test]
     fn produces_all_five_sources() {
-        let (city, ds) = setup();
-        let gen = CandidateGenerator::new(&city.graph, &ds.trips);
-        let cs = gen.candidates(NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        let cs = world().candidates(NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
         assert_eq!(cs.len(), 5);
         let kinds: Vec<SourceKind> = cs.iter().map(|c| c.source).collect();
         for k in SourceKind::ALL {
@@ -465,9 +292,7 @@ mod tests {
 
     #[test]
     fn distinct_candidates_merges_agreeing_sources() {
-        let (city, ds) = setup();
-        let gen = CandidateGenerator::new(&city.graph, &ds.trips);
-        let cs = gen.candidates(NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
+        let cs = world().candidates(NodeId(0), NodeId(59), TimeOfDay::from_hours(8.0));
         let distinct = distinct_candidates(&cs);
         assert!(!distinct.is_empty());
         assert!(distinct.len() <= cs.len());
@@ -484,7 +309,6 @@ mod tests {
     #[test]
     fn shared_artifacts_answer_any_destination_byte_identically() {
         let (city, ds) = setup();
-        let g = &city.graph;
         // One artifact per origin built up front, destinations and
         // departures chosen afterwards — the cross-batch reuse contract.
         // Covers a second origin, duplicate queries (answered from the
@@ -494,33 +318,19 @@ mod tests {
         // an empty history (every LDR answer from the shared fastest tree).
         let deps = [7.0, 8.0, 9.0].map(TimeOfDay::from_hours);
         let driven = &ds.trips[0].path;
-        for trips in [&ds.trips[..], &[]] {
-            let gen = CandidateGenerator::new(g, trips);
-            let index = Arc::new(TripIndex::build(g, trips));
-            let periods = deps.map(|dep| {
-                TransferNetwork::build(g, trips, Some((dep, gen.mfp.period_half_width)))
-            });
+        for trips in [ds.trips.clone(), Vec::new()] {
+            let world = World::new(city.graph.clone(), trips);
+            let periods = deps.map(|dep| world.period_network(dep));
             for (from, tos) in [
                 (NodeId(0), &[59u32, 31, 59, 7, 44, 0][..]),
                 (NodeId(12), &[47, 7, 47]),
                 (driven.source(), &[driven.destination().0]),
             ] {
-                let art = OriginArtifacts::build(g, &index, &gen.ldr, from);
+                let art = world.origin_artifacts(from);
                 for &b in tos {
                     for (&dep, period) in deps.iter().zip(&periods) {
-                        let got = candidates_from_artifacts(
-                            g,
-                            trips,
-                            gen.transfer_network(),
-                            &gen.mpr,
-                            &gen.mfp,
-                            &gen.ldr,
-                            &art,
-                            period,
-                            NodeId(b),
-                            dep,
-                        );
-                        let want = gen.candidates(from, NodeId(b), dep);
+                        let got = world.artifact_candidates(&art, period, NodeId(b), dep);
+                        let want = world.candidates(from, NodeId(b), dep);
                         assert_eq!(got.len(), want.len(), "{from:?} to {b} at {dep:?}");
                         for (x, y) in got.iter().zip(&want) {
                             assert_eq!(x.source, y.source, "{from:?} to {b} at {dep:?}");
@@ -540,23 +350,22 @@ mod tests {
         use std::hash::Hasher;
         use std::sync::Barrier;
         let (city, ds) = setup();
-        let (g, trips) = (&city.graph, &ds.trips[..]);
-        let gen = CandidateGenerator::new(g, trips);
-        let index = Arc::new(TripIndex::build(g, trips));
+        let driven = ds.trips[0].path.source();
+        let world = World::new(city.graph, ds.trips);
+        let g = world.graph();
         let deps = [7.0, 8.0, 12.5, 17.0].map(TimeOfDay::from_hours);
-        let periods = deps
-            .map(|dep| TransferNetwork::build(g, trips, Some((dep, gen.mfp.period_half_width))));
-        for from in [NodeId(0), trips[0].path.source()] {
+        let periods = deps.map(|dep| world.period_network(dep));
+        for from in [NodeId(0), driven] {
             // Four workers share one artifact; each asks every
             // (destination, departure) pair in its own shuffled order, so
             // the searches are resumed by whichever worker gets there
             // first, in interleaved orders. The barrier releases them
             // together, so they contend from the first query on.
-            let art = Arc::new(OriginArtifacts::build(g, &index, &gen.ldr, from));
+            let art = Arc::new(world.origin_artifacts(from));
             let start = Barrier::new(4);
             std::thread::scope(|s| {
                 for worker in 0..4u64 {
-                    let (art, gen, periods, start) = (Arc::clone(&art), &gen, &periods, &start);
+                    let (art, world, periods, start) = (Arc::clone(&art), &world, &periods, &start);
                     s.spawn(move || {
                         let mut queries: Vec<(u32, usize)> = (0..g.node_count() as u32)
                             .flat_map(|b| (0..deps.len()).map(move |d| (b, d)))
@@ -568,19 +377,9 @@ mod tests {
                         });
                         start.wait();
                         for (b, d) in queries {
-                            let got = candidates_from_artifacts(
-                                g,
-                                trips,
-                                gen.transfer_network(),
-                                &gen.mpr,
-                                &gen.mfp,
-                                &gen.ldr,
-                                &art,
-                                &periods[d],
-                                NodeId(b),
-                                deps[d],
-                            );
-                            let want = gen.candidates(from, NodeId(b), deps[d]);
+                            let got =
+                                world.artifact_candidates(&art, &periods[d], NodeId(b), deps[d]);
+                            let want = world.candidates(from, NodeId(b), deps[d]);
                             let view = |cs: &[CandidateRoute]| -> Vec<_> {
                                 cs.iter().map(|c| (c.source, c.path.clone())).collect()
                             };
@@ -590,21 +389,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn od_support_is_monotone_in_radius() {
-        let (city, ds) = setup();
-        let mut gen = CandidateGenerator::new(&city.graph, &ds.trips);
-        let narrow = {
-            gen.ldr.endpoint_radius = 100.0;
-            gen.od_support(NodeId(0), NodeId(59))
-        };
-        let wide = {
-            gen.ldr.endpoint_radius = 2000.0;
-            gen.od_support(NodeId(0), NodeId(59))
-        };
-        assert!(wide >= narrow);
     }
 
     #[test]

@@ -21,18 +21,15 @@ impl CostMemo {
     /// Resumes `tree` under `cost` until `to` settles and returns the
     /// path to it, reading the memoised array (filled with `cost` over
     /// every edge on first use) instead of calling `cost` per
-    /// relaxation. When the memo already holds an array for a different
-    /// `param` (a miner parameter changed after the first search) it
-    /// calls `cost` per relaxation instead, so it never reads a stale
-    /// array. Either way each edge costs the same, so one tree may be
-    /// resumed through both.
+    /// relaxation. One network is only ever searched under its world's
+    /// one miner parameter, so a different `param` is a bug and panics.
     pub(crate) fn path_to(
         &self,
         graph: &RoadGraph,
         tree: &mut ResumableTree,
         to: NodeId,
         param: f64,
-        cost: impl Fn(EdgeId) -> f64 + Copy,
+        cost: impl Fn(EdgeId) -> f64,
     ) -> Option<Path> {
         let (key, costs) = self.0.get_or_init(|| {
             let edges = graph.edge_count() as u32;
@@ -41,11 +38,8 @@ impl CostMemo {
                 (0..edges).map(|e| cost(EdgeId(e))).collect(),
             )
         });
-        if *key == param.to_bits() {
-            tree.path_to(graph, to, |e: EdgeId| costs[e.index()])
-        } else {
-            tree.path_to(graph, to, cost)
-        }
+        assert_eq!(*key, param.to_bits(), "memo keyed by another parameter");
+        tree.path_to(graph, to, |e: EdgeId| costs[e.index()])
     }
 }
 

@@ -16,9 +16,10 @@
 //!
 //! Entries are **generation-versioned** against the owning
 //! [`World`]'s mining state: a
-//! [`World::bump_generation`](crate::World::bump_generation) (future
-//! trip ingestion, parameter mutation) makes every older entry a miss,
-//! so mutation invalidates cleanly instead of serving stale searches.
+//! [`World::bump_generation`](crate::World::bump_generation) (which a
+//! world that ingests new trips would call) makes every older entry a
+//! miss, so a change invalidates cleanly instead of serving stale
+//! searches.
 //! The tag also keeps each search resuming under the costs it started
 //! with: an artifact and the period networks it is queried with are
 //! always read at one generation.

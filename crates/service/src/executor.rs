@@ -563,7 +563,6 @@ impl RouteService {
             self.stats.inc_requests();
         }
         let mut tr = self.tracer.call(&self.stats);
-        let graph = self.world.graph();
         let mut results: Vec<Option<Result<ServedRoute, ServiceError>>> =
             requests.iter().map(|_| None).collect();
 
@@ -672,18 +671,10 @@ impl RouteService {
                     .expect("artifact prefetched for every miss origin")
                     .1;
                 let _s = tr.span(Stage::Mining);
-                pending[p].candidates = Some(cp_mining::candidates_from_artifacts(
-                    graph,
-                    self.world.trips(),
-                    self.world.transfer_network(),
-                    &self.world.mpr,
-                    &self.world.mfp,
-                    &self.world.ldr,
-                    art,
-                    &period,
-                    req.to,
-                    departure,
-                ));
+                pending[p].candidates = Some(
+                    self.world
+                        .artifact_candidates(art, &period, req.to, departure),
+                );
             }
         }
 

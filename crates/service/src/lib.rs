@@ -6,9 +6,9 @@
 //! (commute corridors, rush hours). This crate is the serving stack
 //! that exploits that skew, bottom to top:
 //!
-//! * [`World`] — one city's **owned** serving world (`Arc`-shared road
-//!   graph, trips and pre-built mining state; no lifetimes), registered
-//!   on a platform under a [`CityId`];
+//! * [`World`] — one city's **owned** mining world (cp-mining's,
+//!   re-exported: road graph, trips and pre-built mining state; no
+//!   lifetimes), registered on a platform under a [`CityId`];
 //! * [`ShardedTruthStore`] — the shared verified-truth database, split
 //!   into per-shard `RwLock`-protected grid indexes keyed by origin /
 //!   destination cells and time buckets; **bounded**: per-shard entry

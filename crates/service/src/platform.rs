@@ -887,15 +887,10 @@ impl Platform {
         let machine_core = cfg.core.clone();
         let planner_world = Arc::clone(&world);
         let factory = move |_worker: usize| {
-            let mut planner = CrowdPlanner::with_mining_state(
-                planner_world.graph_arc(),
+            let mut planner = CrowdPlanner::new(
+                Arc::clone(&planner_world),
                 Arc::clone(&crowd.landmarks),
                 Arc::clone(&crowd.significance),
-                planner_world.trips_arc(),
-                planner_world.transfer_arc(),
-                planner_world.mpr,
-                planner_world.mfp,
-                planner_world.ldr,
                 Arc::clone(&crowd.desk),
                 core.clone(),
             )

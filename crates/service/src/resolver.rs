@@ -290,7 +290,6 @@ mod tests {
     use cp_crowd::{
         AnswerModel, CrowdDesk, Platform, PopulationParams, SharedCrowd, WorkerPopulation,
     };
-    use cp_mining::CandidateGenerator;
     use cp_roadnet::{generate_city, generate_landmarks, CityParams, LandmarkGenParams};
     use cp_traj::{generate_checkins, CalibrationParams, TripGenParams};
     use cp_traj::{generate_trips, infer_significance, CheckInGenParams, SignificanceParams};
@@ -299,13 +298,13 @@ mod tests {
     fn machine_resolver_is_deterministic_and_endpoint_correct() {
         let city = generate_city(&CityParams::small(), 7).unwrap();
         let trips = generate_trips(&city.graph, &TripGenParams::default(), 7).unwrap();
-        let generator = CandidateGenerator::new(&city.graph, &trips.trips);
-        let graph = Arc::new(city.graph.clone());
+        let world = World::new(city.graph.clone(), trips.trips);
+        let graph = world.graph_arc();
         let mut r1 = MachineResolver::new(Arc::clone(&graph), Config::default());
         let mut r2 = MachineResolver::new(Arc::clone(&graph), Config::default());
         let dep = TimeOfDay::from_hours(8.0);
         for (a, b) in [(0u32, 59u32), (5, 54), (12, 47)] {
-            let cands = generator.candidates(NodeId(a), NodeId(b), dep);
+            let cands = world.candidates(NodeId(a), NodeId(b), dep);
             let x = r1.resolve(NodeId(a), NodeId(b), dep, &cands).unwrap();
             let y = r2.resolve(NodeId(a), NodeId(b), dep, &cands).unwrap();
             assert_eq!(x.path, y.path);
@@ -349,15 +348,10 @@ mod tests {
         let mut platform = Platform::new(pop, AnswerModel::default(), seed);
         platform.warm_up(&landmarks, 10);
         let desk = Arc::new(SharedCrowd::new(platform, 5));
-        let planner = CrowdPlanner::with_mining_state(
-            world.graph_arc(),
+        let planner = CrowdPlanner::new(
+            Arc::clone(&world),
             Arc::new(landmarks),
             Arc::new(significance),
-            world.trips_arc(),
-            world.transfer_arc(),
-            world.mpr,
-            world.mfp,
-            world.ldr,
             Arc::clone(&desk) as Arc<dyn CrowdDesk>,
             Config::default(),
         )

@@ -18,11 +18,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let departure = TimeOfDay::from_hours(8.0);
 
     // --- Single sources ---
-    let generator = CandidateGenerator::new(&world.city.graph, &world.trips.trips);
+    let mining = world.service_world();
     let mut source_hits: std::collections::HashMap<SourceKind, usize> =
         std::collections::HashMap::new();
     for &(a, b) in &requests {
-        for c in generator.candidates(a, b, departure) {
+        for c in mining.candidates(a, b, departure) {
             if world.is_best(&c.path) {
                 *source_hits.entry(c.source).or_insert(0) += 1;
             }

@@ -36,12 +36,12 @@ fn print_tree(node: &QuestionNode, indent: usize, world: &SimWorld) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let world = SimWorld::build(Scale::Small, 23)?;
-    let generator = CandidateGenerator::new(&world.city.graph, &world.trips.trips);
+    let mining = world.service_world();
 
     // Find a request where the sources genuinely disagree.
     let mut chosen = None;
     for (a, b) in world.request_stream(200, 5, 77) {
-        let cands = generator.candidates(a, b, TimeOfDay::from_hours(8.0));
+        let cands = mining.candidates(a, b, TimeOfDay::from_hours(8.0));
         let distinct = distinct_candidates(&cands);
         if distinct.len() >= 3 {
             chosen = Some((a, b, cands, distinct));

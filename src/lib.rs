@@ -24,7 +24,7 @@
 //! |---|---|
 //! | [`roadnet`] | road graph, synthetic city, routing, landmarks |
 //! | [`traj`] | driver preferences, trips, calibration, check-ins, HITS significance |
-//! | [`mining`] | MPR / MFP / LDR miners + simulated web services |
+//! | [`mining`] | MPR / MFP / LDR miners + simulated web services; the mining `World` |
 //! | [`crowd`] | simulated worker population, answers, response times |
 //! | [`core`] | task generation, worker selection, truth reuse, orchestration |
 //! | [`service`] | multi-city serving platform: owned worlds, submit/poll tickets with admission control, bounded sharded truth store, dedup at admission, cross-run mining-artifact cache |
@@ -55,9 +55,10 @@
 //! let desk: Arc<dyn CrowdDesk> = Arc::new(SharedCrowd::new(platform, 5));
 //!
 //! // The server: owned and `Send + 'static` — movable onto any thread.
+//! // It mines candidates from one shared mining world.
+//! let world = Arc::new(World::new(city.graph.clone(), trips.trips.clone()));
 //! let mut planner = CrowdPlanner::new(
-//!     Arc::new(city.graph.clone()), Arc::new(landmarks.clone()),
-//!     Arc::new(significance), Arc::new(trips.trips.clone()), desk,
+//!     world, Arc::new(landmarks.clone()), Arc::new(significance), desk,
 //!     Config::default()).unwrap();
 //!
 //! // Ground-truth oracle for the simulated crowd.
@@ -92,8 +93,8 @@ pub mod prelude {
         QuotaExhausted, Reservation, SharedCrowd, Worker, WorkerId, WorkerPopulation,
     };
     pub use cp_mining::{
-        distinct_candidates, CandidateGenerator, CandidateRoute, LdrParams, MfpParams, MprParams,
-        SourceKind, TransferNetwork,
+        distinct_candidates, CandidateRoute, LdrParams, MfpParams, MprParams, SourceKind,
+        TransferNetwork,
     };
     pub use cp_roadnet::{
         edge_jaccard, generate_city, generate_landmarks, City, CityParams, Landmark,

@@ -13,7 +13,7 @@ use cp_roadnet::{
     generate_city, generate_landmarks, City, CityParams, LandmarkGenParams, LandmarkId,
     LandmarkSet, NodeId, Path, RoadGraph, RoadNetError,
 };
-use cp_service::{CrowdServing, OracleFactory};
+use cp_service::{CrowdServing, OracleFactory, World};
 use cp_traj::{
     calibrate_path, generate_checkins, generate_trips, infer_significance, CalibrationParams,
     CheckIn, CheckInGenParams, DriverPreference, SignificanceParams, TripDataset, TripGenParams,
@@ -60,7 +60,7 @@ struct SharedHandles {
     graph: OnceLock<Arc<RoadGraph>>,
     landmarks: OnceLock<Arc<LandmarkSet>>,
     significance: OnceLock<Arc<Vec<f64>>>,
-    trips: OnceLock<Arc<Vec<cp_traj::Trip>>>,
+    world: OnceLock<Arc<World>>,
 }
 
 impl SimWorld {
@@ -174,8 +174,8 @@ impl SimWorld {
     /// serving world for the `cp-service` layer (clones both once; the
     /// returned `Arc<World>` is self-contained and `'static`, ready for
     /// `RouteService::new` or `Platform::register_city`).
-    pub fn service_world(&self) -> std::sync::Arc<cp_service::World> {
-        std::sync::Arc::new(cp_service::World::new(
+    pub fn service_world(&self) -> Arc<World> {
+        Arc::new(World::new(
             self.city.graph.clone(),
             self.trips.trips.clone(),
         ))
@@ -210,27 +210,20 @@ impl SimWorld {
         )
     }
 
-    /// A shared handle to this world's trips (cloned once, cached).
-    pub fn trips_arc(&self) -> Arc<Vec<cp_traj::Trip>> {
-        Arc::clone(
-            self.arcs
-                .trips
-                .get_or_init(|| Arc::new(self.trips.trips.clone())),
-        )
-    }
-
     /// Builds an owned, `Send + 'static` [`CrowdPlanner`] over this
-    /// world, resolving its crowd tasks through `desk`.
+    /// world, resolving its crowd tasks through `desk`. Every planner
+    /// built from one `SimWorld` shares one mining [`World`] (built on
+    /// the first call).
     pub fn owned_planner(
         &self,
         desk: Arc<dyn CrowdDesk>,
         cfg: Config,
     ) -> Result<CrowdPlanner, CoreError> {
+        let world = self.arcs.world.get_or_init(|| self.service_world());
         CrowdPlanner::new(
-            self.graph_arc(),
+            Arc::clone(world),
             self.landmarks_arc(),
             self.significance_arc(),
-            self.trips_arc(),
             desk,
             cfg,
         )

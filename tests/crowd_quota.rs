@@ -173,8 +173,8 @@ fn eight_clients_one_shared_crowd_never_oversubscribe_a_worker() {
         )
         .expect("crowd city registers");
 
-    // Distinct OD pairs so neither the sharded truth store nor the
-    // single-flight table short-circuits the crowd pipeline.
+    // Distinct OD pairs so neither the sharded truth store nor dedup
+    // at admission short-circuits the crowd pipeline.
     let ods = world.request_stream(CLIENTS * PER_CLIENT, 2, 99);
     std::thread::scope(|s| {
         for c in 0..CLIENTS {

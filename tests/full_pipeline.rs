@@ -194,7 +194,7 @@ fn accuracy_beats_worst_single_source() {
     let w = world();
     let mut p = planner(&w, 31);
     let reqs = w.request_stream(30, 4, 37);
-    let gen = CandidateGenerator::new(&w.city.graph, &w.trips.trips);
+    let mining = w.service_world();
     let mut full = 0usize;
     let mut shortest = 0usize;
     for &(a, b) in &reqs {
@@ -205,7 +205,7 @@ fn accuracy_beats_worst_single_source() {
         if w.is_best(&rec.path) {
             full += 1;
         }
-        let cands = gen.candidates(a, b, TimeOfDay::from_hours(8.0));
+        let cands = mining.candidates(a, b, TimeOfDay::from_hours(8.0));
         if let Some(c) = cands
             .iter()
             .find(|c| c.source == SourceKind::ShortestWebService)

@@ -91,9 +91,10 @@ fn concurrent_service_is_consistent_and_deterministic() {
         assert_eq!(snap.errors, 0, "workers = {workers}");
         // The accounting invariant: hits + dedups + resolutions == requests.
         assert!(snap.is_consistent(), "workers = {workers}: {snap:?}");
-        // Exactly one resolution per distinct key: the flight table
-        // collapses concurrent duplicates and the leader's double-check
-        // against the truth store closes the completion race.
+        // Exactly one resolution per distinct key: admission dedup
+        // attaches each duplicate of a queued or running miss to it, and
+        // the leader's truth check inside its run closes the completion
+        // race.
         assert_eq!(snap.resolved, distinct as u64, "workers = {workers}");
         assert_eq!(
             snap.truth_hits + snap.dedup_hits,

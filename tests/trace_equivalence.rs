@@ -153,7 +153,7 @@ proptest! {
 
 /// Per-stage histogram counts reconcile exactly with the request
 /// counters on a sequential, machine-resolved, counter-traced workload:
-/// one truth lookup per flight leader, one mined OD per truth miss,
+/// one truth lookup per in-run dedup leader, one mined OD per truth miss,
 /// one mining span per mined OD, one machine-resolve span and one
 /// commit per resolution.
 #[test]
